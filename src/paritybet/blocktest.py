@@ -21,18 +21,8 @@ from fractions import Fraction
 
 from .decompose import BlockSpec
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import BetProgram, Component, StageApprox
+from .programs import BetProgram, Component, StageApprox, at_stage
 from .strategy import Kind, Parity, Sided, StrategyTable, as_capital
-
-
-def _capital_at(strategy, state: str, stage: int | None) -> Fraction:
-    if isinstance(strategy, StrategyTable):
-        return strategy.value(state)
-    if isinstance(strategy, StageApprox):
-        if stage is None:
-            raise PreconditionError("stage approximations need an explicit stage")
-        return strategy.eval(stage, state)
-    raise PreconditionError(f"cannot evaluate {type(strategy).__name__}")
 
 
 @dataclass(frozen=True)
@@ -69,19 +59,23 @@ def verify_block_inequality(
     c. Conclusion: the pair's joint capital is at most c at parent+01 when
     n0 <= n1, at parent+11 otherwise.
 
+    m and n are read through at_stage: tables as they are, mixtures at
+    stage (default: their last activation stage).
+
     This is a checker. A failed hypothesis yields a report naming it, not
     an exception; the caller decides what a rejection means.
     """
     if len(parent) % 2 != 0:
         raise PreconditionError("block parent must have even length")
+    m_at, n_at = at_stage(m, stage).value, at_stage(n, stage).value
     p = parent
     vals = {
-        "m00": _capital_at(m, p + "00", stage),
-        "m10": _capital_at(m, p + "10", stage),
-        "n0": _capital_at(n, p + "0", stage),
-        "n1": _capital_at(n, p + "1", stage),
-        "m_parent": _capital_at(m, p, stage),
-        "n_parent": _capital_at(n, p, stage),
+        "m00": m_at(p + "00"),
+        "m10": m_at(p + "10"),
+        "n0": n_at(p + "0"),
+        "n1": n_at(p + "1"),
+        "m_parent": m_at(p),
+        "n_parent": n_at(p),
     }
     checks = [
         ("m00", vals["m00"] >= spec.m00),
@@ -94,7 +88,7 @@ def verify_block_inequality(
     ]
     witness = next((name for name, ok in checks if not ok), None)
     branch = p + ("01" if spec.n0 <= spec.n1 else "11")
-    branch_value = _capital_at(m, branch, stage) + _capital_at(n, branch, stage)
+    branch_value = m_at(branch) + n_at(branch)
     quantities = tuple(sorted(vals.items())) + (
         ("branch", branch_value),
         ("c", spec.c),
@@ -415,13 +409,6 @@ class PackingCertificate:
 
         vals = {s: self.value(s) for s in bits.all_states(depth)}
         return StrategyTable(depth, vals, Kind.SUPERMARTINGALE, Parity.NONE, Sided.NONE)
-
-    def extension_sum(self, state: str) -> Fraction:
-        """Sum of the certificate over the four 2-bit extensions; at most
-        4 times the state's own value at every on-array state."""
-        return sum(
-            (self.value(state + a + b) for a in "01" for b in "01"), Fraction(0)
-        )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import StageApprox
+from .programs import StageApprox, at_stage
 from .strategy import Kind, Parity, Sided, StrategyTable
 
 HALF = Fraction(1, 2)
@@ -86,21 +86,6 @@ def capital_threshold(n: int) -> Fraction:
     return HALF + sum(Fraction(1, 2 ** (i + 2)) for i in range(n))
 
 
-def _resolve_evaluator(m, depth: int, stage: int | None):
-    if isinstance(m, StrategyTable):
-        if depth > m.depth:
-            raise PreconditionError(
-                f"floor depth {depth} exceeds table depth {m.depth}"
-            )
-        return m.value
-    if isinstance(m, StageApprox):
-        if stage is None:
-            stages = m.activation_stages()
-            stage = stages[-1] if stages else 0
-        return lambda state: m.eval(stage, state)
-    raise StructuralError(f"cannot floor {type(m).__name__}")
-
-
 def floor(
     m,
     depth: int,
@@ -138,7 +123,9 @@ def floor(
         hit = cache.get(key)
         if hit is not None and hit[0] is prev:
             return hit[1]
-    ev = _resolve_evaluator(m, depth, stage)
+    if isinstance(m, StrategyTable) and depth > m.depth:
+        raise PreconditionError(f"floor depth {depth} exceeds table depth {m.depth}")
+    ev = at_stage(m, stage).value
     if parity == Parity.NONE:
         if prev is not None:
             raise PreconditionError("chaining applies to parity mode only")

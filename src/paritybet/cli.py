@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import bits
 from .blocktest import build_parity_test, packing_certificate
@@ -34,7 +33,7 @@ from .oracles import (
     two_round_grid,
     two_round_random,
 )
-from .programs import BetProgram, StageApprox
+from .programs import BetProgram, StageApprox, at_stage
 from .serialize import (
     WireError,
     dumps,
@@ -76,40 +75,16 @@ def _emit_lines(lines, out: str | None) -> None:
     _emit(body, out)
 
 
-def _line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
-
-
-def _plain(obj):
-    """Primitive-only copy for report dicts the wire layer has no type for."""
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}" if obj.denominator != 1 else str(obj.numerator)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return _plain(to_jsonable(obj))
-
-
-def _as_table(obj, depth: int, stage: int | None) -> StrategyTable:
-    if isinstance(obj, StrategyTable):
-        return obj
-    if isinstance(obj, BetProgram):
-        return obj.to_table(depth)
-    if isinstance(obj, StageApprox):
-        if stage is None:
-            stage = max((c.stage for c in obj.components), default=0)
-        return obj.table(stage, depth)
-    raise WireError("expected a table, program, or mixture object")
+def _line(payload) -> str:
+    return json.dumps(to_jsonable(payload), sort_keys=True)
 
 
 def _cmd_validate(args) -> int:
     obj = from_jsonable(load_json(args.path))
-    table = _as_table(obj, args.depth, args.stage)
-    diag = validate(table)
-    payload = to_jsonable(diag)
+    if not isinstance(obj, (StrategyTable, BetProgram, StageApprox)):
+        raise WireError("expected a table, program, or mixture object")
+    table = at_stage(obj, args.stage).to_table(args.depth)
+    payload = to_jsonable(validate(table))
     payload["depth"] = table.depth
     _emit(dumps(payload), args.out)
     return 0
@@ -123,9 +98,9 @@ def _cmd_decompose(args) -> int:
         odd_factor, even_factor = parity_factorize(m)
         payload = {
             "mode": "parity",
-            "root": _plain(m.value(bits.EMPTY)),
-            "odd_factor": to_jsonable(odd_factor),
-            "even_factor": to_jsonable(even_factor),
+            "root": m.value(bits.EMPTY),
+            "odd_factor": odd_factor,
+            "even_factor": even_factor,
         }
         _emit(dumps(payload), args.out)
         return 0
@@ -138,10 +113,10 @@ def _cmd_decompose(args) -> int:
     m_core, m_rest, n_core, n_rest = block_decompose(m, n, spec)
     payload = {
         "mode": "block",
-        "m_core": to_jsonable(m_core),
-        "m_rest": to_jsonable(m_rest),
-        "n_core": to_jsonable(n_core),
-        "n_rest": to_jsonable(n_rest),
+        "m_core": m_core,
+        "m_rest": m_rest,
+        "n_core": n_core,
+        "n_rest": n_rest,
     }
     _emit(dumps(payload), args.out)
     return 0
@@ -160,10 +135,7 @@ def _cmd_paritytest(args) -> int:
     cert, growth = packing_certificate(result.array)
     report = empirical_dim_bound(cert, result.path)
     payload = to_jsonable(result)
-    payload["certificate"] = {
-        "growth": [to_jsonable(g) for g in growth],
-        "dim_report": to_jsonable(report),
-    }
+    payload["certificate"] = {"growth": growth, "dim_report": report}
     _emit(dumps(payload), args.out)
     return 0
 
@@ -195,8 +167,8 @@ def _cmd_stest(args) -> int:
     s = parse_frac(args.s)
     verdicts = validate_s_test(array, s)
     payload = {
-        "s": _plain(s),
-        "levels": [to_jsonable(v) for v in verdicts],
+        "s": s,
+        "levels": verdicts,
         "ok": all(v.ok() for v in verdicts),
     }
     _emit(dumps(payload), args.out)
@@ -212,7 +184,7 @@ def _cmd_dim(args) -> int:
     report = empirical_dim_bound(
         strategy, x, stage=args.stage, precision=args.precision
     )
-    _emit(dumps(to_jsonable(report)), args.out)
+    _emit(dumps(report), args.out)
     return 0
 
 
@@ -243,27 +215,14 @@ def _cmd_dimhalf(args) -> int:
     t_approx = pack(by_parity[Parity.BETS_ON_EVEN], Parity.BETS_ON_EVEN)
     stages = args.stages if args.stages is not None else _default_stages(1000)
     state, prefix, ledger = run_stage_machine(n_approx, t_approx, stages, args.nmax)
-    payload = {
-        "state": to_jsonable(state),
-        "ledger": to_jsonable(ledger),
-        "prefix": prefix,
-    }
+    _emit(dumps({"state": state, "ledger": ledger, "prefix": prefix}), args.out)
     if args.out is None:
-        _emit(dumps(payload), None)
         return 0
-    _emit(dumps(payload), args.out)
     base = args.out[:-5] if args.out.endswith(".json") else args.out
     lines = [_line({"type": "builder_header", "stages": stages, "nmax": args.nmax})]
-    for ev in state.events:
-        lines.append(_line(to_jsonable(ev)))
+    lines.extend(_line(ev) for ev in state.events)
     lines.append(
-        _line(
-            {
-                "type": "summary",
-                "prefix": prefix,
-                "kraft_weight": _plain(ledger.kraft_weight()),
-            }
-        )
+        _line({"type": "summary", "prefix": prefix, "kraft_weight": ledger.kraft_weight()})
     )
     _emit_lines(lines, base + ".trace.jsonl")
     _emit(prefix + "\n", base + ".prefix.txt")
@@ -289,16 +248,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "lemma": args.lemma,
         "seed": args.seed,
-        "reports": [
-            {
-                "name": r.name,
-                "total": r.total,
-                "passed": r.passed,
-                "failures": _plain(r.failures),
-                "stats": _plain(r.stats),
-            }
-            for r in reports
-        ],
+        "reports": [r.as_jsonable() for r in reports],
         "passed": all(r.passed for r in reports),
     }
     _emit(dumps(payload), args.out)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import bits
 from .blocktest import TestArray
 from .errors import PreconditionError, StructuralError
-from .programs import Component, StageApprox, follow_program
+from .programs import Component, StageApprox, at_stage, follow_program
 from .strategy import Kind, Parity, Sided, StrategyTable
 
 
@@ -308,8 +308,9 @@ def empirical_dim_bound(
 ) -> DimReport:
     """Sample the exponent 1 - log2(M(x[:n]))/n for every n up to |x|.
 
-    strategy is a strategy table or a staged mixture; stage picks the
-    approximation stage for mixtures (defaults to the last activation).
+    strategy is anything at_stage reads: a table, a program, a packing
+    certificate, or a staged mixture, read at stage (default: its last
+    activation stage).
     Zero values give an infinite sample (the strategy ruled the prefix
     out entirely); values that are powers of two give exact rational
     exponents; everything else is trapped in a dyadic bracket of width
@@ -318,22 +319,11 @@ def empirical_dim_bound(
     bits.check_bits(x)
     if not x:
         raise PreconditionError("need a nonempty prefix to sample")
-    if isinstance(strategy, StrategyTable):
-        if len(x) > strategy.depth:
-            raise PreconditionError(
-                f"prefix length {len(x)} exceeds table depth {strategy.depth}"
-            )
-        evaluate = strategy.value
-    elif isinstance(strategy, StageApprox):
-        if stage is None:
-            stages = strategy.activation_stages()
-            stage = stages[-1] if stages else 0
-        evaluate = lambda state: strategy.eval(stage, state)
-    elif callable(getattr(strategy, "value", None)):
-        # lazy evaluators such as packing certificates
-        evaluate = strategy.value
-    else:
-        raise StructuralError(f"cannot sample {type(strategy).__name__}")
+    if isinstance(strategy, StrategyTable) and len(x) > strategy.depth:
+        raise PreconditionError(
+            f"prefix length {len(x)} exceeds table depth {strategy.depth}"
+        )
+    evaluate = at_stage(strategy, stage).value
     samples = []
     for n in range(1, len(x) + 1):
         v = evaluate(x[:n])

@@ -184,29 +184,10 @@ class BetProgram:
             q = st.on0 if bit == "0" else st.on1
         return c
 
-    def value_trace(self, state: str) -> list[Fraction]:
-        """Capital after each prefix of state, starting with the root value."""
-        bits.check_bits(state)
-        out = [self.initial]
-        c = self.initial
-        q = self.fsm.start
-        for bit in state:
-            st = self.fsm.states[q]
-            c = apply_bet(st.bet, c, bit)
-            q = st.on0 if bit == "0" else st.on1
-            out.append(c)
-        return out
-
-    def step(self, q: int, capital: Fraction, bit: str) -> tuple[int, Fraction]:
-        """One incremental move, for callers that track machine state."""
-        st = self.fsm.states[q]
-        return (st.on0 if bit == "0" else st.on1), apply_bet(st.bet, capital, bit)
-
-    def bet_at(self, q: int) -> Bet | None:
-        return self.fsm.states[q].bet
-
     def to_table(self, depth: int) -> StrategyTable:
         """Expand to a total table by one depth-first walk."""
+        if depth < 0:
+            raise PreconditionError("table depth must be nonnegative")
         vals: dict[str, Fraction] = {}
 
         def walk(state: str, q: int, c: Fraction):
@@ -338,18 +319,17 @@ class StageApprox:
     def activation_stages(self) -> list[int]:
         return sorted({c.stage for c in self.components})
 
-    def value_steps(self, state: str, budget: int) -> list[tuple[int, Fraction]]:
-        """The step function stage -> value on [0, budget] as (stage, value)
-        pairs at the stages where it jumps, starting at stage 0. Between
-        activations the value is constant, so this is the whole function."""
-        points = [0] + [s for s in self.activation_stages() if 0 < s <= budget]
-        return [(s, self.eval(s, state)) for s in points]
+    def last_stage(self) -> int:
+        """The stage from which the value no longer changes: the last
+        activation stage, or 0 for an empty mixture."""
+        return max((c.stage for c in self.components), default=0)
 
     def final(self, state: str) -> Fraction:
-        stages = self.activation_stages()
-        return self.eval(stages[-1] if stages else 0, state)
+        return self.eval(self.last_stage(), state)
 
     def table(self, stage: int, depth: int) -> StrategyTable:
+        if depth < 0:
+            raise PreconditionError("table depth must be nonnegative")
         active = [(c.weight, c.program.to_table(depth)) for c in self.components if c.stage <= stage]
         vals = {}
         for state in bits.all_states(depth):
@@ -363,3 +343,35 @@ def combine_programs(parts, parity: Parity = Parity.NONE, sided: Sided = Sided.N
     comps = tuple(Component(0, Fraction(w), p) for w, p in parts)
     kind = Kind.MARTINGALE if all(c.program.kind is Kind.MARTINGALE for c in comps) else Kind.SUPERMARTINGALE
     return StageApprox(comps, kind, parity, sided)
+
+
+class _StageView:
+    """A mixture frozen at one stage, read like a table or a program."""
+
+    __slots__ = ("approx", "stage")
+
+    def __init__(self, approx: StageApprox, stage: int):
+        self.approx = approx
+        self.stage = stage
+
+    def value(self, state: str) -> Fraction:
+        return self.approx.eval(self.stage, state)
+
+    def to_table(self, depth: int) -> StrategyTable:
+        return self.approx.table(self.stage, depth)
+
+
+def at_stage(strategy, stage: int | None = None):
+    """The one way to read a strategy: an object with value(state) and,
+    for tables, programs and mixtures, to_table(depth).
+
+    A StageApprox is read at stage, or at its last activation stage when
+    stage is None. Anything that already has a value(state) method
+    (tables, programs, lazy evaluators such as packing certificates)
+    comes back unchanged, and stage does not apply to it.
+    """
+    if isinstance(strategy, StageApprox):
+        return _StageView(strategy, strategy.last_stage() if stage is None else stage)
+    if callable(getattr(strategy, "value", None)):
+        return strategy
+    raise PreconditionError(f"cannot evaluate {type(strategy).__name__}")

@@ -10,6 +10,9 @@ rounded; a file written twice from the same objects is byte-identical.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
+from enum import Enum
 from fractions import Fraction
 
 from .blocktest import (
@@ -57,16 +60,23 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
+# str(Fraction) form in ASCII digits; checked before Fraction() sees the
+# text, so exponents, decimals and padding never reach the constructor
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_frac(s) -> Fraction:
     if isinstance(s, bool):
         raise WireError(f"expected a rational, got {s!r}")
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
+        if _RATIONAL.fullmatch(s) is None:
+            raise WireError(f"bad rational {s[:40]!r}")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise WireError(f"bad rational {s!r}") from exc
+            raise WireError(f"bad rational {s[:40]!r}") from exc
     raise WireError(f"expected a rational, got {type(s).__name__}")
 
 
@@ -137,18 +147,78 @@ def _fsm_from_jsonable(d) -> Fsm:
     return Fsm(tuple(states), start)
 
 
-def to_jsonable(obj):
-    """Plain-JSON form of a wire object or report. Deterministic."""
-    if isinstance(obj, StrategyTable):
-        return {
-            "type": "table",
-            "depth": obj.depth,
-            "kind": obj.kind.value,
-            "parity": obj.parity.value,
-            "sided": obj.sided.value,
-            "values": {s: frac_str(obj.value(s)) for s in sorted(obj.values)},
-        }
-    if isinstance(obj, BetProgram):
+# Every dataclass the wire writes, with its "type" tag. Such an object
+# becomes its public fields plus "type"; components carry no tag.
+_TAGS = {
+    StrategyTable: "table",
+    Component: None,
+    StageApprox: "mixture",
+    IntStrategy: "int_strategy",
+    TestArray: "test_array",
+    BlockSpec: "block_spec",
+    Diagnosis: "diagnosis",
+    BlockReport: "block_report",
+    LevelReport: "level_report",
+    ParityTestResult: "parity_test_result",
+    GrowthLine: "growth_line",
+    LevelVerdict: "level_verdict",
+    ExponentSample: "exponent_sample",
+    DimReport: "dim_report",
+    GrowthVerdict: "growth_verdict",
+    ConeCertificate: "cone_certificate",
+    Checkpoint: "checkpoint",
+    StageParams: "stage_params",
+    StageEvent: "stage_event",
+    BuilderState: "builder_state",
+}
+
+# Keys a report derives rather than stores; each names a method without
+# arguments whose result is written under that key.
+_DERIVED = {
+    DimReport: ("half_log2_base",),
+    GrowthVerdict: ("ok",),
+}
+
+# class -> (tag, public field names, derived keys), fixed at import
+_SHAPES = {
+    cls: (
+        tag,
+        tuple(f.name for f in fields(cls) if not f.name.startswith("_")),
+        _DERIVED.get(cls, ()),
+    )
+    for cls, tag in _TAGS.items()
+}
+
+
+# JSON scalars; containers copy these without a call per element
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
+def _encode(obj):
+    cls = type(obj)
+    if cls is Fraction:
+        return str(obj)
+    if cls in _PLAIN:
+        return obj
+    if cls is list or cls is tuple:
+        return [x if type(x) in _PLAIN else _encode(x) for x in obj]
+    if cls is dict:
+        return {k: v if type(v) in _PLAIN else _encode(v) for k, v in obj.items()}
+    shape = _SHAPES.get(cls)
+    if shape is not None:
+        tag, names, derived = shape
+        out = {}
+        for name in names:
+            v = getattr(obj, name)
+            out[name] = v if type(v) in _PLAIN else _encode(v)
+        if tag is not None:
+            out["type"] = tag
+        for name in derived:
+            out[name] = _encode(getattr(obj, name)())
+        return out
+    if isinstance(obj, Enum):
+        return obj.value
+    if cls is BetProgram:
         return {
             "type": "program",
             "initial": frac_str(obj.initial),
@@ -157,189 +227,27 @@ def to_jsonable(obj):
             "sided": obj.sided.value,
             "rule": _fsm_to_jsonable(obj.fsm),
         }
-    if isinstance(obj, Component):
-        return {
-            "stage": obj.stage,
-            "weight": frac_str(obj.weight),
-            "program": to_jsonable(obj.program),
-        }
-    if isinstance(obj, StageApprox):
-        return {
-            "type": "mixture",
-            "kind": obj.kind.value,
-            "parity": obj.parity.value,
-            "sided": obj.sided.value,
-            "components": [to_jsonable(c) for c in obj.components],
-        }
-    if isinstance(obj, IntStrategy):
-        return {
-            "type": "int_strategy",
-            "name": obj.name,
-            "program": to_jsonable(obj.program),
-        }
-    if isinstance(obj, TestArray):
-        return {
-            "type": "test_array",
-            "flavor": obj.flavor,
-            "levels": [list(level) for level in obj.levels],
-        }
-    if isinstance(obj, BlockSpec):
-        return {
-            "type": "block_spec",
-            "m00": frac_str(obj.m00),
-            "m10": frac_str(obj.m10),
-            "n0": frac_str(obj.n0),
-            "n1": frac_str(obj.n1),
-            "c": frac_str(obj.c),
-        }
-    if isinstance(obj, Diagnosis):
-        return {
-            "type": "diagnosis",
-            "martingale": obj.martingale,
-            "supermartingale": obj.supermartingale,
-            "bets_on_even": obj.bets_on_even,
-            "bets_on_odd": obj.bets_on_odd,
-            "zero_sided": obj.zero_sided,
-            "one_sided": obj.one_sided,
-            "witnesses": dict(sorted(obj.witnesses.items())),
-        }
-    if isinstance(obj, BlockReport):
-        return {
-            "type": "block_report",
-            "parent": obj.parent,
-            "hypotheses_ok": obj.hypotheses_ok,
-            "witness": obj.witness,
-            "branch_state": obj.branch_state,
-            "branch_value": frac_str(obj.branch_value),
-            "threshold": frac_str(obj.threshold),
-            "conclusion_ok": obj.conclusion_ok,
-            "quantities": [[k, frac_str(v)] for k, v in obj.quantities],
-        }
-    if isinstance(obj, LevelReport):
-        return {
-            "type": "level_report",
-            "level": obj.level,
-            "expanded_parent": obj.expanded_parent,
-            "phase": obj.phase,
-            "trigger_stage": obj.trigger_stage,
-            "children": list(obj.children),
-            "final_values": [[s, frac_str(v)] for s, v in obj.final_values],
-            "survivors": list(obj.survivors),
-            "chosen": obj.chosen,
-        }
-    if isinstance(obj, ParityTestResult):
-        return {
-            "type": "parity_test_result",
-            "array": to_jsonable(obj.array),
-            "path": obj.path,
-            "threshold": frac_str(obj.threshold),
-            "stages": obj.stages,
-            "reports": [to_jsonable(r) for r in obj.reports],
-        }
-    if isinstance(obj, GrowthLine):
-        return {
-            "type": "growth_line",
-            "level": obj.level,
-            "members": obj.members,
-            "on_path_value": frac_str(obj.on_path_value),
-            "measure_bound": frac_str(obj.measure_bound),
-        }
-    if isinstance(obj, LevelVerdict):
-        return {
-            "type": "level_verdict",
-            "level": obj.level,
-            "count": obj.count,
-            "sign": obj.sign,
-            "strict": obj.strict,
-            "min_length": obj.min_length,
-        }
-    if isinstance(obj, ExponentSample):
-        return {
-            "type": "exponent_sample",
-            "n": obj.n,
-            "value": frac_str(obj.value),
-            "exact": None if obj.exact is None else frac_str(obj.exact),
-            "bracket": None
-            if obj.bracket is None
-            else [frac_str(obj.bracket[0]), frac_str(obj.bracket[1])],
-            "infinite": obj.infinite,
-        }
-    if isinstance(obj, DimReport):
-        return {
-            "type": "dim_report",
-            "x": obj.x,
-            "lower": None if obj.lower is None else frac_str(obj.lower),
-            "upper": None if obj.upper is None else frac_str(obj.upper),
-            "half_log2_base": obj.half_log2_base(),
-            "samples": [to_jsonable(s) for s in obj.samples],
-        }
-    if isinstance(obj, GrowthVerdict):
-        return {
-            "type": "growth_verdict",
-            "sigma": obj.sigma,
-            "tau": obj.tau,
-            "stage_s": obj.stage_s,
-            "stage_t": obj.stage_t,
-            "p": obj.p,
-            "delta_at_sigma": frac_str(obj.delta_at_sigma),
-            "hypothesis_holds": obj.hypothesis_holds,
-            "value_s_at_tau": frac_str(obj.value_s_at_tau),
-            "value_t_at_tau": frac_str(obj.value_t_at_tau),
-            "bound": frac_str(obj.bound),
-            "conclusion_holds": obj.conclusion_holds,
-            "ok": obj.ok(),
-        }
-    if isinstance(obj, ConeCertificate):
-        return {
-            "type": "cone_certificate",
-            "adversary": obj.adversary,
-            "prefix": obj.prefix,
-            "kind": obj.kind,
-            "machine_state": obj.machine_state,
-            "position_parity": obj.position_parity,
-            "constant_value": obj.constant_value,
-        }
-    if isinstance(obj, Checkpoint):
-        return {
-            "type": "checkpoint",
-            "position": obj.position,
-            "block_bits": obj.block_bits,
-            "fraction": frac_str(obj.fraction),
-        }
-    if isinstance(obj, StageParams):
-        return {
-            "type": "stage_params",
-            "n": obj.n,
-            "q": frac_str(obj.q),
-            "p": obj.p,
-            "s": obj.s,
-            "described_len": obj.described_len,
-        }
-    if isinstance(obj, StageEvent):
-        return {
-            "type": "stage_event",
-            "stage": obj.stage,
-            "kind": obj.kind,
-            "n": obj.n,
-            "value": obj.value,
-        }
-    if isinstance(obj, RequestLedger):
+    if cls is RequestLedger:
         return {
             "type": "ledger",
             "requests": [[t, ln] for t, ln in obj.requests],
             "kraft_weight": frac_str(obj.kraft_weight()),
         }
-    if isinstance(obj, BuilderState):
-        return {
-            "type": "builder_state",
-            "stage": obj.stage,
-            "sigmas": list(obj.sigmas),
-            "change_counts": list(obj.change_counts),
-            "params": [to_jsonable(p) for p in obj.params],
-            "events": [to_jsonable(e) for e in obj.events],
-            "ledger": to_jsonable(obj.ledger),
-        }
-    raise WireError(f"cannot serialize {type(obj).__name__}")
+    raise WireError(f"cannot serialize {cls.__name__}")
+
+
+def to_jsonable(obj):
+    """Plain-JSON form of a wire object, a report, or a structure of them.
+
+    One rule: None, str, int and bool pass through, a Fraction becomes
+    str(Fraction), an enum its value, lists, tuples and dicts recurse, and
+    a dataclass in _TAGS becomes its public fields plus its "type" tag and
+    any _DERIVED keys. Programs and the ledger have wire shapes of their
+    own. Deterministic.
+    """
+    # recursion stays on _encode, so a wrapper of this public name (the
+    # bench tracer's spans) sees one call per object written, not per value
+    return _encode(obj)
 
 
 _PARSERS = {}
@@ -458,8 +366,7 @@ _PARSERS.update(
 
 def dumps(obj) -> str:
     """Deterministic JSON text for an object or plain structure."""
-    payload = to_jsonable(obj) if not isinstance(obj, (dict, list)) else obj
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_encode(obj), sort_keys=True, indent=2) + "\n"
 
 
 def dump_json(obj, path: str) -> None:
@@ -497,18 +404,8 @@ def trace_lines(trace: DiagTrace):
             },
             sort_keys=True,
         )
-    for cp in trace.checkpoints:
-        yield json.dumps(
-            {
-                "type": "checkpoint",
-                "position": cp.position,
-                "block_bits": cp.block_bits,
-                "fraction": frac_str(cp.fraction),
-            },
-            sort_keys=True,
-        )
-    for cert in trace.certificates:
-        yield json.dumps(to_jsonable(cert), sort_keys=True)
+    for item in (*trace.checkpoints, *trace.certificates):
+        yield json.dumps(_encode(item), sort_keys=True)
     yield json.dumps(
         {"type": "summary", "reached": trace.reached, "z": trace.z},
         sort_keys=True,

@@ -85,6 +85,11 @@ class StrategyTable:
         except KeyError:
             raise StructuralError(f"state {state!r} not in table of depth {self.depth}")
 
+    def to_table(self, depth: int) -> "StrategyTable":
+        """The table itself: a table is already total, on its own depth,
+        so the requested depth does not apply."""
+        return self
+
     def interior(self):
         return bits.all_states(self.depth - 1) if self.depth > 0 else iter(())
 

@@ -99,6 +99,11 @@ def test_enumerate_block_closes_on_pressure():
     # third member picked by comparing the first-bit targets
     n0, n1 = st.recorded.n0, st.recorded.n1
     assert st.enumerated[2] == ("01" if n0 <= n1 else "11")
+    # without a stage each mixture is read at its last activation stage
+    assert odd.last_stage() == 3
+    by_default = verify_block_inequality(odd, even, "", st.recorded)
+    assert by_default == verify_block_inequality(odd, even, "", st.recorded, stage=3)
+    assert by_default != verify_block_inequality(odd, even, "", st.recorded, stage=0)
 
 
 def test_enumerate_block_resume_mismatch(small_oscillating_pair):

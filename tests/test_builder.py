@@ -141,6 +141,15 @@ def test_floor_chaining_dominates():
     assert validate(f5).holds(Kind.MARTINGALE, Parity.BETS_ON_ODD, f5.sided)
 
 
+def test_floor_defaults_to_last_stage():
+    odd = _two_stage_odd()
+    assert odd.last_stage() == 5
+    for parity in (Parity.NONE, Parity.BETS_ON_ODD):
+        by_default = floor(odd, 4, parity=parity)
+        assert by_default == floor(odd, 4, parity=parity, stage=5)
+        assert by_default != floor(odd, 4, parity=parity, stage=0)
+
+
 def test_floor_chaining_rejects_backwards():
     odd = _two_stage_odd()
     f5 = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5)

@@ -9,8 +9,12 @@ from fractions import Fraction
 import pytest
 
 from paritybet import (
+    BlockSpec,
+    Component,
+    FractionBet,
     Kind,
     Parity,
+    StageApprox,
     StrategyTable,
     TestArray,
     constant_program,
@@ -68,6 +72,50 @@ def test_validate_program(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["martingale"] and payload["bets_on_even"]
     assert payload["depth"] == 4
+
+
+def _late_betting_mixture():
+    # flat until the betting component joins at stage 2
+    return StageApprox((
+        Component(0, Fraction(1), constant_program(1, None, Parity.BETS_ON_EVEN)),
+        Component(2, Fraction(1, 2),
+                  constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_EVEN)),
+    ), Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+
+
+def test_validate_mixture_defaults_to_last_stage(capsys, tmp_path):
+    path = write_json(tmp_path, "mix.json", _late_betting_mixture())
+    runs = {}
+    for stage in (None, "2", "0"):
+        argv = ["validate", "--in", path, "--depth", "4"]
+        code, out, _ = run_cli(capsys, *(argv if stage is None else argv + ["--stage", stage]))
+        assert code == 0
+        runs[stage] = out
+    assert runs[None] == runs["2"] != runs["0"]
+    assert json.loads(runs[None])["bets_on_odd"] is False
+
+
+@pytest.mark.parametrize("strategy", [
+    constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_EVEN),
+    _late_betting_mixture(),
+])
+def test_validate_negative_depth_is_a_domain_error(capsys, tmp_path, strategy):
+    path = write_json(tmp_path, "s.json", strategy)
+    code, out, err = run_cli(capsys, "validate", "--in", path, "--depth", "-3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("obj", [
+    unit_bet_on_one(),
+    TestArray((("",), ("00",))),
+    BlockSpec(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
+])
+def test_validate_rejects_non_strategies(capsys, tmp_path, obj):
+    path = write_json(tmp_path, "obj.json", obj)
+    code, out, err = run_cli(capsys, "validate", "--in", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "WireError"
 
 
 def test_validate_writes_out_file(capsys, odd_bettor, tmp_path):

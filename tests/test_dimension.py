@@ -179,3 +179,10 @@ def test_empirical_dim_bound_mixture_stage_dispatch():
     even_side, _ = strategies_from_test(arr)
     rep = empirical_dim_bound(even_side, "1010")
     assert rep.samples[-1].value == 1
+    # a second level joins at stage 1; no stage means the last one
+    two_level = TestArray((("1010",), ("101011",)), flavor="free")
+    even_side, _ = strategies_from_test(two_level)
+    assert even_side.last_stage() == 1
+    rep = empirical_dim_bound(even_side, "101011")
+    assert rep == empirical_dim_bound(even_side, "101011", stage=1)
+    assert rep != empirical_dim_bound(even_side, "101011", stage=0)

@@ -108,7 +108,8 @@ def test_by_parity_program():
 def test_follow_program_doubles_then_freezes():
     p = follow_program("1010", Parity.BETS_ON_ODD, Fraction(1, 4))
     # bets at odd positions only: doubles at steps 2 and 4
-    assert [str(v) for v in p.value_trace("1010")] == ["1/4", "1/4", "1/2", "1/2", "1"]
+    prefixes = ["1010"[:i] for i in range(5)]
+    assert [str(p.value(s)) for s in prefixes] == ["1/4", "1/4", "1/2", "1/2", "1"]
     assert p.value("10101") == 1  # constant on the cone
     assert p.value("1011") == 0  # wrong bit at a betting state
     # a wrong bit at a copying state diverges without losing the stake

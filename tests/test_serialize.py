@@ -53,6 +53,17 @@ def test_parse_frac_rejects(junk):
         parse_frac(junk)
 
 
+@pytest.mark.parametrize("junk", [
+    # outside the str(Fraction) grammar that Fraction() itself would take
+    "1.5", "1e3", "1_000", " 3 ", "+2", "\uff13", "3/\uff14", "1/2\n",
+    # rejected by the pattern alone: Fraction() would build a huge integer
+    "1e999999999",
+])
+def test_parse_frac_rejects_off_grammar_strings(junk):
+    with pytest.raises(WireError):
+        parse_frac(junk)
+
+
 def test_table_roundtrip_keeps_tags():
     t = StrategyTable(1, {"": Fraction(1), "0": Fraction(1, 2), "1": Fraction(3, 2)},
                       Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.ONE)
