@@ -214,9 +214,6 @@ class TestArray:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def members(self, level: int) -> tuple[str, ...]:
-        return self.levels[level]
-
 
 def check_block34(array: TestArray) -> None:
     """Validate the block34 shape; raises StructuralError with the first
@@ -290,7 +287,6 @@ def build_parity_test(
     depth: int,
     stages: int,
     c=1,
-    expand_all: bool = False,
 ) -> ParityTestResult:
     """Build the nested at-most-three test against the pair (m, n).
 
@@ -299,11 +295,9 @@ def build_parity_test(
     follows, at every level, the leftmost child whose joint final-stage
     capital is at most c; the two-round inequality guarantees such a child
     exists whenever the parent itself sits at or below c, which holds at
-    the root by precondition and then inductively along the path.
-
-    By default only the path's parent is expanded per level, which keeps
-    deep runs linear in depth; expand_all widens every level to the union
-    over all parents (exponential, for small-depth inspection only).
+    the root by precondition and then inductively along the path. Only
+    the path's parent is expanded per level, which keeps deep runs linear
+    in depth.
     """
     if m.parity is not Parity.BETS_ON_ODD:
         raise PreconditionError("second-bit bettor must carry the odd-parity tag")
@@ -325,15 +319,7 @@ def build_parity_test(
     reports: list[LevelReport] = []
     path = ""
     for level in range(1, depth + 1):
-        parents = levels[level - 1] if expand_all else (path,)
-        children: list[str] = []
-        path_state: EnumState | None = None
-        for parent in parents:
-            st = enumerate_block(parent, c, m, n, stages)
-            children.extend(st.enumerated)
-            if parent == path:
-                path_state = st
-        assert path_state is not None
+        path_state = enumerate_block(path, c, m, n, stages)
         finals = tuple((child, joint(child)) for child in sorted(path_state.enumerated))
         survivors = tuple(child for child, v in finals if v <= c)
         if not survivors:
@@ -355,7 +341,7 @@ def build_parity_test(
                 chosen=chosen,
             )
         )
-        levels.append(tuple(sorted(set(children))))
+        levels.append(tuple(sorted(set(path_state.enumerated))))
         path = chosen
     array = TestArray(levels=tuple(levels), flavor="block34")
     check_block34(array)

@@ -16,6 +16,7 @@ bound checker for floor increments round out the toolkit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,6 +87,11 @@ def capital_threshold(n: int) -> Fraction:
     return HALF + sum(Fraction(1, 2 ** (i + 2)) for i in range(n))
 
 
+# mixture -> {(depth, parity, stage): (prev, floor)}, the last floor taken
+# per key; an entry lives exactly as long as its mixture
+_FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def floor(
     m,
     depth: int,
@@ -114,13 +120,14 @@ def floor(
     """
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    cache = None
+    memo = None
     if isinstance(m, StageApprox):
         # floors recur with identical arguments during growth checking;
-        # key on the prev object itself so a recycled id cannot alias
-        key = ("floor", depth, parity.value, stage)
-        cache = m._cache
-        hit = cache.get(key)
+        # a hit needs the very same prev object, so an equal prev that is
+        # a different object is floored afresh
+        key = (depth, parity, stage)
+        memo = _FLOORS.setdefault(m, {})
+        hit = memo.get(key)
         if hit is not None and hit[0] is prev:
             return hit[1]
     if isinstance(m, StrategyTable) and depth > m.depth:
@@ -136,8 +143,8 @@ def floor(
             for state in bits.level(length):
                 vals[state] = (vals[state + "0"] + vals[state + "1"]) / 2
         result = StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
-        if cache is not None:
-            cache[key] = (prev, result)
+        if memo is not None:
+            memo[key] = (prev, result)
         return result
     if depth % 2:
         raise PreconditionError("parity mode needs an even depth")
@@ -178,8 +185,8 @@ def floor(
             out[state + "0"] = left
             out[state + "1"] = 2 * x - left
     result = StrategyTable(depth, out, Kind.MARTINGALE, parity, Sided.NONE)
-    if cache is not None:
-        cache[key] = (prev, result)
+    if memo is not None:
+        memo[key] = (prev, result)
     return result
 
 
@@ -370,9 +377,6 @@ class BuilderState:
             if s is not None:
                 best = s
         return best
-
-    def defined_indices(self) -> list[int]:
-        return [n for n, s in enumerate(self.sigmas) if s is not None]
 
 
 def run_stage_machine(

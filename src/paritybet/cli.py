@@ -6,23 +6,21 @@ with sorted keys; duel and builder traces are JSONL, one record per line.
 
 Exit codes: 0 success, 1 domain error (a precondition or invariant failed;
 a machine-readable error object goes to stderr), 2 malformed input or bad
-usage. The default stage budget for paritytest and dimhalf can be set with
-the PARITYBET_STAGES environment variable; an explicit --stages wins.
+usage, including a wire object of a type its input slot does not take.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
 from . import bits
-from .blocktest import build_parity_test, packing_certificate
+from .blocktest import TestArray, build_parity_test, packing_certificate
 from .builder import run_stage_machine
-from .decompose import block_decompose, parity_factorize
-from .diagonal import diagonalize, unit_bet_alternating, unit_bet_on_one
+from .decompose import BlockSpec, block_decompose, parity_factorize
+from .diagonal import IntStrategy, diagonalize, unit_bet_alternating, unit_bet_on_one
 from .dimension import empirical_dim_bound, validate_s_test
 from .errors import BettingLabError
 from .oracles import (
@@ -46,20 +44,16 @@ from .serialize import (
 from .serialize import _parse_component  # same package; list files carry no tag
 from .strategy import Kind, Parity, StrategyTable, validate
 
-_STAGES_ENV = "PARITYBET_STAGES"
+_STRATEGIES = (StrategyTable, BetProgram, StageApprox)
 
 
-def _default_stages(fallback: int) -> int:
-    raw = os.environ.get(_STAGES_ENV)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise WireError(f"{_STAGES_ENV} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise WireError(f"{_STAGES_ENV} must be nonnegative")
-    return value
+def _decode(raw, slot: str, *types):
+    """The wire object in raw, which must be of one of the types the input
+    slot takes; anything else is malformed input."""
+    obj = from_jsonable(raw)
+    if not isinstance(obj, types):
+        raise WireError(f"{slot} does not take a {raw['type']} object")
+    return obj
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,9 +74,7 @@ def _line(payload) -> str:
 
 
 def _cmd_validate(args) -> int:
-    obj = from_jsonable(load_json(args.path))
-    if not isinstance(obj, (StrategyTable, BetProgram, StageApprox)):
-        raise WireError("expected a table, program, or mixture object")
+    obj = _decode(load_json(args.path), "--in", *_STRATEGIES)
     table = at_stage(obj, args.stage).to_table(args.depth)
     payload = to_jsonable(validate(table))
     payload["depth"] = table.depth
@@ -91,9 +83,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    m = from_jsonable(load_json(args.path))
-    if not isinstance(m, StrategyTable):
-        raise WireError("decompose expects a strategy table")
+    m = _decode(load_json(args.path), "--in", StrategyTable)
     if args.mode == "parity":
         odd_factor, even_factor = parity_factorize(m)
         payload = {
@@ -106,10 +96,8 @@ def _cmd_decompose(args) -> int:
         return 0
     if args.second is None or args.spec is None:
         raise WireError("block mode needs --second and --spec")
-    n = from_jsonable(load_json(args.second))
-    if not isinstance(n, StrategyTable):
-        raise WireError("--second must hold a strategy table")
-    spec = from_jsonable(load_json(args.spec))
+    n = _decode(load_json(args.second), "--second", StrategyTable)
+    spec = _decode(load_json(args.spec), "--spec", BlockSpec)
     m_core, m_rest, n_core, n_rest = block_decompose(m, n, spec)
     payload = {
         "mode": "block",
@@ -126,12 +114,9 @@ def _cmd_paritytest(args) -> int:
     raw = load_json(args.mixture)
     if not isinstance(raw, dict) or "odd" not in raw or "even" not in raw:
         raise WireError('mixture file must be an object with "odd" and "even"')
-    m = from_jsonable(raw["odd"])
-    n = from_jsonable(raw["even"])
-    if not isinstance(m, StageApprox) or not isinstance(n, StageApprox):
-        raise WireError("odd and even entries must be mixtures")
-    stages = args.stages if args.stages is not None else _default_stages(256)
-    result = build_parity_test(m, n, args.depth, stages)
+    m = _decode(raw["odd"], '"odd"', StageApprox)
+    n = _decode(raw["even"], '"even"', StageApprox)
+    result = build_parity_test(m, n, args.depth, args.stages)
     cert, growth = packing_certificate(result.array)
     report = empirical_dim_bound(cert, result.path)
     payload = to_jsonable(result)
@@ -144,10 +129,7 @@ def _cmd_diagonalize(args) -> int:
     raw = load_json(args.adversaries)
     if not isinstance(raw, list):
         raise WireError("adversaries file must hold a JSON list")
-    adversaries = []
-    for entry in raw:
-        obj = from_jsonable(entry)
-        adversaries.append(obj)
+    adversaries = [_decode(entry, "--adversaries", IntStrategy) for entry in raw]
     engine = unit_bet_on_one() if args.engine == "N" else unit_bet_alternating()
     blocks = args.dim0_blocks if args.dim0 else None
     trace = diagonalize(
@@ -163,7 +145,7 @@ def _cmd_diagonalize(args) -> int:
 
 
 def _cmd_stest(args) -> int:
-    array = from_jsonable(load_json(args.test_path))
+    array = _decode(load_json(args.test_path), "--validate", TestArray)
     s = parse_frac(args.s)
     verdicts = validate_s_test(array, s)
     payload = {
@@ -176,7 +158,7 @@ def _cmd_stest(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    strategy = from_jsonable(load_json(args.strategy))
+    strategy = _decode(load_json(args.strategy), "--strategy", *_STRATEGIES)
     with open(args.x, "r", encoding="utf-8") as fh:
         x = "".join(fh.read().split())
     if not x or any(c not in "01" for c in x):
@@ -213,13 +195,12 @@ def _cmd_dimhalf(args) -> int:
 
     n_approx = pack(by_parity[Parity.BETS_ON_ODD], Parity.BETS_ON_ODD)
     t_approx = pack(by_parity[Parity.BETS_ON_EVEN], Parity.BETS_ON_EVEN)
-    stages = args.stages if args.stages is not None else _default_stages(1000)
-    state, prefix, ledger = run_stage_machine(n_approx, t_approx, stages, args.nmax)
+    state, prefix, ledger = run_stage_machine(n_approx, t_approx, args.stages, args.nmax)
     _emit(dumps({"state": state, "ledger": ledger, "prefix": prefix}), args.out)
     if args.out is None:
         return 0
     base = args.out[:-5] if args.out.endswith(".json") else args.out
-    lines = [_line({"type": "builder_header", "stages": stages, "nmax": args.nmax})]
+    lines = [_line({"type": "builder_header", "stages": args.stages, "nmax": args.nmax})]
     lines.extend(_line(ev) for ev in state.events)
     lines.append(
         _line({"type": "summary", "prefix": prefix, "kraft_weight": ledger.kraft_weight()})
@@ -279,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paritytest", help="build the nested at-most-three test")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--stages", type=int, default=None)
+    p.add_argument("--stages", type=int, default=256, help="stage budget (default 256)")
     p.add_argument("--mixture", required=True, help='JSON {"odd": ..., "even": ...}')
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_paritytest)
@@ -311,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimhalf", help="run the stage machine")
     p.add_argument("--components", default=None, help="JSON list of components")
-    p.add_argument("--stages", type=int, default=None)
+    p.add_argument("--stages", type=int, default=1000, help="stage budget (default 1000)")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", default=None, help="run summary; siblings get .trace.jsonl/.prefix.txt")
     p.set_defaults(func=_cmd_dimhalf)

@@ -35,7 +35,7 @@ from .errors import (
     StructuralError,
     UnsupportedError,
 )
-from .programs import BetProgram, Fsm, FsmState, IntegerBet
+from .programs import BetProgram, Fsm, FsmState, IntegerBet, apply_bet
 from .strategy import Parity, Sided
 
 
@@ -84,49 +84,48 @@ def unit_bet_alternating() -> IntStrategy:
     return IntStrategy(prog, name="D")
 
 
-class Runner:
-    """Mutable cursor: machine state plus current integer capital."""
+class _Players:
+    """Cursor over a duel's players, engine first: each player's machine
+    state and integer capital. Capital moves only through apply_bet, and
+    only for a player that has a bet and nonzero capital."""
 
-    __slots__ = ("program", "q", "cap")
+    __slots__ = ("states", "q", "cap")
 
-    def __init__(self, strategy: IntStrategy, q: int | None = None, cap: int | None = None):
-        self.program = strategy.program
-        self.q = self.program.fsm.start if q is None else q
-        self.cap = int(self.program.initial) if cap is None else cap
-
-    def live_bet(self) -> IntegerBet | None:
-        """The current bet with nonzero effective stake, if any."""
-        bet = self.program.fsm.states[self.q].bet
-        if bet is None or self.cap <= 0:
-            return None
-        assert isinstance(bet, IntegerBet)
-        return bet if min(bet.wager, self.cap) >= 1 else None
+    def __init__(self, strategies):
+        programs = [s.program for s in strategies]
+        self.states = [p.fsm.states for p in programs]
+        self.q = [p.fsm.start for p in programs]
+        self.cap = [int(p.initial) for p in programs]
 
     def step(self, bit: str) -> None:
-        st = self.program.fsm.states[self.q]
-        bet = st.bet
-        if bet is not None and self.cap > 0:
-            assert isinstance(bet, IntegerBet)
-            eff = min(bet.wager, self.cap)
-            self.cap += eff if bit == str(bet.outcome) else -eff
-        self.q = st.on1 if bit == "1" else st.on0
+        q, cap = self.q, self.cap
+        for i, states in enumerate(self.states):
+            st = states[q[i]]
+            if st.bet is not None and cap[i]:
+                cap[i] = apply_bet(st.bet, cap[i], bit)
+            q[i] = st.on1 if bit == "1" else st.on0
 
+    def live_bet(self, i: int) -> IntegerBet | None:
+        """Player i's current bet when its effective stake is at least 1."""
+        bet = self.states[i][self.q[i]].bet
+        if bet is None or self.cap[i] <= 0 or bet.wager < 1:
+            return None
+        return bet
 
-def _engine_favored_bit(engine: Runner) -> str:
-    bet = engine.program.fsm.states[engine.q].bet
-    if isinstance(bet, IntegerBet):
-        return str(bet.outcome)
-    return "1"
+    def lean(self, bit: str) -> int:
+        """What the adversaries' live bets net, together, if bit comes."""
+        q, cap = self.q, self.cap
+        total = 0
+        for i in range(1, len(q)):
+            bet = self.states[i][q[i]].bet
+            if bet is not None and cap[i]:
+                total += apply_bet(bet, cap[i], bit) - cap[i]
+        return total
 
-
-def _config_graph(program: BetProgram) -> dict[tuple[int, int], list[tuple[str, tuple[int, int]]]]:
-    """Edges of the (machine state, position parity) graph."""
-    edges: dict[tuple[int, int], list[tuple[str, tuple[int, int]]]] = {}
-    for q in range(len(program.fsm.states)):
-        st = program.fsm.states[q]
-        for p in (0, 1):
-            edges[(q, p)] = [("0", (st.on0, 1 - p)), ("1", (st.on1, 1 - p))]
-    return edges
+    def favored(self) -> str:
+        """The engine's favored bit: the outcome it bets on, else 1."""
+        bet = self.states[0][self.q[0]].bet
+        return "1" if bet is None else str(bet.outcome)
 
 
 def _is_betting_config(program: BetProgram, q: int) -> bool:
@@ -145,16 +144,17 @@ def _path_to_betting(
     caller's engine likes."""
     if _is_betting_config(program, q):
         return []
-    edges = _config_graph(program)
     start = (q, parity)
     prev: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
     seen = {start}
     queue = deque([start])
     while queue:
         cfg = queue.popleft()
-        hops = edges[cfg]
-        if prefer is not None and hops[0][0] != prefer(cfg[1]):
-            hops = hops[::-1]
+        on0, on1 = program.configs[cfg]
+        if prefer is not None and prefer(cfg[1]) == "1":
+            hops = (("1", on1), ("0", on0))
+        else:
+            hops = (("0", on0), ("1", on1))
         for bit, nxt in hops:
             if nxt in seen:
                 continue
@@ -196,14 +196,14 @@ class ConeCertificate:
             raise StructuralError(f"unknown certificate kind {self.kind!r}")
 
 
-def _certify(adversary_index: int, prefix: str, runner: Runner) -> ConeCertificate | None:
+def _certify(
+    adversary_index: int, prefix: str, program: BetProgram, q: int, cap: int
+) -> ConeCertificate | None:
     parity = len(prefix) % 2
-    if runner.cap == 0:
-        return ConeCertificate(adversary_index, prefix, FROZEN, runner.q, parity, 0)
-    if _path_to_betting(runner.program, runner.q, parity) is None:
-        return ConeCertificate(
-            adversary_index, prefix, UNREACHABLE, runner.q, parity, runner.cap
-        )
+    if cap == 0:
+        return ConeCertificate(adversary_index, prefix, FROZEN, q, parity, 0)
+    if _path_to_betting(program, q, parity) is None:
+        return ConeCertificate(adversary_index, prefix, UNREACHABLE, q, parity, cap)
     return None
 
 
@@ -217,21 +217,21 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
     with live capital, a concrete extension witnesses a value change.
     """
     bits.check_bits(prefix)
-    runner = Runner(strategy)
+    player = _Players([strategy])
     for b in prefix:
-        runner.step(b)
-    if runner.cap == 0:
+        player.step(b)
+    if player.cap[0] == 0:
         return True
-    frontier = {(runner.q, len(prefix) % 2)}
-    edges = _config_graph(strategy.program)
+    program = strategy.program
+    frontier = {(player.q[0], len(prefix) % 2)}
     for _ in range(probe_depth):
         nxt: set[tuple[int, int]] = set()
         for cfg in frontier:
-            if _is_betting_config(strategy.program, cfg[0]):
+            if _is_betting_config(program, cfg[0]):
                 return False
-            nxt.update(dst for _, dst in edges[cfg])
+            nxt.update(program.configs[cfg])
         frontier = nxt
-    return not any(_is_betting_config(strategy.program, q) for q, _ in frontier)
+    return not any(_is_betting_config(program, q) for q, _ in frontier)
 
 
 RULE_FAVORED = "favored"
@@ -274,17 +274,14 @@ def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStr
     """Recompute every capital in the trace from scratch; raise on any
     mismatch. Passing the same programs that produced the trace must
     succeed; anything else failing is the point."""
-    eng = Runner(engine)
-    advs = [Runner(a) for a in adversaries]
+    players = _Players([engine, *adversaries])
     if len(trace.z) != len(trace.records):
         raise StructuralError("record count differs from emitted bits")
     for i, (bit, rec) in enumerate(zip(trace.z, trace.records)):
         if bit != rec.bit:
             raise StructuralError(f"bit {i}: trace string and record disagree")
-        eng.step(bit)
-        for a in advs:
-            a.step(bit)
-        got = (eng.cap, tuple(a.cap for a in advs))
+        players.step(bit)
+        got = (players.cap[0], tuple(players.cap[1:]))
         want = (rec.engine, rec.adversaries)
         if got != want:
             raise StructuralError(
@@ -292,13 +289,30 @@ def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStr
             )
 
 
+def _check_tags(engine: IntStrategy, adversaries) -> None:
+    """The built-in engines' arguments need tagged opponents: the unit
+    engine single-parity ones, the alternating engine single-sided ones."""
+    for i, a in enumerate(adversaries):
+        if engine.name == "N" and a.parity is Parity.NONE:
+            raise PreconditionError(
+                f"adversary {i} lacks a parity tag; the unit engine's "
+                f"argument needs single-parity opponents"
+            )
+        if engine.name == "D" and a.sided is Sided.NONE:
+            raise PreconditionError(
+                f"adversary {i} lacks a sided tag; the alternating engine's "
+                f"argument needs single-sided opponents"
+            )
+
+
 class _Duel:
-    """Shared mutable state for one construction run."""
+    """Shared mutable state for one construction run. Player 0 is the
+    engine, player i + 1 adversary i."""
 
     def __init__(self, engine: IntStrategy, adversaries, mode: str, target: int):
         self.engine_strategy = engine
-        self.engine = Runner(engine)
-        self.adversaries = [Runner(a) for a in adversaries]
+        self.programs = [a.program for a in adversaries]
+        self.players = _Players([engine, *adversaries])
         self.mode = mode
         self.target = target
         self.z: list[str] = []
@@ -311,14 +325,13 @@ class _Duel:
         return len(self.z) % 2
 
     def emit(self, bit: str, rule: str) -> None:
-        self.engine.step(bit)
-        for a in self.adversaries:
-            a.step(bit)
+        players = self.players
+        players.step(bit)
         self.z.append(bit)
         self.records.append(
-            BitRecord(bit, rule, self.engine.cap, tuple(a.cap for a in self.adversaries))
+            BitRecord(bit, rule, players.cap[0], tuple(players.cap[1:]))
         )
-        if self.engine.cap <= 0:
+        if players.cap[0] <= 0:
             raise EngineBankruptError(
                 f"engine froze at 0 after {len(self.z)} bits; the adversary "
                 f"family is too hostile for this engine's starting capital"
@@ -344,20 +357,14 @@ class _Duel:
 
 
 def _greedy(duel: _Duel, target: int, max_bits: int) -> None:
-    while duel.engine.cap < target:
+    players = duel.players
+    while players.cap[0] < target:
         if len(duel.z) >= max_bits:
             raise BettingLabError(
                 f"greedy run exceeded {max_bits} bits without reaching {target}"
             )
-        favored = _engine_favored_bit(duel.engine)
-        toward = 0
-        for a in duel.adversaries:
-            bet = a.live_bet()
-            if bet is None:
-                continue
-            eff = min(bet.wager, a.cap)
-            toward += eff if str(bet.outcome) == favored else -eff
-        if toward >= 1:
+        favored = players.favored()
+        if players.lean(favored) >= 1:
             duel.emit("0" if favored == "1" else "1", RULE_DEVIATE)
         else:
             duel.emit(favored, RULE_FAVORED)
@@ -377,7 +384,9 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
     alternating engine loses at most 1 net over any losing-outcome run, so
     the buffer keeps the engine strictly positive throughout.
     """
-    adv = duel.adversaries[index]
+    players = duel.players
+    program = duel.programs[index]
+    me = index + 1
 
     def prefer(position_parity: int) -> str:
         # the alternating engine likes 0 at even positions, 1 at odd;
@@ -386,12 +395,12 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
             return "1" if position_parity else "0"
         return "1"
 
-    buffer_needed = 2 * len(adv.program.fsm.states) + 4
-    fuel = (adv.cap + 2) * (4 * len(adv.program.fsm.states) + buffer_needed + 8) + 64
+    buffer_needed = 2 * len(program.fsm.states) + 4
+    fuel = (players.cap[me] + 2) * (4 * len(program.fsm.states) + buffer_needed + 8) + 64
     nav: list[str] = []
     while True:
         if not nav:
-            cert = _certify(index, "".join(duel.z), adv)
+            cert = _certify(index, "".join(duel.z), program, players.q[me], players.cap[me])
             if cert is not None:
                 duel.certificates.append(cert)
                 break
@@ -401,7 +410,7 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
                 "settling search ran out of fuel; the adversary defied its "
                 "own capital bound, which indicates a malformed program"
             )
-        bet = adv.live_bet()
+        bet = players.live_bet(me)
         if bet is not None:
             nav = []
             duel.emit("0" if bet.outcome == 1 else "1", RULE_DEFEAT)
@@ -410,16 +419,16 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
             # buffer checked at planning time, and abandoning them midway
             # could pump and replan forever without progress
             duel.emit(nav.pop(0), RULE_NAVIGATE)
-        elif duel.engine.cap < buffer_needed:
-            duel.emit(_engine_favored_bit(duel.engine), RULE_PUMP)
+        elif players.cap[0] < buffer_needed:
+            duel.emit(players.favored(), RULE_PUMP)
         else:
-            plan = _path_to_betting(adv.program, adv.q, duel.parity(), prefer)
+            plan = _path_to_betting(program, players.q[me], duel.parity(), prefer)
             if plan is None:
                 continue  # settled; certified at the top of the next pass
             nav = plan
             duel.emit(nav.pop(0), RULE_NAVIGATE)
-    while duel.engine.cap <= c:
-        duel.emit(_engine_favored_bit(duel.engine), RULE_PAD)
+    while players.cap[0] <= c:
+        duel.emit(players.favored(), RULE_PAD)
 
 
 def _interpolate_block(duel: _Duel, pairs: int) -> None:
@@ -444,22 +453,18 @@ def find_settling_extension(
     bits.check_bits(rho)
     if mode == "parity":
         engine = unit_bet_on_one()
-        if adversary.parity is Parity.NONE:
-            raise PreconditionError("parity mode needs a single-parity adversary")
     elif mode == "sided":
         engine = unit_bet_alternating()
-        if adversary.sided is Sided.NONE:
-            raise PreconditionError("sided mode needs a single-sided adversary")
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
+    _check_tags(engine, [adversary])
     duel = _Duel(engine, [adversary], mode, c)
     for b in rho:
-        duel.engine.step(b)
-        duel.adversaries[0].step(b)
+        duel.players.step(b)
     duel.z = list(rho)
-    if duel.engine.cap <= 2:
+    if duel.players.cap[0] <= 2:
         raise PreconditionError(
-            f"engine capital at the starting segment is {duel.engine.cap}; "
+            f"engine capital at the starting segment is {duel.players.cap[0]}; "
             f"the search needs more than 2"
         )
     _settle_one(duel, 0, c)
@@ -492,44 +497,27 @@ def diagonalize(
     adversaries are constant, so blocks are safe; the unit engine nets
     exactly 0 over each block.
     """
-    if engine.name == "N":
-        need, modename = "parity", "parity"
-    elif engine.name == "D":
-        need, modename = "sided", "sided"
-    else:
-        need, modename = None, "custom"
     if target < 1:
         raise PreconditionError("target must be a positive integer")
-    for i, a in enumerate(adversaries):
-        if need == "parity" and a.parity is Parity.NONE:
-            raise PreconditionError(
-                f"adversary {i} lacks a parity tag; the unit engine's "
-                f"argument needs single-parity opponents"
-            )
-        if need == "sided" and a.sided is Sided.NONE:
-            raise PreconditionError(
-                f"adversary {i} lacks a sided tag; the alternating engine's "
-                f"argument needs single-sided opponents"
-            )
+    _check_tags(engine, adversaries)
+    duel = _Duel(engine, adversaries, mode, target)
     if mode == "greedy":
         if dim0_blocks is not None:
             raise PreconditionError("block interpolation belongs to settle mode")
-        duel = _Duel(engine, adversaries, mode, target)
         aggregate = sum(a.initial for a in adversaries)
         bound = max_bits if max_bits is not None else 2 * (target + aggregate) + 64
         _greedy(duel, target, bound)
         return duel.trace(reached=True)
     if mode != "settle":
         raise PreconditionError(f"unknown mode {mode!r}")
-    if modename == "custom":
+    if engine.name not in ("N", "D"):
         raise UnsupportedError("settle mode works with the built-in engines only")
-    duel = _Duel(engine, adversaries, mode, target)
     if dim0_blocks is not None and dim0_blocks < 1:
         raise PreconditionError("block interpolation needs a positive base")
     for i in range(len(adversaries)):
-        _settle_one(duel, i, duel.engine.cap)
+        _settle_one(duel, i, duel.players.cap[0])
         if dim0_blocks is not None:
             _interpolate_block(duel, dim0_blocks * 2**i)
-    while duel.engine.cap < target:
-        duel.emit(_engine_favored_bit(duel.engine), RULE_PAD)
+    while duel.players.cap[0] < target:
+        duel.emit(duel.players.favored(), RULE_PAD)
     return duel.trace(reached=True)

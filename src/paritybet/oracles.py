@@ -332,7 +332,7 @@ def _random_mixture(rng: random.Random, parity: Parity) -> StageApprox:
 def growth_random(rng: random.Random, count: int = 1000) -> OracleReport:
     """Randomized growth-bound instances on depth-8 parity mixtures.
 
-    Mixture pairs are pooled and reused so their stage caches amortize;
+    Mixture pairs are pooled and reused so their value and floor memos amortize;
     p is derived from the observed increment at sigma so the hypothesis
     is genuinely satisfied, never vacuous, in every instance.
     """

@@ -18,8 +18,9 @@ step we support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import bits
 from .errors import PreconditionError, StructuralError
@@ -86,18 +87,35 @@ class Fsm:
                 raise StructuralError("transition target out of range")
 
 
-def apply_bet(bet: Bet | None, capital: Fraction, bit: str) -> Fraction:
-    """Capital after one bit under the given bet. Zero capital is absorbing
-    for every bet shape, which is the zero-propagation convention."""
+def apply_bet(bet: Bet | None, capital, bit: str):
+    """Capital after one bit under the given bet: the one bet law every
+    evaluator and duel steps with. Zero capital is absorbing for every bet
+    shape, which is the zero-propagation convention. An integer bet keeps
+    an int capital an int."""
     if bet is None:
         return capital
     if isinstance(bet, FractionBet):
         f = bet.fraction
         return capital * (1 + f) if bit == "1" else capital * (1 - f)
     if isinstance(bet, IntegerBet):
-        w = min(Fraction(bet.wager), capital)
+        w = min(bet.wager, capital)
         return capital + w if bit == str(bet.outcome) else capital - w
     return capital * bet.factor
+
+
+def _reachable_configs(fsm: Fsm) -> dict:
+    """Walk the (machine state, position parity) graph from the start."""
+    configs: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+    frontier = [(fsm.start, 0)]
+    while frontier:
+        cfg = frontier.pop()
+        if cfg in configs:
+            continue
+        st = fsm.states[cfg[0]]
+        p = 1 - cfg[1]
+        configs[cfg] = ((st.on0, p), (st.on1, p))
+        frontier.extend(configs[cfg])
+    return configs
 
 
 @dataclass(frozen=True)
@@ -131,23 +149,17 @@ class BetProgram:
                 raise StructuralError("integer form needs integer initial capital")
         self._check_structural_tags()
 
-    def _reachable_configs(self) -> set[tuple[int, int]]:
-        """Machine states paired with the position parity they occur at."""
-        seen = {(self.fsm.start, 0)}
-        frontier = [(self.fsm.start, 0)]
-        while frontier:
-            q, p = frontier.pop()
-            st = self.fsm.states[q]
-            for nxt in (st.on0, st.on1):
-                cfg = (nxt, 1 - p)
-                if cfg not in seen:
-                    seen.add(cfg)
-                    frontier.append(cfg)
-        return seen
+    @cached_property
+    def configs(self) -> dict:
+        """The reachable (machine state, position parity) configurations,
+        each mapped to its successors on 0 and on 1. Built on first use and
+        kept, since duels search it once per planning step."""
+        return _reachable_configs(self.fsm)
 
     def _check_structural_tags(self):
-        configs = self._reachable_configs()
-        for q, p in configs:
+        # walked afresh, not through configs: most programs never need the
+        # graph again, and keeping it would cost memory per program
+        for q, p in _reachable_configs(self.fsm):
             bet = self.fsm.states[q].bet
             if bet is None:
                 continue
@@ -287,9 +299,11 @@ class StageApprox:
     kind: Kind = Kind.MARTINGALE
     parity: Parity = Parity.NONE
     sided: Sided = Sided.NONE
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        # per-(component, state) program values; values never depend on
+        # the stage, so every stage and every reader shares them
+        object.__setattr__(self, "_values", {})
         for c in self.components:
             if self.parity is not Parity.NONE and c.program.parity is not self.parity:
                 raise PreconditionError(
@@ -303,10 +317,9 @@ class StageApprox:
 
     def _component_value(self, i: int, state: str) -> Fraction:
         key = (i, state)
-        got = self._cache.get(key)
+        got = self._values.get(key)
         if got is None:
-            got = self.components[i].program.value(state)
-            self._cache[key] = got
+            got = self._values[key] = self.components[i].program.value(state)
         return got
 
     def eval(self, stage: int, state: str) -> Fraction:

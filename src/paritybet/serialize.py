@@ -148,7 +148,7 @@ def _fsm_from_jsonable(d) -> Fsm:
 
 
 # Every dataclass the wire writes, with its "type" tag. Such an object
-# becomes its public fields plus "type"; components carry no tag.
+# becomes its fields plus "type"; components carry no tag.
 _TAGS = {
     StrategyTable: "table",
     Component: None,
@@ -179,11 +179,11 @@ _DERIVED = {
     GrowthVerdict: ("ok",),
 }
 
-# class -> (tag, public field names, derived keys), fixed at import
+# class -> (tag, field names, derived keys), fixed at import
 _SHAPES = {
     cls: (
         tag,
-        tuple(f.name for f in fields(cls) if not f.name.startswith("_")),
+        tuple(f.name for f in fields(cls)),
         _DERIVED.get(cls, ()),
     )
     for cls, tag in _TAGS.items()
@@ -241,7 +241,7 @@ def to_jsonable(obj):
 
     One rule: None, str, int and bool pass through, a Fraction becomes
     str(Fraction), an enum its value, lists, tuples and dicts recurse, and
-    a dataclass in _TAGS becomes its public fields plus its "type" tag and
+    a dataclass in _TAGS becomes its fields plus its "type" tag and
     any _DERIVED keys. Programs and the ledger have wire shapes of their
     own. Deterministic.
     """
@@ -427,6 +427,8 @@ def parse_trace(lines) -> DiagTrace:
             d = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise WireError(f"bad trace line: {exc}") from exc
+        if not isinstance(d, dict):
+            raise WireError("trace line must be a JSON object")
         tag = d.get("type")
         if tag == "trace_header":
             header = d

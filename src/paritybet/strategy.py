@@ -136,14 +136,6 @@ class Diagnosis:
             return False
         return True
 
-    @property
-    def valid_kind(self) -> Kind | None:
-        if self.martingale:
-            return Kind.MARTINGALE
-        if self.supermartingale:
-            return Kind.SUPERMARTINGALE
-        return None
-
 
 def validate(table: StrategyTable) -> Diagnosis:
     """Scan every interior state once and report which laws hold.

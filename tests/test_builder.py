@@ -1,7 +1,9 @@
 """Stage parameters, martingale floors, the growth bound, the description
 ledger, and the stage machine itself."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -287,3 +289,31 @@ def test_stage_machine_parity_guards():
     n_approx, t_approx = _quiet_pair()
     with pytest.raises(PreconditionError):
         run_stage_machine(t_approx, n_approx, 10, 1)
+
+
+def test_floor_memo_returns_the_same_table():
+    odd = _two_stage_odd()
+    for parity in (Parity.NONE, Parity.BETS_ON_ODD):
+        first = floor(odd, 4, parity=parity, stage=5)
+        assert floor(odd, 4, parity=parity, stage=5) is first
+
+
+def test_floor_memo_keys_on_the_prev_object():
+    odd = _two_stage_odd()
+    f0 = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=0)
+    twin = StrategyTable(f0.depth, dict(f0.values), f0.kind, f0.parity, f0.sided)
+    assert twin == f0 and twin is not f0
+    chained = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5, prev=f0)
+    again = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5, prev=twin)
+    assert again == chained and again is not chained
+
+
+def test_floor_memo_dies_with_its_mixture():
+    odd = _two_stage_odd()
+    f0 = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=0)
+    floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5, prev=f0)
+    floor(odd, 4, stage=5)
+    ref = weakref.ref(odd)
+    del odd
+    gc.collect()
+    assert ref() is None

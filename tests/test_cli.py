@@ -106,16 +106,95 @@ def test_validate_negative_depth_is_a_domain_error(capsys, tmp_path, strategy):
     assert json.loads(err)["error"] == "PreconditionError"
 
 
-@pytest.mark.parametrize("obj", [
-    unit_bet_on_one(),
-    TestArray((("",), ("00",))),
-    BlockSpec(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
+_ODD_TABLE = StrategyTable(2, {
+    "": Fraction(1), "0": Fraction(1), "1": Fraction(1),
+    "00": Fraction(3, 2), "01": Fraction(1, 2),
+    "10": Fraction(1, 2), "11": Fraction(3, 2),
+}, Kind.MARTINGALE)
+_EVEN_TABLE = StrategyTable(2, {
+    "": Fraction(1), "0": Fraction(3, 2), "1": Fraction(1, 2),
+    "00": Fraction(3, 2), "01": Fraction(3, 2),
+    "10": Fraction(1, 2), "11": Fraction(1, 2),
+}, Kind.MARTINGALE)
+_SPEC = BlockSpec(Fraction(1), Fraction(1, 4), Fraction(1), Fraction(1, 4), Fraction(3, 4))
+_ARRAY = TestArray((("",), ("00",)))
+_PROGRAM = constant_program(1, None, Parity.BETS_ON_EVEN)
+
+
+def _quiet_mixture(parity):
+    program = constant_program(1, None, parity)
+    return StageApprox((Component(0, Fraction(1, 4), program),), Kind.MARTINGALE, parity)
+
+
+# per subcommand: its wire input slots with a well-typed object for each,
+# and the rest of a command line that succeeds on those objects
+_SLOTS = {
+    "validate": ({"--in": _ODD_TABLE}, []),
+    "decompose": (
+        {"--in": _ODD_TABLE, "--second": _EVEN_TABLE, "--spec": _SPEC},
+        ["--mode", "block"],
+    ),
+    "stest": ({"--validate": _ARRAY}, ["--s", "1/2"]),
+    "dim": ({"--strategy": _ODD_TABLE}, []),
+    "diagonalize": (
+        {"--adversaries": parity_window("w", 3, 2)},
+        ["--engine", "N", "--target", "5"],
+    ),
+    "paritytest": (
+        {"odd": _quiet_mixture(Parity.BETS_ON_ODD),
+         "even": _quiet_mixture(Parity.BETS_ON_EVEN)},
+        ["--depth", "2"],
+    ),
+}
+
+
+def _argv_with_slot(tmp_path, subcommand, slot, obj):
+    """argv for subcommand with obj in slot and well-typed other inputs."""
+    inputs, extra = _SLOTS[subcommand]
+    inputs = {**inputs, slot: obj}
+    argv = [subcommand, *extra]
+    if subcommand == "diagonalize":
+        # one entry of the list is in question; the other is well typed
+        advs = [to_jsonable(parity_window("v", 2, 1)), to_jsonable(obj)]
+        return argv + ["--adversaries", write_json(tmp_path, "advs.json", advs)]
+    if subcommand == "paritytest":
+        mix = {k: to_jsonable(v) for k, v in inputs.items()}
+        return argv + ["--mixture", write_json(tmp_path, "mix.json", mix)]
+    if subcommand == "dim":
+        x = tmp_path / "x.txt"
+        x.write_text("01\n")
+        argv += ["--x", str(x)]
+    for name, value in inputs.items():
+        argv += [name, write_json(tmp_path, name.strip("-") + ".json", value)]
+    return argv
+
+
+@pytest.mark.parametrize("subcommand, slot, bad", [
+    pytest.param(sub, slot, bad, id=f"{sub}-{slot.strip('-')}-{tag}")
+    for sub, slot, tag, bad in [
+        ("validate", "--in", "int_strategy", unit_bet_on_one()),
+        ("validate", "--in", "test_array", _ARRAY),
+        ("validate", "--in", "block_spec", _SPEC),
+        ("decompose", "--in", "program", _PROGRAM),
+        ("decompose", "--second", "block_spec", _SPEC),
+        ("decompose", "--spec", "table", _ODD_TABLE),
+        ("stest", "--validate", "table", _ODD_TABLE),
+        ("dim", "--strategy", "test_array", _ARRAY),
+        ("diagonalize", "--adversaries", "block_spec", _SPEC),
+        ("paritytest", "odd", "table", _ODD_TABLE),
+        ("paritytest", "even", "program", _PROGRAM),
+    ]
 ])
-def test_validate_rejects_non_strategies(capsys, tmp_path, obj):
-    path = write_json(tmp_path, "obj.json", obj)
-    code, out, err = run_cli(capsys, "validate", "--in", path)
+def test_cli_rejects_wrong_typed_input(capsys, tmp_path, subcommand, slot, bad):
+    # the same command line runs with the slot's own type in it
+    good = _SLOTS[subcommand][0][slot]
+    code, _, err = run_cli(capsys, *_argv_with_slot(tmp_path, subcommand, slot, good))
+    assert code == 0, err
+    argv = _argv_with_slot(tmp_path, subcommand, slot, bad)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "WireError"
+    error = json.loads(err)  # exactly one JSON object
+    assert error["error"] == "WireError" and slot in error["message"]
 
 
 def test_validate_writes_out_file(capsys, odd_bettor, tmp_path):
@@ -205,18 +284,6 @@ def test_paritytest_deterministic(capsys, tmp_path, small_oscillating_pair):
     assert cert["dim_report"]["half_log2_base"] == 3
 
 
-def test_paritytest_stages_env(capsys, tmp_path, small_oscillating_pair, monkeypatch):
-    mix = _mixture_file(tmp_path, small_oscillating_pair)
-    monkeypatch.setenv("PARITYBET_STAGES", "32")
-    code, out, _ = run_cli(capsys, "paritytest", "--depth", "4", "--mixture", mix)
-    assert code == 0
-    assert json.loads(out)["stages"] == 32
-    monkeypatch.setenv("PARITYBET_STAGES", "three")
-    code, _, err = run_cli(capsys, "paritytest", "--depth", "4", "--mixture", mix)
-    assert code == 2
-    assert json.loads(err)["error"] == "WireError"
-
-
 def _adversary_file(tmp_path):
     advs = [
         to_jsonable(parity_window("w0", 4, 3, outcome=0)),
@@ -234,7 +301,8 @@ def test_diagonalize_trace_replays(capsys, tmp_path):
     trace = parse_trace(out.splitlines())
     assert trace.reached
     engine = unit_bet_on_one()
-    adv = [from_jsonable(d) for d in json.loads(open(advs).read())]
+    with open(advs) as fh:
+        adv = [from_jsonable(d) for d in json.load(fh)]
     replay_trace(trace, engine, adv)  # raises on any mismatch
 
 

@@ -156,3 +156,31 @@ def test_engine_bankruptcy_aborts_loudly():
     ]
     with pytest.raises(EngineBankruptError):
         diagonalize(advs, unit_bet_on_one(), 10**6)
+
+
+def _duels():
+    parity_advs = [parity_window("w0", 4, 3), parity_window("w1", 3, 2)]
+    tagged = [
+        IntStrategy(constant_program(3, IntegerBet(1, 0), Parity.BETS_ON_EVEN), name="a"),
+        IntStrategy(constant_program(2, IntegerBet(1, 1), Parity.BETS_ON_ODD), name="b"),
+    ]
+    sided = [sided_constant("s1", 4, 1), sided_constant("s0", 3, 0)]
+    return [
+        ("greedy-N", unit_bet_on_one(), tagged, {}),
+        ("greedy-D", unit_bet_alternating(), sided, {}),
+        ("settle-dim0", unit_bet_on_one(), parity_advs, {"mode": "settle", "dim0_blocks": 4}),
+    ]
+
+
+@pytest.mark.parametrize("name, engine, advs, kwargs", _duels(), ids=[d[0] for d in _duels()])
+def test_duel_capitals_match_program_value(name, engine, advs, kwargs):
+    # the duel's cursor against the reference walk, bit by bit
+    tr = diagonalize(advs, engine, 25, **kwargs)
+    assert len(tr.records) == len(tr.z) > 0
+    for i, rec in enumerate(tr.records):
+        prefix = tr.z[: i + 1]
+        assert type(rec.engine) is int
+        assert rec.engine == engine.program.value(prefix)
+        for cap, adv in zip(rec.adversaries, advs, strict=True):
+            assert type(cap) is int
+            assert cap == adv.program.value(prefix)

@@ -44,6 +44,10 @@ def test_apply_bet_shapes():
     # integer bets clamp the wager at the capital
     assert apply_bet(IntegerBet(7, 1), Fraction(3), "0") == 0
     assert apply_bet(IntegerBet(7, 1), Fraction(3), "1") == 6
+    # int capitals stay int under integer bets, for the integer duels
+    for bit in "01":
+        after = apply_bet(IntegerBet(2, 1), 3, bit)
+        assert type(after) is int and after == (5 if bit == "1" else 1)
     assert apply_bet(ScaleBet(Fraction(1, 2)), Fraction(2), "1") == 1
 
 

@@ -216,6 +216,7 @@ def test_parse_trace_skips_blank_lines():
     lambda lines: lines[:-1],                    # drop the summary
     lambda lines: lines + ["{bad json"],
     lambda lines: lines + ['{"type": "mystery"}'],
+    lambda lines: lines + ["[1]"],               # JSON, but not an object
 ])
 def test_parse_trace_rejects(mutate):
     lines = list(trace_lines(_tiny_trace()))
