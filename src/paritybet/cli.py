@@ -22,7 +22,7 @@ from .builder import run_stage_machine
 from .decompose import BlockSpec, block_decompose, parity_factorize
 from .diagonal import IntStrategy, diagonalize, unit_bet_alternating, unit_bet_on_one
 from .dimension import empirical_dim_bound, validate_s_test
-from .errors import BettingLabError
+from .errors import BettingLabError, PreconditionError
 from .oracles import (
     all_in_growth_fixture,
     floor_parity_grid,
@@ -31,7 +31,7 @@ from .oracles import (
     two_round_grid,
     two_round_random,
 )
-from .programs import BetProgram, StageApprox, at_stage
+from .programs import BetProgram, Component, StageApprox, at_stage
 from .serialize import (
     WireError,
     dumps,
@@ -41,7 +41,6 @@ from .serialize import (
     to_jsonable,
     trace_lines,
 )
-from .serialize import _parse_component  # same package; list files carry no tag
 from .strategy import Kind, Parity, StrategyTable, validate
 
 _STRATEGIES = (StrategyTable, BetProgram, StageApprox)
@@ -49,8 +48,11 @@ _STRATEGIES = (StrategyTable, BetProgram, StageApprox)
 
 def _decode(raw, slot: str, *types):
     """The wire object in raw, which must be of one of the types the input
-    slot takes; anything else is malformed input."""
-    obj = from_jsonable(raw)
+    slot takes; anything else is malformed input, named by its slot."""
+    try:
+        obj = from_jsonable(raw)
+    except WireError as exc:
+        raise WireError(f"{slot}: {exc}") from exc
     if not isinstance(obj, types):
         raise WireError(f"{slot} does not take a {raw['type']} object")
     return obj
@@ -73,7 +75,13 @@ def _line(payload) -> str:
     return json.dumps(to_jsonable(payload), sort_keys=True)
 
 
+# validate builds 2^(depth+1) states of a program or mixture
+_MAX_DEPTH = 20
+
+
 def _cmd_validate(args) -> int:
+    if args.depth > _MAX_DEPTH:
+        raise PreconditionError(f"--depth {args.depth} is above {_MAX_DEPTH}")
     obj = _decode(load_json(args.path), "--in", *_STRATEGIES)
     table = at_stage(obj, args.stage).to_table(args.depth)
     payload = to_jsonable(validate(table))
@@ -176,7 +184,7 @@ def _cmd_dimhalf(args) -> int:
         raw = load_json(args.components)
         if not isinstance(raw, list):
             raise WireError("components file must hold a JSON list")
-        components = [_parse_component(c) for c in raw]
+        components = [from_jsonable(c, Component) for c in raw]
     by_parity = {Parity.BETS_ON_ODD: [], Parity.BETS_ON_EVEN: []}
     for c in components:
         if c.program.parity not in by_parity:
@@ -311,10 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WireError as exc:
-        sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (WireError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except BettingLabError as exc:

@@ -26,10 +26,19 @@ from .programs import Component, StageApprox, at_stage, follow_program
 from .strategy import Kind, Parity, Sided, StrategyTable
 
 
+# compare_scaled_weight holds q coefficients and raises its bracket to
+# powers below q, for s = p/q
+_MAX_SCALE_DENOMINATOR = 10**4
+
+
 def _check_rational_scale(s) -> Fraction:
     s = Fraction(s)
     if not 0 < s <= 1:
         raise PreconditionError(f"scale must lie in (0, 1], got {s}")
+    if s.denominator > _MAX_SCALE_DENOMINATOR:
+        raise PreconditionError(
+            f"scale denominator {s.denominator} is above {_MAX_SCALE_DENOMINATOR}"
+        )
     return s
 
 

@@ -1,19 +1,23 @@
 """JSON wire formats: exact rationals as strings, deterministic output.
 
 Strategy tables, bet programs, mixtures, adversary strategies, test
-arrays, and block specs round-trip. Reports (diagnoses, level verdicts,
-growth verdicts, dimension reports, traces) serialize one way, out.
-Every rational crosses the wire as str(Fraction), so nothing is ever
-rounded; a file written twice from the same objects is byte-identical.
+arrays, block specs and duel traces round-trip. Reports (diagnoses,
+level verdicts, growth verdicts, dimension reports) serialize one way,
+out. One rule, from each dataclass's fields, writes every object and
+reads back the ones that round-trip. Every rational crosses the wire as
+str(Fraction), so nothing is ever rounded; a file written twice from the
+same objects is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
+from typing import get_args, get_origin, get_type_hints
 
 from .blocktest import (
     BlockReport,
@@ -48,7 +52,7 @@ from .programs import (
     ScaleBet,
     StageApprox,
 )
-from .strategy import Diagnosis, Kind, Parity, Sided, StrategyTable
+from .strategy import Diagnosis, Parity, Sided, StrategyTable
 
 
 class WireError(Exception):
@@ -78,13 +82,6 @@ def parse_frac(s) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise WireError(f"bad rational {s[:40]!r}") from exc
     raise WireError(f"expected a rational, got {type(s).__name__}")
-
-
-def _parse_enum(cls, raw, what: str):
-    try:
-        return cls(raw)
-    except ValueError as exc:
-        raise WireError(f"bad {what} {raw!r}") from exc
 
 
 def _need(d: dict, key: str):
@@ -147,11 +144,26 @@ def _fsm_from_jsonable(d) -> Fsm:
     return Fsm(tuple(states), start)
 
 
+def _parse_program(d) -> BetProgram:
+    form = _need(d, "form")
+    if form not in ("fractional", "integer", "fsm"):
+        raise WireError(f"bad program form {form!r}")
+    return BetProgram(
+        parse_frac(_need(d, "initial")),
+        _fsm_from_jsonable(_need(d, "rule")),
+        form,
+        _reader(Parity)(_need(d, "parity")),
+        _reader(Sided)(_need(d, "sided")),
+    )
+
+
 # Every dataclass the wire writes, with its "type" tag. Such an object
-# becomes its fields plus "type"; components carry no tag.
+# becomes its fields plus "type"; components and duel bit records carry
+# no tag.
 _TAGS = {
     StrategyTable: "table",
     Component: None,
+    BitRecord: None,
     StageApprox: "mixture",
     IntStrategy: "int_strategy",
     TestArray: "test_array",
@@ -250,118 +262,109 @@ def to_jsonable(obj):
     return _encode(obj)
 
 
-_PARSERS = {}
+# Fields a reader may find missing, left to the dataclass default. Other
+# defaults (a table's kind and tags) are still required on the wire.
+_OPTIONAL = {IntStrategy: ("name",), TestArray: ("flavor",)}
+
+# declared type -> the function that checks and decodes a JSON value of it
+_READERS = {Fraction: parse_frac, BetProgram: _parse_program}
 
 
-def from_jsonable(d):
-    """Rebuild a round-trip wire object from its plain-JSON form."""
+def _reader(tp):
+    """The reader of declared type tp, built on first use and kept, so a
+    class's field readers are built once and not per value."""
+    read = _READERS.get(tp)
+    if read is None:
+        read = _READERS[tp] = _build_reader(tp)
+    return read
+
+
+def _build_reader(tp):
+    if tp in _SHAPES:
+        hints = get_type_hints(tp)
+        spec = [(name, hints[name]) for name in _SHAPES[tp][1]]
+        return _object_reader(tp, spec, _OPTIONAL.get(tp, ()))
+    if tp in (int, str, bool):
+        def read(v):
+            if type(v) is not tp:  # so a bool is not an int
+                raise WireError(f"expected {tp.__name__}, got {type(v).__name__}")
+            return v
+        return read
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members, what = {m.value: m for m in tp}, tp.__name__.lower()
+
+        def read(v):
+            member = members.get(v) if type(v) is str else None
+            if member is None:
+                raise WireError(f"bad {what} {repr(v)[:40]}")
+            return member
+        return read
+    args = get_args(tp)
+    if get_origin(tp) is tuple and args[1:] == (...,):
+        item = _reader(args[0])
+
+        def read(v):
+            if type(v) is not list:
+                raise WireError(f"expected an array, got {type(v).__name__}")
+            return tuple(map(item, v))
+        return read
+    if get_origin(tp) is Mapping and args[0] is str:
+        item = _reader(args[1])
+
+        def read(v):
+            if type(v) is not dict:
+                raise WireError(f"expected an object, got {type(v).__name__}")
+            return {k: item(x) for k, x in v.items()}
+        return read
+    raise TypeError(f"no wire reader for {tp!r}")
+
+
+def _object_reader(make, spec, optional=()):
+    """Reader of a JSON object holding a key for each (name, type) of spec,
+    decoded by that type's reader and passed to make by name; only the
+    names in optional may be missing. Other keys ("type") are ignored."""
+    readers = [(name, _reader(tp), name in optional) for name, tp in spec]
+
+    def read(d):
+        if type(d) is not dict:
+            raise WireError(f"expected an object, got {type(d).__name__}")
+        kwargs = {}
+        for name, read_value, may_miss in readers:
+            if name in d:
+                try:
+                    kwargs[name] = read_value(d[name])
+                except WireError as exc:
+                    raise WireError(f"{name}: {exc}") from exc
+            elif not may_miss:
+                raise WireError(f"missing key {name!r}")
+        return make(**kwargs)
+    return read
+
+
+# tag -> reader, for the objects that round-trip; reports do not
+_ROUND_TRIP = {
+    "program": _parse_program,
+    **{
+        _TAGS[cls]: _reader(cls)
+        for cls in (StrategyTable, StageApprox, IntStrategy, TestArray, BlockSpec)
+    },
+}
+
+
+def from_jsonable(d, cls=None):
+    """Rebuild a round-trip wire object from its plain-JSON form, read by
+    the rule to_jsonable writes with: each field's key, decoded by the
+    field's declared type. With cls, d is read as an object of that class
+    and no tag is consulted (the stage machine's components carry none)."""
+    if cls is not None:
+        return _reader(cls)(d)
     if not isinstance(d, dict):
         raise WireError("wire object must be a JSON object")
     tag = _need(d, "type")
-    parser = _PARSERS.get(tag)
-    if parser is None:
+    read = _ROUND_TRIP.get(tag) if type(tag) is str else None
+    if read is None:
         raise WireError(f"unknown wire type {tag!r}")
-    return parser(d)
-
-
-def _parse_table(d) -> StrategyTable:
-    depth = _need(d, "depth")
-    if not isinstance(depth, int):
-        raise WireError("depth must be an integer")
-    raw = _need(d, "values")
-    if not isinstance(raw, dict):
-        raise WireError("values must be an object")
-    values = {s: parse_frac(v) for s, v in raw.items()}
-    try:
-        return StrategyTable(
-            depth,
-            values,
-            _parse_enum(Kind, _need(d, "kind"), "kind"),
-            _parse_enum(Parity, _need(d, "parity"), "parity"),
-            _parse_enum(Sided, _need(d, "sided"), "sided"),
-        )
-    except (ValueError, TypeError) as exc:
-        raise WireError(f"bad table: {exc}") from exc
-
-
-def _parse_program(d) -> BetProgram:
-    form = _need(d, "form")
-    if form not in ("fractional", "integer", "fsm"):
-        raise WireError(f"bad program form {form!r}")
-    return BetProgram(
-        parse_frac(_need(d, "initial")),
-        _fsm_from_jsonable(_need(d, "rule")),
-        form,
-        _parse_enum(Parity, _need(d, "parity"), "parity"),
-        _parse_enum(Sided, _need(d, "sided"), "sided"),
-    )
-
-
-def _parse_component(d) -> Component:
-    stage = _need(d, "stage")
-    if not isinstance(stage, int):
-        raise WireError("component stage must be an integer")
-    return Component(
-        stage, parse_frac(_need(d, "weight")), _parse_program(_need(d, "program"))
-    )
-
-
-def _parse_mixture(d) -> StageApprox:
-    raw = _need(d, "components")
-    if not isinstance(raw, list):
-        raise WireError("components must be a list")
-    return StageApprox(
-        tuple(_parse_component(c) for c in raw),
-        _parse_enum(Kind, _need(d, "kind"), "kind"),
-        _parse_enum(Parity, _need(d, "parity"), "parity"),
-        _parse_enum(Sided, _need(d, "sided"), "sided"),
-    )
-
-
-def _parse_int_strategy(d) -> IntStrategy:
-    name = d.get("name", "")
-    if not isinstance(name, str):
-        raise WireError("name must be a string")
-    return IntStrategy(_parse_program(_need(d, "program")), name)
-
-
-def _parse_test_array(d) -> TestArray:
-    raw = _need(d, "levels")
-    if not isinstance(raw, list):
-        raise WireError("levels must be a list")
-    levels = []
-    for level in raw:
-        if not isinstance(level, list) or not all(
-            isinstance(m, str) for m in level
-        ):
-            raise WireError("each level must be a list of bit strings")
-        levels.append(tuple(level))
-    flavor = d.get("flavor", "block34")
-    if not isinstance(flavor, str):
-        raise WireError("flavor must be a string")
-    return TestArray(tuple(levels), flavor)
-
-
-def _parse_block_spec(d) -> BlockSpec:
-    return BlockSpec(
-        parse_frac(_need(d, "m00")),
-        parse_frac(_need(d, "m10")),
-        parse_frac(_need(d, "n0")),
-        parse_frac(_need(d, "n1")),
-        parse_frac(_need(d, "c")),
-    )
-
-
-_PARSERS.update(
-    {
-        "table": _parse_table,
-        "program": _parse_program,
-        "mixture": _parse_mixture,
-        "int_strategy": _parse_int_strategy,
-        "test_array": _parse_test_array,
-        "block_spec": _parse_block_spec,
-    }
-)
+    return read(d)
 
 
 def dumps(obj) -> str:
@@ -394,17 +397,7 @@ def trace_lines(trace: DiagTrace):
         },
         sort_keys=True,
     )
-    for rec in trace.records:
-        yield json.dumps(
-            {
-                "adversaries": list(rec.adversaries),
-                "bit": rec.bit,
-                "engine": rec.engine,
-                "rule": rec.rule,
-            },
-            sort_keys=True,
-        )
-    for item in (*trace.checkpoints, *trace.certificates):
+    for item in (*trace.records, *trace.checkpoints, *trace.certificates):
         yield json.dumps(_encode(item), sort_keys=True)
     yield json.dumps(
         {"type": "summary", "reached": trace.reached, "z": trace.z},
@@ -412,13 +405,20 @@ def trace_lines(trace: DiagTrace):
     )
 
 
+# the trace's own lines, read by the same rule into plain dicts
+_TRACE_HEADER = _object_reader(
+    dict, (("engine", str), ("mode", str), ("target", int))
+)
+_TRACE_SUMMARY = _object_reader(dict, (("reached", bool), ("z", str)))
+
+
 def parse_trace(lines) -> DiagTrace:
-    """Rebuild a duel trace from its JSONL lines."""
-    header = None
+    """Rebuild a duel trace from its JSONL lines; the records, checkpoints
+    and certificates are read like every other wire object."""
+    header = summary = None
     records: list[BitRecord] = []
     checkpoints: list[Checkpoint] = []
     certificates: list[ConeCertificate] = []
-    summary = None
     for raw in lines:
         raw = raw.strip()
         if not raw:
@@ -431,48 +431,26 @@ def parse_trace(lines) -> DiagTrace:
             raise WireError("trace line must be a JSON object")
         tag = d.get("type")
         if tag == "trace_header":
-            header = d
-        elif tag == "checkpoint":
-            checkpoints.append(
-                Checkpoint(
-                    _need(d, "position"),
-                    _need(d, "block_bits"),
-                    parse_frac(_need(d, "fraction")),
-                )
-            )
-        elif tag == "cone_certificate":
-            certificates.append(
-                ConeCertificate(
-                    _need(d, "adversary"),
-                    _need(d, "prefix"),
-                    _need(d, "kind"),
-                    _need(d, "machine_state"),
-                    _need(d, "position_parity"),
-                    _need(d, "constant_value"),
-                )
-            )
+            header = _TRACE_HEADER(d)
         elif tag == "summary":
-            summary = d
+            summary = _TRACE_SUMMARY(d)
+        elif tag == "checkpoint":
+            checkpoints.append(_reader(Checkpoint)(d))
+        elif tag == "cone_certificate":
+            certificates.append(_reader(ConeCertificate)(d))
         elif tag is None and "bit" in d:
-            records.append(
-                BitRecord(
-                    _need(d, "bit"),
-                    _need(d, "rule"),
-                    _need(d, "engine"),
-                    tuple(_need(d, "adversaries")),
-                )
-            )
+            records.append(_reader(BitRecord)(d))
         else:
             raise WireError(f"unknown trace line type {tag!r}")
     if header is None or summary is None:
         raise WireError("trace is missing its header or summary line")
     return DiagTrace(
-        engine_name=_need(header, "engine"),
-        mode=_need(header, "mode"),
-        target=_need(header, "target"),
-        z=_need(summary, "z"),
+        engine_name=header["engine"],
+        mode=header["mode"],
+        target=header["target"],
+        z=summary["z"],
         records=tuple(records),
         checkpoints=tuple(checkpoints),
         certificates=tuple(certificates),
-        reached=_need(summary, "reached"),
+        reached=summary["reached"],
     )

@@ -4,6 +4,7 @@ The recurring invariant: any strategy artifact a command emits must come
 back clean when fed to validate."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,9 @@ def _argv_with_slot(tmp_path, subcommand, slot, obj):
         ("diagonalize", "--adversaries", "block_spec", _SPEC),
         ("paritytest", "odd", "table", _ODD_TABLE),
         ("paritytest", "even", "program", _PROGRAM),
+        # a tag that is no string: no slot's type, and no key to look up
+        *[(sub, slot, "list_tag", {"type": []})
+          for sub, (inputs, _) in _SLOTS.items() for slot in inputs],
     ]
 ])
 def test_cli_rejects_wrong_typed_input(capsys, tmp_path, subcommand, slot, bad):
@@ -195,6 +199,18 @@ def test_cli_rejects_wrong_typed_input(capsys, tmp_path, subcommand, slot, bad):
     assert code == 2 and out == ""
     error = json.loads(err)  # exactly one JSON object
     assert error["error"] == "WireError" and slot in error["message"]
+
+
+def test_dimhalf_rejects_malformed_component(capsys, tmp_path):
+    good = Component(0, Fraction(1, 4), constant_program(1, None, Parity.BETS_ON_ODD))
+    argv = ["dimhalf", "--nmax", "1", "--stages", "20", "--components"]
+    path = write_json(tmp_path, "good.json", [to_jsonable(good)])
+    code, _, err = run_cli(capsys, *argv, path)
+    assert code == 0, err
+    path = write_json(tmp_path, "bad.json", [to_jsonable(good), {"type": []}])
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "WireError"
 
 
 def test_validate_writes_out_file(capsys, odd_bettor, tmp_path):
@@ -355,6 +371,19 @@ def test_stest_scale_errors(capsys, tmp_path):
     # representable but out of range: domain error, not a wire error
     code, _, err = run_cli(capsys, "stest", "--validate", path, "--s", "3/2")
     assert code == 1
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("subcommand, slot, obj, limit", [
+    ("validate", "--in", _PROGRAM, ["--depth", "21"]),
+    ("stest", "--validate", _ARRAY, ["--s", "1/100000000"]),
+], ids=["validate-depth", "stest-s"])
+def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
+    argv = [subcommand, slot, write_json(tmp_path, "in.json", obj), *limit]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "PreconditionError"
 
 

@@ -1,5 +1,6 @@
 """Wire round-trips and the failure modes of malformed payloads."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
+    BettingLabError,
     BlockSpec,
+    Component,
     FractionBet,
     IntegerBet,
     Kind,
@@ -36,7 +39,7 @@ from paritybet import (
     validate,
 )
 
-from conftest import random_positive_martingale
+from conftest import parity_window, random_positive_martingale
 
 
 def test_frac_str_and_parse():
@@ -127,6 +130,18 @@ def test_block_spec_roundtrip():
     assert from_jsonable(to_jsonable(spec)) == spec
 
 
+@pytest.mark.parametrize("obj, key, default", [
+    (unit_bet_on_one(), "name", ""),
+    (TestArray((("",), ("00", "10")), flavor="half"), "flavor", "block34"),
+])
+def test_optional_key_takes_its_default(obj, key, default):
+    wire = to_jsonable(obj)
+    del wire[key]
+    back = from_jsonable(wire)
+    assert getattr(back, key) == default
+    assert to_jsonable(back) == {**wire, key: default}
+
+
 def test_dumps_is_sorted_and_stable():
     t = StrategyTable(1, {"": Fraction(1), "0": Fraction(2), "1": Fraction(0)},
                       Kind.MARTINGALE)
@@ -177,6 +192,13 @@ def test_diagnosis_serializes_one_way():
      "sided": "unrestricted", "components": "nope"},
     {"type": "test_array", "flavor": "half", "levels": [["01", 7]]},
     {"type": "block_spec", "m00": "1/2", "m10": "1/2", "n0": "1/2", "n1": "1/2"},
+    {"type": []},
+    {"type": {}},
+    # kind, parity and sided have dataclass defaults but stay required
+    {"type": "table", "depth": 0, "parity": "unrestricted", "sided": "unrestricted",
+     "values": {"": "1"}},
+    {"type": "mixture", "kind": "martingale", "parity": "unrestricted",
+     "components": []},
 ])
 def test_from_jsonable_rejects(payload):
     with pytest.raises(WireError):
@@ -211,14 +233,111 @@ def test_parse_trace_skips_blank_lines():
     assert parse_trace(lines) == trace
 
 
+def _retyped(line, key, value):
+    d = json.loads(line)
+    assert key in d
+    d[key] = value
+    return json.dumps(d)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda lines: lines[1:],                     # drop the header
     lambda lines: lines[:-1],                    # drop the summary
     lambda lines: lines + ["{bad json"],
     lambda lines: lines + ['{"type": "mystery"}'],
     lambda lines: lines + ["[1]"],               # JSON, but not an object
+    lambda lines: lines[:1] + [_retyped(lines[1], "adversaries", 5)] + lines[2:],
+    lambda lines: lines[:1] + [_retyped(lines[1], "engine", "x")] + lines[2:],
+    lambda lines: lines[:-1] + [_retyped(lines[-1], "z", 5)],
 ])
 def test_parse_trace_rejects(mutate):
     lines = list(trace_lines(_tiny_trace()))
     with pytest.raises(WireError):
         parse_trace(mutate(lines))
+
+
+# -- fuzz: one key of a valid wire object deleted or given a junk value ---
+
+_DELETE = "<delete>"
+_JUNK = (_DELETE, None, True, 7, 1.5, "x", [], {})
+
+_WIRE_OBJECTS = [
+    to_jsonable(obj)
+    for obj in (
+        StrategyTable(1, {"": Fraction(1), "0": Fraction(1, 2), "1": Fraction(3, 2)},
+                      Kind.MARTINGALE, Parity.BETS_ON_EVEN, Sided.ONE),
+        follow_program("01", Parity.BETS_ON_EVEN, Fraction(1, 4)),
+        constant_program(Fraction(5, 4), ScaleBet(Fraction(1, 2)), Parity.BETS_ON_ODD),
+        StageApprox((Component(1, Fraction(1, 2), constant_program(
+            1, FractionBet(Fraction(1, 3)), Parity.BETS_ON_ODD)),),
+            Kind.MARTINGALE, Parity.BETS_ON_ODD),
+        parity_window("w", 3, 1),
+        TestArray((("",), ("00", "10")), flavor="half"),
+        BlockSpec(Fraction(7, 16), Fraction(1, 2), Fraction(3, 16),
+                  Fraction(1, 16), Fraction(1, 2)),
+    )
+]
+
+
+def _trace_lines_by_kind():
+    trace = diagonalize([parity_window("w0", 4, 3), parity_window("w1", 3, 2)],
+                        unit_bet_on_one(), 12, mode="settle", dim0_blocks=2)
+    lines = list(trace_lines(trace))
+    by_kind = {}
+    for i, line in enumerate(lines):
+        by_kind.setdefault(json.loads(line).get("type"), []).append(i)
+    assert len(by_kind) == 5  # header, records, checkpoints, certificates, summary
+    return lines, list(by_kind.values())
+
+
+_TRACE_LINES, _TRACE_KINDS = _trace_lines_by_kind()
+
+
+def _slots(node, path=()):
+    """The path of every object key and array index in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+def _mutate(data, tree):
+    """A copy of tree with one key or index deleted or given a junk value."""
+    path = data.draw(st.sampled_from(list(_slots(tree))))
+    junk = data.draw(st.sampled_from(_JUNK))
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    if junk == _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(junk)
+    return tree
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_mutated_wire_object_raises_only_wire_or_domain_errors(data):
+    wire = _mutate(data, data.draw(st.sampled_from(_WIRE_OBJECTS)))
+    try:
+        from_jsonable(wire)
+    except (WireError, BettingLabError):
+        pass
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_mutated_trace_line_raises_only_wire_or_domain_errors(data):
+    i = data.draw(st.sampled_from(data.draw(st.sampled_from(_TRACE_KINDS))))
+    lines = list(_TRACE_LINES)
+    lines[i] = json.dumps(_mutate(data, json.loads(lines[i])))
+    try:
+        parse_trace(lines)
+    except (WireError, BettingLabError):
+        pass
