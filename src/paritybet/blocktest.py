@@ -443,13 +443,8 @@ def mixture(programs: list[BetProgram] | tuple[BetProgram, ...], parity: Parity)
             )
         if p.initial > 1:
             raise PreconditionError("mixture components must start with capital <= 1")
-    kind = (
-        Kind.MARTINGALE
-        if all(p.kind is Kind.MARTINGALE for p in progs)
-        else Kind.SUPERMARTINGALE
-    )
     comps = tuple(
         Component(stage=i, weight=Fraction(1, 2 ** (i + 2)), program=p)
         for i, p in enumerate(progs)
     )
-    return StageApprox(components=comps, kind=kind, parity=parity, sided=Sided.NONE)
+    return StageApprox(comps, Kind.of_sum(p.kind for p in progs), parity, Sided.NONE)

@@ -283,6 +283,7 @@ def check_growth_bound(
     )
 
 
+@dataclass
 class RequestLedger:
     """Multiset of description requests with a hard Kraft budget.
 
@@ -291,9 +292,10 @@ class RequestLedger:
     for a target, the ledger's stand-in for description complexity.
     """
 
-    def __init__(self):
-        self.requests: list[tuple[str, int]] = []
-        self._weight = Fraction(0)
+    requests: list[tuple[str, int]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._weight = sum((Fraction(1, 2**ln) for _, ln in self.requests), Fraction(0))
 
     def kraft_weight(self) -> Fraction:
         return self._weight

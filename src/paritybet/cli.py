@@ -192,17 +192,10 @@ def _cmd_dimhalf(args) -> int:
                 "every builder component needs a single-parity program"
             )
         by_parity[c.program.parity].append(c)
-
-    def pack(parts, parity):
-        kind = (
-            Kind.MARTINGALE
-            if all(c.program.kind is Kind.MARTINGALE for c in parts)
-            else Kind.SUPERMARTINGALE
-        )
-        return StageApprox(tuple(parts), kind, parity)
-
-    n_approx = pack(by_parity[Parity.BETS_ON_ODD], Parity.BETS_ON_ODD)
-    t_approx = pack(by_parity[Parity.BETS_ON_EVEN], Parity.BETS_ON_EVEN)
+    n_approx, t_approx = (
+        StageApprox(tuple(parts), Kind.of_sum(c.program.kind for c in parts), parity)
+        for parity, parts in by_parity.items()  # odd, then even
+    )
     state, prefix, ledger = run_stage_machine(n_approx, t_approx, args.stages, args.nmax)
     _emit(dumps({"state": state, "ledger": ledger, "prefix": prefix}), args.out)
     if args.out is None:

@@ -93,8 +93,8 @@ class _Players:
 
     def __init__(self, strategies):
         programs = [s.program for s in strategies]
-        self.states = [p.fsm.states for p in programs]
-        self.q = [p.fsm.start for p in programs]
+        self.states = [p.rule.states for p in programs]
+        self.q = [p.rule.start for p in programs]
         self.cap = [int(p.initial) for p in programs]
 
     def step(self, bit: str) -> None:
@@ -129,7 +129,7 @@ class _Players:
 
 
 def _is_betting_config(program: BetProgram, q: int) -> bool:
-    bet = program.fsm.states[q].bet
+    bet = program.rule.states[q].bet
     return isinstance(bet, IntegerBet) and bet.wager >= 1
 
 
@@ -395,8 +395,8 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
             return "1" if position_parity else "0"
         return "1"
 
-    buffer_needed = 2 * len(program.fsm.states) + 4
-    fuel = (players.cap[me] + 2) * (4 * len(program.fsm.states) + buffer_needed + 8) + 64
+    buffer_needed = 2 * len(program.rule.states) + 4
+    fuel = (players.cap[me] + 2) * (4 * len(program.rule.states) + buffer_needed + 8) + 64
     nav: list[str] = []
     while True:
         if not nav:

@@ -42,6 +42,11 @@ def _check_rational_scale(s) -> Fraction:
     return s
 
 
+# log2_bracket squares a (precision + 16)-bit integer once per digit, so
+# the cost of a sample grows faster than precision squared
+_MAX_PRECISION = 1000
+
+
 def compare_scaled_weight(lengths: list[int], s, k: int) -> int:
     """Sign of (sum over lengths of 2^(-s*L)) minus 2^(-k), exactly.
 
@@ -325,6 +330,8 @@ def empirical_dim_bound(
     exponents; everything else is trapped in a dyadic bracket of width
     2^-precision scaled by 1/n.
     """
+    if precision > _MAX_PRECISION:
+        raise PreconditionError(f"precision {precision} is above {_MAX_PRECISION}")
     bits.check_bits(x)
     if not x:
         raise PreconditionError("need a nonempty prefix to sample")

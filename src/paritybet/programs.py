@@ -29,13 +29,13 @@ from .strategy import Kind, Parity, Sided, StrategyTable, as_capital
 
 @dataclass(frozen=True)
 class FractionBet:
-    fraction: Fraction  # signed stake toward outcome 1, in [-1, 1]
+    stake: Fraction  # signed fraction of capital toward outcome 1, in [-1, 1]
 
     def __post_init__(self):
-        f = Fraction(self.fraction)
+        f = Fraction(self.stake)
         if not -1 <= f <= 1:
-            raise StructuralError(f"bet fraction must lie in [-1, 1], got {f}")
-        object.__setattr__(self, "fraction", f)
+            raise StructuralError(f"bet stake must lie in [-1, 1], got {f}")
+        object.__setattr__(self, "stake", f)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def apply_bet(bet: Bet | None, capital, bit: str):
     if bet is None:
         return capital
     if isinstance(bet, FractionBet):
-        f = bet.fraction
+        f = bet.stake
         return capital * (1 + f) if bit == "1" else capital * (1 - f)
     if isinstance(bet, IntegerBet):
         w = min(bet.wager, capital)
@@ -130,7 +130,7 @@ class BetProgram:
     """
 
     initial: Fraction
-    fsm: Fsm
+    rule: Fsm
     form: str = "fsm"
     parity: Parity = Parity.NONE
     sided: Sided = Sided.NONE
@@ -139,7 +139,7 @@ class BetProgram:
         object.__setattr__(self, "initial", as_capital(self.initial))
         if self.form not in ("fractional", "integer", "fsm"):
             raise StructuralError(f"unknown program form {self.form!r}")
-        bets = [st.bet for st in self.fsm.states if st.bet is not None]
+        bets = [st.bet for st in self.rule.states if st.bet is not None]
         if self.form == "fractional" and any(isinstance(b, IntegerBet) for b in bets):
             raise StructuralError("fractional form cannot carry integer bets")
         if self.form == "integer":
@@ -154,13 +154,13 @@ class BetProgram:
         """The reachable (machine state, position parity) configurations,
         each mapped to its successors on 0 and on 1. Built on first use and
         kept, since duels search it once per planning step."""
-        return _reachable_configs(self.fsm)
+        return _reachable_configs(self.rule)
 
     def _check_structural_tags(self):
         # walked afresh, not through configs: most programs never need the
         # graph again, and keeping it would cost memory per program
-        for q, p in _reachable_configs(self.fsm):
-            bet = self.fsm.states[q].bet
+        for q, p in _reachable_configs(self.rule):
+            bet = self.rule.states[q].bet
             if bet is None:
                 continue
             if not self.parity.bets_at(p):
@@ -169,12 +169,12 @@ class BetProgram:
                     f"bets at position parity {p}"
                 )
             if self.sided is Sided.ZERO:
-                if isinstance(bet, FractionBet) and bet.fraction > 0:
+                if isinstance(bet, FractionBet) and bet.stake > 0:
                     raise StructuralError("declared zero_sided but a bet leans to 1")
                 if isinstance(bet, IntegerBet) and bet.outcome == 1 and bet.wager > 0:
                     raise StructuralError("declared zero_sided but a bet leans to 1")
             if self.sided is Sided.ONE:
-                if isinstance(bet, FractionBet) and bet.fraction < 0:
+                if isinstance(bet, FractionBet) and bet.stake < 0:
                     raise StructuralError("declared one_sided but a bet leans to 0")
                 if isinstance(bet, IntegerBet) and bet.outcome == 0 and bet.wager > 0:
                     raise StructuralError("declared one_sided but a bet leans to 0")
@@ -182,16 +182,16 @@ class BetProgram:
     @property
     def kind(self) -> Kind:
         leaky = any(
-            isinstance(st.bet, ScaleBet) and st.bet.factor != 1 for st in self.fsm.states
+            isinstance(st.bet, ScaleBet) and st.bet.factor != 1 for st in self.rule.states
         )
         return Kind.SUPERMARTINGALE if leaky else Kind.MARTINGALE
 
     def value(self, state: str) -> Fraction:
         bits.check_bits(state)
         c = self.initial
-        q = self.fsm.start
+        q = self.rule.start
         for bit in state:
-            st = self.fsm.states[q]
+            st = self.rule.states[q]
             c = apply_bet(st.bet, c, bit)
             q = st.on0 if bit == "0" else st.on1
         return c
@@ -206,11 +206,11 @@ class BetProgram:
             vals[state] = c
             if len(state) == depth:
                 return
-            st = self.fsm.states[q]
+            st = self.rule.states[q]
             walk(state + "0", st.on0, apply_bet(st.bet, c, "0"))
             walk(state + "1", st.on1, apply_bet(st.bet, c, "1"))
 
-        walk(bits.EMPTY, self.fsm.start, self.initial)
+        walk(bits.EMPTY, self.rule.start, self.initial)
         return StrategyTable(depth, vals, self.kind, self.parity, self.sided)
 
 
@@ -354,8 +354,7 @@ def combine_programs(parts, parity: Parity = Parity.NONE, sided: Sided = Sided.N
     """Weighted sum of programs as a stage approximation, all active from
     stage 0. The staged activation variant is built by mixture()."""
     comps = tuple(Component(0, Fraction(w), p) for w, p in parts)
-    kind = Kind.MARTINGALE if all(c.program.kind is Kind.MARTINGALE for c in comps) else Kind.SUPERMARTINGALE
-    return StageApprox(comps, kind, parity, sided)
+    return StageApprox(comps, Kind.of_sum(c.program.kind for c in comps), parity, sided)
 
 
 class _StageView:

@@ -17,7 +17,8 @@ from collections.abc import Mapping
 from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
-from typing import get_args, get_origin, get_type_hints
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .blocktest import (
     BlockReport,
@@ -42,6 +43,7 @@ from .diagonal import (
     IntStrategy,
 )
 from .dimension import DimReport, ExponentSample, LevelVerdict
+from .errors import StructuralError
 from .programs import (
     BetProgram,
     Component,
@@ -52,7 +54,7 @@ from .programs import (
     ScaleBet,
     StageApprox,
 )
-from .strategy import Diagnosis, Parity, Sided, StrategyTable
+from .strategy import Diagnosis, StrategyTable
 
 
 class WireError(Exception):
@@ -84,84 +86,17 @@ def parse_frac(s) -> Fraction:
     raise WireError(f"expected a rational, got {type(s).__name__}")
 
 
-def _need(d: dict, key: str):
-    if not isinstance(d, dict) or key not in d:
-        raise WireError(f"missing key {key!r}")
-    return d[key]
-
-
-def _bet_to_jsonable(bet):
-    if bet is None:
-        return None
-    if isinstance(bet, FractionBet):
-        return {"bet": "fraction", "stake": frac_str(bet.fraction)}
-    if isinstance(bet, IntegerBet):
-        return {"bet": "integer", "wager": bet.wager, "outcome": bet.outcome}
-    if isinstance(bet, ScaleBet):
-        return {"bet": "scale", "factor": frac_str(bet.factor)}
-    raise WireError(f"unknown bet {type(bet).__name__}")
-
-
-def _bet_from_jsonable(d):
-    if d is None:
-        return None
-    tag = _need(d, "bet")
-    if tag == "fraction":
-        return FractionBet(parse_frac(_need(d, "stake")))
-    if tag == "integer":
-        wager, outcome = _need(d, "wager"), _need(d, "outcome")
-        if not isinstance(wager, int) or not isinstance(outcome, int):
-            raise WireError("integer bet needs integer wager and outcome")
-        return IntegerBet(wager, outcome)
-    if tag == "scale":
-        return ScaleBet(parse_frac(_need(d, "factor")))
-    raise WireError(f"unknown bet tag {tag!r}")
-
-
-def _fsm_to_jsonable(fsm: Fsm) -> dict:
-    return {
-        "states": [
-            {"bet": _bet_to_jsonable(s.bet), "on0": s.on0, "on1": s.on1}
-            for s in fsm.states
-        ],
-        "start": fsm.start,
-    }
-
-
-def _fsm_from_jsonable(d) -> Fsm:
-    raw_states = _need(d, "states")
-    if not isinstance(raw_states, list) or not raw_states:
-        raise WireError("machine needs a nonempty state list")
-    states = []
-    for s in raw_states:
-        on0, on1 = _need(s, "on0"), _need(s, "on1")
-        if not isinstance(on0, int) or not isinstance(on1, int):
-            raise WireError("state transitions must be integer indices")
-        states.append(FsmState(_bet_from_jsonable(_need(s, "bet")), on0, on1))
-    start = d.get("start", 0)
-    if not isinstance(start, int):
-        raise WireError("start must be an integer index")
-    return Fsm(tuple(states), start)
-
-
-def _parse_program(d) -> BetProgram:
-    form = _need(d, "form")
-    if form not in ("fractional", "integer", "fsm"):
-        raise WireError(f"bad program form {form!r}")
-    return BetProgram(
-        parse_frac(_need(d, "initial")),
-        _fsm_from_jsonable(_need(d, "rule")),
-        form,
-        _reader(Parity)(_need(d, "parity")),
-        _reader(Sided)(_need(d, "sided")),
-    )
-
-
-# Every dataclass the wire writes, with its "type" tag. Such an object
-# becomes its fields plus "type"; components and duel bit records carry
-# no tag.
+# Every dataclass the wire writes, with its tag. Such an object becomes
+# its fields plus its tag under "type" (under "bet" for bets); machines,
+# their states, components and duel bit records carry no tag.
 _TAGS = {
     StrategyTable: "table",
+    BetProgram: "program",
+    Fsm: None,
+    FsmState: None,
+    FractionBet: "fraction",
+    IntegerBet: "integer",
+    ScaleBet: "scale",
     Component: None,
     BitRecord: None,
     StageApprox: "mixture",
@@ -182,18 +117,24 @@ _TAGS = {
     StageParams: "stage_params",
     StageEvent: "stage_event",
     BuilderState: "builder_state",
+    RequestLedger: "ledger",
 }
+
+# the key a tag is written under, where it is not "type"
+_TAG_KEYS = dict.fromkeys((FractionBet, IntegerBet, ScaleBet), "bet")
 
 # Keys a report derives rather than stores; each names a method without
 # arguments whose result is written under that key.
 _DERIVED = {
     DimReport: ("half_log2_base",),
     GrowthVerdict: ("ok",),
+    RequestLedger: ("kraft_weight",),
 }
 
-# class -> (tag, field names, derived keys), fixed at import
+# class -> (tag key, tag, field names, derived keys), fixed at import
 _SHAPES = {
     cls: (
+        _TAG_KEYS.get(cls, "type"),
         tag,
         tuple(f.name for f in fields(cls)),
         _DERIVED.get(cls, ()),
@@ -218,33 +159,18 @@ def _encode(obj):
         return {k: v if type(v) in _PLAIN else _encode(v) for k, v in obj.items()}
     shape = _SHAPES.get(cls)
     if shape is not None:
-        tag, names, derived = shape
+        key, tag, names, derived = shape
         out = {}
         for name in names:
             v = getattr(obj, name)
             out[name] = v if type(v) in _PLAIN else _encode(v)
         if tag is not None:
-            out["type"] = tag
+            out[key] = tag
         for name in derived:
             out[name] = _encode(getattr(obj, name)())
         return out
     if isinstance(obj, Enum):
         return obj.value
-    if cls is BetProgram:
-        return {
-            "type": "program",
-            "initial": frac_str(obj.initial),
-            "form": obj.form,
-            "parity": obj.parity.value,
-            "sided": obj.sided.value,
-            "rule": _fsm_to_jsonable(obj.fsm),
-        }
-    if cls is RequestLedger:
-        return {
-            "type": "ledger",
-            "requests": [[t, ln] for t, ln in obj.requests],
-            "kraft_weight": frac_str(obj.kraft_weight()),
-        }
     raise WireError(f"cannot serialize {cls.__name__}")
 
 
@@ -253,9 +179,8 @@ def to_jsonable(obj):
 
     One rule: None, str, int and bool pass through, a Fraction becomes
     str(Fraction), an enum its value, lists, tuples and dicts recurse, and
-    a dataclass in _TAGS becomes its fields plus its "type" tag and
-    any _DERIVED keys. Programs and the ledger have wire shapes of their
-    own. Deterministic.
+    a dataclass in _TAGS becomes its fields plus its tag and any
+    _DERIVED keys. Deterministic.
     """
     # recursion stays on _encode, so a wrapper of this public name (the
     # bench tracer's spans) sees one call per object written, not per value
@@ -264,10 +189,10 @@ def to_jsonable(obj):
 
 # Fields a reader may find missing, left to the dataclass default. Other
 # defaults (a table's kind and tags) are still required on the wire.
-_OPTIONAL = {IntStrategy: ("name",), TestArray: ("flavor",)}
+_OPTIONAL = {IntStrategy: ("name",), TestArray: ("flavor",), Fsm: ("start",)}
 
 # declared type -> the function that checks and decodes a JSON value of it
-_READERS = {Fraction: parse_frac, BetProgram: _parse_program}
+_READERS = {Fraction: parse_frac}
 
 
 def _reader(tp):
@@ -282,8 +207,10 @@ def _reader(tp):
 def _build_reader(tp):
     if tp in _SHAPES:
         hints = get_type_hints(tp)
-        spec = [(name, hints[name]) for name in _SHAPES[tp][1]]
+        spec = [(name, hints[name]) for name in _SHAPES[tp][2]]
         return _object_reader(tp, spec, _OPTIONAL.get(tp, ()))
+    if get_origin(tp) in (Union, UnionType):
+        return _tagged_reader(get_args(tp))
     if tp in (int, str, bool):
         def read(v):
             if type(v) is not tp:  # so a bool is not an int
@@ -322,7 +249,9 @@ def _build_reader(tp):
 def _object_reader(make, spec, optional=()):
     """Reader of a JSON object holding a key for each (name, type) of spec,
     decoded by that type's reader and passed to make by name; only the
-    names in optional may be missing. Other keys ("type") are ignored."""
+    names in optional may be missing. Other keys (the tag) are ignored.
+    The object either rebuilds or is a WireError: a StructuralError from
+    make means the values are well typed but do not form a valid object."""
     readers = [(name, _reader(tp), name in optional) for name, tp in spec]
 
     def read(d):
@@ -337,18 +266,40 @@ def _object_reader(make, spec, optional=()):
                     raise WireError(f"{name}: {exc}") from exc
             elif not may_miss:
                 raise WireError(f"missing key {name!r}")
-        return make(**kwargs)
+        try:
+            return make(**kwargs)
+        except StructuralError as exc:
+            raise WireError(str(exc)) from exc
     return read
 
 
-# tag -> reader, for the objects that round-trip; reports do not
-_ROUND_TRIP = {
-    "program": _parse_program,
-    **{
-        _TAGS[cls]: _reader(cls)
-        for cls in (StrategyTable, StageApprox, IntStrategy, TestArray, BlockSpec)
-    },
-}
+def _tagged_reader(classes):
+    """Reader of an object of one of classes, picked by the tag they share
+    a key for; a NoneType among them admits JSON null."""
+    tagged = [cls for cls in classes if cls is not NoneType]
+    key = _SHAPES[tagged[0]][0]
+    by_tag = {_TAGS[cls]: _reader(cls) for cls in tagged}
+    nullable = len(tagged) < len(classes)
+
+    def read(d):
+        if d is None and nullable:
+            return None
+        if type(d) is not dict:
+            raise WireError(f"expected an object, got {type(d).__name__}")
+        if key not in d:
+            raise WireError(f"missing key {key!r}")
+        tag = d[key]
+        read_tagged = by_tag.get(tag) if type(tag) is str else None
+        if read_tagged is None:
+            raise WireError(f"unknown {key} tag {repr(tag)[:40]}")
+        return read_tagged(d)
+    return read
+
+
+# the objects that round-trip, read by their "type" tag; reports do not
+_read_wire_object = _reader(
+    StrategyTable | BetProgram | StageApprox | IntStrategy | TestArray | BlockSpec
+)
 
 
 def from_jsonable(d, cls=None):
@@ -356,15 +307,7 @@ def from_jsonable(d, cls=None):
     the rule to_jsonable writes with: each field's key, decoded by the
     field's declared type. With cls, d is read as an object of that class
     and no tag is consulted (the stage machine's components carry none)."""
-    if cls is not None:
-        return _reader(cls)(d)
-    if not isinstance(d, dict):
-        raise WireError("wire object must be a JSON object")
-    tag = _need(d, "type")
-    read = _ROUND_TRIP.get(tag) if type(tag) is str else None
-    if read is None:
-        raise WireError(f"unknown wire type {tag!r}")
-    return read(d)
+    return _read_wire_object(d) if cls is None else _reader(cls)(d)
 
 
 def dumps(obj) -> str:

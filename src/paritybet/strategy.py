@@ -25,6 +25,14 @@ class Kind(enum.Enum):
     MARTINGALE = "martingale"
     SUPERMARTINGALE = "supermartingale"
 
+    @staticmethod
+    def of_sum(kinds: Iterable[Kind]) -> Kind:
+        """The kind of a nonnegative weighted sum: a martingale only if
+        every part is (so an empty sum is one)."""
+        if all(k is Kind.MARTINGALE for k in kinds):
+            return Kind.MARTINGALE
+        return Kind.SUPERMARTINGALE
+
 
 class Parity(enum.Enum):
     BETS_ON_EVEN = "bets_on_even"
@@ -208,13 +216,12 @@ def combine(parts: Iterable[tuple[Fraction, StrategyTable]]) -> StrategyTable:
     vals = {}
     for state in bits.all_states(depth):
         vals[state] = sum((w * t.value(state) for w, t in items), Fraction(0))
-    kinds = {t.kind for _, t in items}
     parities = {t.parity for _, t in items}
     sides = {t.sided for _, t in items}
     return StrategyTable(
         depth,
         vals,
-        Kind.MARTINGALE if kinds == {Kind.MARTINGALE} else Kind.SUPERMARTINGALE,
+        Kind.of_sum(t.kind for _, t in items),
         parities.pop() if len(parities) == 1 else Parity.NONE,
         sides.pop() if len(sides) == 1 else Sided.NONE,
     )

@@ -17,6 +17,7 @@ from paritybet import (
     follow_program,
     FractionBet,
     mixture,
+    to_jsonable,
 )
 from paritybet import bits
 
@@ -34,6 +35,16 @@ def parity_window(name, cap, steps, outcome=1):
     sts.append(FsmState(None, 2 * steps, 2 * steps))
     prog = BetProgram(Fraction(cap), Fsm(tuple(sts)), "integer", Parity.BETS_ON_EVEN)
     return IntStrategy(prog, name=name)
+
+
+def edited_wire(obj, path, value):
+    """The wire form of obj with the value at a key path replaced."""
+    wire = to_jsonable(obj)
+    node = wire
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return wire
 
 
 def random_positive_martingale(rng: random.Random, depth: int, root=None) -> StrategyTable:

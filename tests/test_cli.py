@@ -31,7 +31,7 @@ from paritybet import (
 )
 from paritybet.cli import main
 
-from conftest import parity_window
+from conftest import edited_wire, parity_window
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +213,25 @@ def test_dimhalf_rejects_malformed_component(capsys, tmp_path):
     assert json.loads(err)["error"] == "WireError"
 
 
+_INT_PROGRAM = constant_program(5, IntegerBet(2, 0), Parity.BETS_ON_ODD)
+
+
+@pytest.mark.parametrize("bad, where", [
+    pytest.param(edited_wire(_ODD_TABLE, ("values",), {"": "1", "0": "1", "1": "1"}),
+                 "missing table entry", id="table-missing-entry"),
+    pytest.param(edited_wire(_INT_PROGRAM, ("rule", "states", 0, "on0"), 2),
+                 "rule: transition target out of range", id="program-on0-out-of-range"),
+    pytest.param(edited_wire(_INT_PROGRAM, ("rule", "states", 1, "bet", "wager"), True),
+                 "rule: states: bet: wager: expected int", id="program-wager-bool"),
+])
+def test_validate_rejects_malformed_object(capsys, tmp_path, bad, where):
+    code, out, err = run_cli(capsys, "validate", "--in", write_json(tmp_path, "bad.json", bad))
+    assert code == 2 and out == ""
+    error = json.loads(err)  # exactly one JSON object
+    assert error["error"] == "WireError"
+    assert error["message"].startswith("--in: " + where)
+
+
 def test_validate_writes_out_file(capsys, odd_bettor, tmp_path):
     out_path = tmp_path / "diag.json"
     code, out, _ = run_cli(capsys, "validate", "--in", odd_bettor,
@@ -377,8 +396,12 @@ def test_stest_scale_errors(capsys, tmp_path):
 @pytest.mark.parametrize("subcommand, slot, obj, limit", [
     ("validate", "--in", _PROGRAM, ["--depth", "21"]),
     ("stest", "--validate", _ARRAY, ["--s", "1/100000000"]),
-], ids=["validate-depth", "stest-s"])
+    ("dim", "--strategy", _ODD_TABLE, ["--x", "{x}", "--precision", "1001"]),
+], ids=["validate-depth", "stest-s", "dim-precision"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
+    x = tmp_path / "x.txt"
+    x.write_text("01\n")
+    limit = [arg.format(x=x) for arg in limit]
     argv = [subcommand, slot, write_json(tmp_path, "in.json", obj), *limit]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
