@@ -52,11 +52,12 @@ def stage_parameters(n_max: int) -> tuple[StageParams, ...]:
     """Parameter triples for indices 0..n_max via the exact recurrences.
 
     s_0 = 0 is pinned by the construction; for n >= 1 the recurrence
-    s_n = (n+2)(2n+2+sum of earlier p) with p_n = s_n/2 + n + 2 makes the
-    budget inequality s_n*q_n - p_n > n + sum of earlier p hold, which is
-    verified here for n >= 1. At n = 0 the pinned s_0 = 0 breaks that
-    inequality (-2 > 0 fails), so index 0 is exempt; nothing is ever
-    described at index 0.
+    s_n = (n+2)(2n+2+sum of earlier p), rounded up to even (the first odd
+    value is at n = 7), with p_n = s_n/2 + n + 2 makes the budget
+    inequality s_n*q_n - p_n > n + sum of earlier p hold, which is
+    verified here for n >= 1; rounding s_n up only widens its margin. At
+    n = 0 the pinned s_0 = 0 breaks that inequality (-2 > 0 fails), so
+    index 0 is exempt; nothing is ever described at index 0.
     """
     if n_max < 0:
         raise PreconditionError("n_max must be nonnegative")
@@ -65,6 +66,7 @@ def stage_parameters(n_max: int) -> tuple[StageParams, ...]:
     for n in range(n_max + 1):
         q = HALF + Fraction(3, n + 2)
         s = 0 if n == 0 else (n + 2) * (2 * n + 2 + p_sum)
+        s += s % 2
         p = s // 2 + n + 2
         if n >= 1 and not s * q - p > n + p_sum:
             raise StructuralError(f"budget inequality fails at index {n}")
@@ -87,9 +89,20 @@ def capital_threshold(n: int) -> Fraction:
     return HALF + sum(Fraction(1, 2 ** (i + 2)) for i in range(n))
 
 
-# mixture -> {(depth, parity, stage): (prev, floor)}, the last floor taken
-# per key; an entry lives exactly as long as its mixture
+# mixture -> ({key: floor}, {id(floor): key}), where key is (depth,
+# parity, normalised stage, prev's key or None); an entry lives exactly as
+# long as its mixture, and it keeps every floor it holds alive, so no id
+# in it is ever reused
 _FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _normalised_stage(m: StageApprox, stage: int | None) -> int:
+    """The largest activation stage at or below stage (the last one when
+    stage is None, -1 when nothing is active): the mixture is the same
+    at every stage that normalises alike."""
+    if stage is None:
+        return m.last_stage()
+    return max((c.stage for c in m.components if c.stage <= stage), default=-1)
 
 
 def floor(
@@ -117,19 +130,26 @@ def floor(
     dominate prev pointwise, which keeps floor sequences monotone when
     the underlying stages are. prev must be a floor of an earlier stage
     of the same input at the same depth and parity.
+
+    Floors of a mixture are memoised for the mixture's lifetime on
+    (depth, parity, normalised stage, prev's key): every stage between
+    two activation stages gets the same table. A chained floor is cached
+    only when prev is itself a floor this memo returned for the mixture;
+    any other prev, even an equal copy, is floored afresh. Tables are
+    never memoised.
     """
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    memo = None
+    entry = key = None
     if isinstance(m, StageApprox):
-        # floors recur with identical arguments during growth checking;
-        # a hit needs the very same prev object, so an equal prev that is
-        # a different object is floored afresh
-        key = (depth, parity, stage)
-        memo = _FLOORS.setdefault(m, {})
-        hit = memo.get(key)
-        if hit is not None and hit[0] is prev:
-            return hit[1]
+        entry = _FLOORS.setdefault(m, ({}, {}))
+        memo, keys = entry
+        prev_key = None if prev is None else keys.get(id(prev))
+        if prev is None or prev_key is not None:
+            key = (depth, parity, _normalised_stage(m, stage), prev_key)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
     if isinstance(m, StrategyTable) and depth > m.depth:
         raise PreconditionError(f"floor depth {depth} exceeds table depth {m.depth}")
     ev = at_stage(m, stage).value
@@ -143,9 +163,7 @@ def floor(
             for state in bits.level(length):
                 vals[state] = (vals[state + "0"] + vals[state + "1"]) / 2
         result = StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
-        if memo is not None:
-            memo[key] = (prev, result)
-        return result
+        return _remember(entry, key, result)
     if depth % 2:
         raise PreconditionError("parity mode needs an even depth")
     if prev is not None and (prev.depth != depth or prev.parity != parity):
@@ -185,8 +203,16 @@ def floor(
             out[state + "0"] = left
             out[state + "1"] = 2 * x - left
     result = StrategyTable(depth, out, Kind.MARTINGALE, parity, Sided.NONE)
-    if memo is not None:
-        memo[key] = (prev, result)
+    return _remember(entry, key, result)
+
+
+def _remember(entry, key, result: StrategyTable) -> StrategyTable:
+    """Store a mixture's floor in its _FLOORS entry under its memo key; a
+    None key (a table, or a prev the memo did not produce) stores nothing."""
+    if key is not None:
+        memo, keys = entry
+        memo[key] = result
+        keys[id(result)] = key
     return result
 
 

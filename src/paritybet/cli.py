@@ -12,7 +12,9 @@ usage, including a wire object of a type its input slot does not take.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import sys
 
@@ -59,11 +61,21 @@ def _decode(raw, slot: str, *types):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text to stdout, or atomically to the file out: the text goes
+    to a sibling temp file that then replaces out in one step, so out
+    never holds a partial payload."""
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _emit_lines(lines, out: str | None) -> None:
@@ -77,6 +89,11 @@ def _line(payload) -> str:
 
 # validate builds 2^(depth+1) states of a program or mixture
 _MAX_DEPTH = 20
+# dimhalf's ledger weighs a request of length L as 2^-L; at n = 6 the
+# longest request is 30303, so the Kraft weight's denominator has 9123
+# digits, past Python's 4300-digit limit on writing an int as a string
+# (n = 5: 6240, 1879 digits)
+_MAX_NMAX = 5
 
 
 def _cmd_validate(args) -> int:
@@ -179,6 +196,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_dimhalf(args) -> int:
+    if args.nmax > _MAX_NMAX:
+        raise PreconditionError(f"--nmax {args.nmax} is above {_MAX_NMAX}")
     components = []
     if args.components is not None:
         raw = load_json(args.components)

@@ -3,7 +3,10 @@
 Every program is a Mealy machine: each automaton state optionally carries a
 bet, and reading a bit moves to the next automaton state. Evaluating a
 program at a string walks the machine once, so the cost is linear in the
-string length times the description size. The convenience constructors
+string length times the description size. A caller that evaluates growing paths passes a dict of
+walks, and each evaluation resumes from the (machine state, capital)
+stored for the string one or two bits shorter, so a path of length L
+costs O(L) in all, not O(L^2). The convenience constructors
 (constant, by-parity, all-in follow) compile to machines, which keeps a
 single evaluator for everything.
 
@@ -186,14 +189,31 @@ class BetProgram:
         )
         return Kind.SUPERMARTINGALE if leaky else Kind.MARTINGALE
 
-    def value(self, state: str) -> Fraction:
+    def value(self, state: str, walks: dict | None = None) -> Fraction:
+        """Capital at state.
+
+        walks, when given, maps strings to the (machine state, capital)
+        pair reached there: the walk resumes from state itself or from
+        state one or two bits shorter when walks holds it, and stores
+        state's own pair. Only pairs this program stored may be in it.
+        """
         bits.check_bits(state)
         c = self.initial
         q = self.rule.start
-        for bit in state:
+        done = 0
+        if walks is not None:
+            for cut in range(min(len(state), 2) + 1):
+                hit = walks.get(state[: len(state) - cut])
+                if hit is not None:
+                    q, c = hit
+                    done = len(state) - cut
+                    break
+        for bit in state[done:]:
             st = self.rule.states[q]
             c = apply_bet(st.bet, c, bit)
             q = st.on0 if bit == "0" else st.on1
+        if walks is not None:
+            walks[state] = (q, c)
         return c
 
     def to_table(self, depth: int) -> StrategyTable:
@@ -301,9 +321,10 @@ class StageApprox:
     sided: Sided = Sided.NONE
 
     def __post_init__(self):
-        # per-(component, state) program values; values never depend on
-        # the stage, so every stage and every reader shares them
-        object.__setattr__(self, "_values", {})
+        # one dict of program walks per component, keyed by state: values
+        # never depend on the stage, so every stage and every reader
+        # shares them, and a longer path resumes from its stored prefix
+        object.__setattr__(self, "_walks", tuple({} for _ in self.components))
         for c in self.components:
             if self.parity is not Parity.NONE and c.program.parity is not self.parity:
                 raise PreconditionError(
@@ -315,18 +336,13 @@ class StageApprox:
             if self.kind is Kind.MARTINGALE and c.program.kind is not Kind.MARTINGALE:
                 raise PreconditionError("supermartingale component in declared martingale")
 
-    def _component_value(self, i: int, state: str) -> Fraction:
-        key = (i, state)
-        got = self._values.get(key)
-        if got is None:
-            got = self._values[key] = self.components[i].program.value(state)
-        return got
-
     def eval(self, stage: int, state: str) -> Fraction:
         total = Fraction(0)
-        for i, c in enumerate(self.components):
+        for c, walks in zip(self.components, self._walks):
             if c.stage <= stage:
-                total += c.weight * self._component_value(i, state)
+                hit = walks.get(state)
+                v = hit[1] if hit is not None else c.program.value(state, walks)
+                total += c.weight * v
         return total
 
     def activation_stages(self) -> list[int]:

@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
@@ -58,6 +58,18 @@ def test_params_budget_inequality():
         acc += pr.p
     # s_n stays even, so block boundaries line up
     assert all(params(n).s % 2 == 0 for n in range(6))
+
+
+def test_params_stay_even_past_index_6():
+    # the raw recurrence first gives an odd s at n = 7 (194895)
+    assert [pr.s for pr in stage_parameters(7)] == [
+        0, 18, 80, 330, 1428, 6720, 34632, 194896,
+    ]
+    acc = 0
+    for pr in stage_parameters(8)[1:]:
+        assert pr.s % 2 == 0
+        assert pr.s * pr.q - pr.p > pr.n + acc
+        acc += pr.p
 
 
 def test_stage_params_rejects_odd_length():
@@ -317,3 +329,51 @@ def test_floor_memo_dies_with_its_mixture():
     del odd
     gc.collect()
     assert ref() is None
+
+
+_PARITIES = st.sampled_from([Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN])
+_FLOOR_PROGRAMS = st.one_of(
+    st.builds(
+        lambda stake, parity: constant_program(1, FractionBet(stake), parity),
+        st.fractions(-1, 1, max_denominator=4), st.sampled_from(list(Parity)),
+    ),
+    st.builds(
+        follow_program,
+        st.text(alphabet="01", min_size=1, max_size=5), _PARITIES,
+        st.fractions(0, 1, max_denominator=8),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.fractions(0, 1, max_denominator=8), _FLOOR_PROGRAMS),
+        max_size=4,
+    ),
+    st.lists(st.tuples(st.integers(-1, 8), st.integers(0, 3)), min_size=1, max_size=8),
+    st.sampled_from([0, 2, 4]),
+    _PARITIES,
+)
+# here the floor at stage 2 chained on the one at stage 1 differs from
+# the unchained floor at stage 2, so a memo key without prev would fail
+@example(
+    [(1, Fraction(3, 4), follow_program("11", Parity.BETS_ON_ODD, Fraction(1, 2))),
+     (2, Fraction(1, 4), follow_program("1", Parity.BETS_ON_EVEN, 1))],
+    [(1, 1)], 2, Parity.BETS_ON_ODD,
+)
+def test_memoised_floor_matches_the_raw_stage_floor(parts, stages, depth, parity):
+    m = StageApprox(tuple(Component(s, w, p) for s, w, p in parts))
+    # a table is never memoised, so the reference floors it at the raw
+    # stage; an equal mixture would share the memo entry under test
+    for s, gap in stages:
+        t = s + gap
+        low, high = m.table(s, depth), m.table(t, depth)
+        assert floor(m, depth, stage=s) == floor(low, depth)
+        f_s = floor(m, depth, parity, stage=s)
+        r_s = floor(low, depth, parity)
+        assert f_s == r_s
+        assert floor(m, depth, parity, stage=t) == floor(high, depth, parity)
+        f_t = floor(m, depth, parity, stage=t, prev=f_s)
+        assert f_t == floor(high, depth, parity, prev=r_s)
+        assert floor(m, depth, parity, stage=t, prev=f_s) is f_t

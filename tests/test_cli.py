@@ -29,6 +29,7 @@ from paritybet import (
     IntegerBet,
     IntStrategy,
 )
+from paritybet import cli
 from paritybet.cli import main
 
 from conftest import edited_wire, parity_window
@@ -397,7 +398,9 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("validate", "--in", _PROGRAM, ["--depth", "21"]),
     ("stest", "--validate", _ARRAY, ["--s", "1/100000000"]),
     ("dim", "--strategy", _ODD_TABLE, ["--x", "{x}", "--precision", "1001"]),
-], ids=["validate-depth", "stest-s", "dim-precision"])
+    ("dimhalf", "--components", [to_jsonable(Component(0, Fraction(1, 4), _PROGRAM))],
+     ["--nmax", "6", "--stages", "8"]),
+], ids=["validate-depth", "stest-s", "dim-precision", "dimhalf-nmax"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
     x = tmp_path / "x.txt"
     x.write_text("01\n")
@@ -445,6 +448,25 @@ def test_dimhalf_zero_components(capsys, tmp_path):
     assert json.loads(trace[0])["type"] == "builder_header"
     assert json.loads(trace[-1])["kraft_weight"] == "1/134217728"
     assert (tmp_path / "run.prefix.txt").read_text().strip() == "0" * 18
+
+
+def test_dimhalf_out_is_written_atomically(capsys, tmp_path):
+    out_path = tmp_path / "run.json"
+    argv = ["dimhalf", "--stages", "20", "--nmax", "1", "--out"]
+    code, out, _ = run_cli(capsys, *argv, str(out_path))
+    assert code == 0 and out == ""
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["run.json", "run.prefix.txt", "run.trace.jsonl"]
+    # a failed write leaves the directory as it was
+    code, _, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2 and json.loads(err)["error"] == "IsADirectoryError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    # a write that fails part way keeps the old file whole
+    before = out_path.read_text()
+    with pytest.raises(UnicodeEncodeError):
+        cli._emit("{}\n\udcff", str(out_path))
+    assert out_path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def test_verify_two_round_small(capsys):

@@ -200,3 +200,41 @@ def test_combine_programs_mixed_parity():
     approx = combine_programs([(Fraction(1, 2), odd), (Fraction(1, 2), even)])
     assert approx.parity is Parity.NONE
     assert approx.eval(0, "") == 1
+
+
+_BETS = st.one_of(
+    st.none(),
+    st.builds(FractionBet, st.fractions(-1, 1, max_denominator=6)),
+    st.builds(IntegerBet, st.integers(0, 4), st.integers(0, 1)),
+    st.builds(ScaleBet, st.fractions(0, 1, max_denominator=6)),
+)
+
+
+@st.composite
+def _machines(draw):
+    n = draw(st.integers(1, 8))
+    target = st.integers(0, n - 1)
+    states = tuple(FsmState(draw(_BETS), draw(target), draw(target)) for _ in range(n))
+    initial = draw(st.fractions(0, 4, max_denominator=4))
+    return BetProgram(initial, Fsm(states, draw(target)))
+
+
+@st.composite
+def _prefix_closed_strings(draw):
+    """Every prefix of a few random strings, repeats kept, in random order,
+    so a walk may start fresh or resume from 0, 1 or 2 bits back."""
+    tips = draw(st.lists(st.text(alphabet="01", max_size=10), min_size=1, max_size=4))
+    return draw(st.permutations([tip[:k] for tip in tips for k in range(len(tip) + 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_machines(), _prefix_closed_strings())
+def test_resumed_walk_matches_a_fresh_walk(program, strings):
+    walks = {}
+    for s in strings:
+        q = program.rule.start
+        for bit in s:
+            q = program.rule.states[q].on0 if bit == "0" else program.rule.states[q].on1
+        fresh = program.value(s)
+        assert program.value(s, walks) == fresh
+        assert walks[s] == (q, fresh)
