@@ -89,10 +89,9 @@ def capital_threshold(n: int) -> Fraction:
     return HALF + sum(Fraction(1, 2 ** (i + 2)) for i in range(n))
 
 
-# mixture -> ({key: floor}, {id(floor): key}), where key is (depth,
-# parity, normalised stage, prev's key or None); an entry lives exactly as
-# long as its mixture, and it keeps every floor it holds alive, so no id
-# in it is ever reused
+# mixture -> {(depth, parity, normalised stage, id(prev)): (prev, floor)};
+# an entry lives exactly as long as its mixture and keeps its prev alive,
+# so the id in its key is never reused while the key is there
 _FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -132,24 +131,25 @@ def floor(
     of the same input at the same depth and parity.
 
     Floors of a mixture are memoised for the mixture's lifetime on
-    (depth, parity, normalised stage, prev's key): every stage between
-    two activation stages gets the same table. A chained floor is cached
-    only when prev is itself a floor this memo returned for the mixture;
-    any other prev, even an equal copy, is floored afresh. Tables are
-    never memoised.
+    (depth, parity, normalised stage, prev object): every stage between
+    two activation stages gets the same table, and a chained floor is
+    returned again for the same prev, while an equal copy of prev is a
+    different key. Tables are never memoised.
     """
+    if not isinstance(m, StageApprox):
+        return _floor(m, depth, parity, stage, prev)
+    memo = _FLOORS.setdefault(m, {})
+    key = (depth, parity, _normalised_stage(m, stage), id(prev))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (prev, _floor(m, depth, parity, stage, prev))
+    return hit[1]
+
+
+def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTable:
+    """floor without the memo."""
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    entry = key = None
-    if isinstance(m, StageApprox):
-        entry = _FLOORS.setdefault(m, ({}, {}))
-        memo, keys = entry
-        prev_key = None if prev is None else keys.get(id(prev))
-        if prev is None or prev_key is not None:
-            key = (depth, parity, _normalised_stage(m, stage), prev_key)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
     if isinstance(m, StrategyTable) and depth > m.depth:
         raise PreconditionError(f"floor depth {depth} exceeds table depth {m.depth}")
     ev = at_stage(m, stage).value
@@ -162,8 +162,7 @@ def floor(
         for length in range(depth - 1, -1, -1):
             for state in bits.level(length):
                 vals[state] = (vals[state + "0"] + vals[state + "1"]) / 2
-        result = StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
-        return _remember(entry, key, result)
+        return StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
     if depth % 2:
         raise PreconditionError("parity mode needs an even depth")
     if prev is not None and (prev.depth != depth or prev.parity != parity):
@@ -202,18 +201,14 @@ def floor(
             left = min(max(x, lo), hi)
             out[state + "0"] = left
             out[state + "1"] = 2 * x - left
-    result = StrategyTable(depth, out, Kind.MARTINGALE, parity, Sided.NONE)
-    return _remember(entry, key, result)
+    return StrategyTable(depth, out, Kind.MARTINGALE, parity, Sided.NONE)
 
 
-def _remember(entry, key, result: StrategyTable) -> StrategyTable:
-    """Store a mixture's floor in its _FLOORS entry under its memo key; a
-    None key (a table, or a prev the memo did not produce) stores nothing."""
-    if key is not None:
-        memo, keys = entry
-        memo[key] = result
-        keys[id(result)] = key
-    return result
+def _check_sides(n_approx: StageApprox, t_approx: StageApprox) -> None:
+    if n_approx.parity != Parity.BETS_ON_ODD:
+        raise PreconditionError("first side must bet at odd positions")
+    if t_approx.parity != Parity.BETS_ON_EVEN:
+        raise PreconditionError("second side must bet at even positions")
 
 
 @dataclass(frozen=True)
@@ -261,10 +256,7 @@ def check_growth_bound(
     the content of the bound being checked. Reports both sides exactly
     and never raises on a failing instance.
     """
-    if n_approx.parity != Parity.BETS_ON_ODD:
-        raise PreconditionError("first side must bet at odd positions")
-    if t_approx.parity != Parity.BETS_ON_EVEN:
-        raise PreconditionError("second side must bet at even positions")
+    _check_sides(n_approx, t_approx)
     bits.check_bits(sigma)
     bits.check_bits(tau)
     if len(sigma) % 2:
@@ -428,10 +420,7 @@ def run_stage_machine(
     a redefined prefix under a stable parent; all three are invariant
     failures, not recoverable states.
     """
-    if n_approx.parity != Parity.BETS_ON_ODD:
-        raise PreconditionError("first side must bet at odd positions")
-    if t_approx.parity != Parity.BETS_ON_EVEN:
-        raise PreconditionError("second side must bet at even positions")
+    _check_sides(n_approx, t_approx)
     if stages < 0 or n_max < 0:
         raise PreconditionError("stages and n_max must be nonnegative")
 
@@ -485,10 +474,6 @@ def run_stage_machine(
             state.sigmas[n] = tau
             state.change_counts[n] += 1
             last_in_interval[n] = tau
-            # this index just changed: children start a fresh interval
-            for i in range(n + 1, n_max + 1):
-                since_parent[i] = 0
-                last_in_interval[i] = None
             state.events.append(StageEvent(u, "define", n, tau))
         elif action == "undefine":
             n = acted_n
@@ -498,7 +483,9 @@ def run_stage_machine(
                         StageEvent(u, "undefine", i, state.sigmas[i])
                     )
                     state.sigmas[i] = None
-            for i in range(n + 1, n_max + 1):
+        if action is not None:
+            # index acted_n just changed: children start a fresh interval
+            for i in range(acted_n + 1, n_max + 1):
                 since_parent[i] = 0
                 last_in_interval[i] = None
         for k in range(1, n_max + 1):

@@ -94,6 +94,10 @@ _MAX_DEPTH = 20
 # digits, past Python's 4300-digit limit on writing an int as a string
 # (n = 5: 6240, 1879 digits)
 _MAX_NMAX = 5
+# diagonalize keeps a record of every bit it emits and writes about 70
+# bytes for it: this caps --target and the 2*b*(2^k - 1) bits that
+# --dim0-blocks b interpolates in settle mode for k adversaries
+_MAX_BITS = 10**6
 
 
 def _cmd_validate(args) -> int:
@@ -151,9 +155,17 @@ def _cmd_paritytest(args) -> int:
 
 
 def _cmd_diagonalize(args) -> int:
+    if args.target > _MAX_BITS:
+        raise PreconditionError(f"--target {args.target} is above {_MAX_BITS}")
     raw = load_json(args.adversaries)
     if not isinstance(raw, list):
         raise WireError("adversaries file must hold a JSON list")
+    k = len(raw)
+    if args.dim0 and args.mode == "settle" and 2 * args.dim0_blocks * (2**k - 1) > _MAX_BITS:
+        raise PreconditionError(
+            f"--dim0-blocks {args.dim0_blocks} with {k} adversaries "
+            f"interpolates more than {_MAX_BITS} bits"
+        )
     adversaries = [_decode(entry, "--adversaries", IntStrategy) for entry in raw]
     engine = unit_bet_on_one() if args.engine == "N" else unit_bet_alternating()
     blocks = args.dim0_blocks if args.dim0 else None

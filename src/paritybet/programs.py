@@ -3,12 +3,12 @@
 Every program is a Mealy machine: each automaton state optionally carries a
 bet, and reading a bit moves to the next automaton state. Evaluating a
 program at a string walks the machine once, so the cost is linear in the
-string length times the description size. A caller that evaluates growing paths passes a dict of
-walks, and each evaluation resumes from the (machine state, capital)
-stored for the string one or two bits shorter, so a path of length L
-costs O(L) in all, not O(L^2). The convenience constructors
-(constant, by-parity, all-in follow) compile to machines, which keeps a
-single evaluator for everything.
+string length times the description size. A program keeps the (machine
+state, capital) pair of every string it has read, and a later read
+resumes from the pair stored for the string one or two bits shorter, so
+a growing path of length L costs O(L) in all, not O(L^2). The convenience
+constructors (constant, by-parity, all-in follow) compile to machines,
+which keeps a single evaluator for everything.
 
 Bets come in three shapes. A fraction bet stakes a signed fraction of
 current capital toward outcome 1 (negative means toward 0), so the two
@@ -189,31 +189,34 @@ class BetProgram:
         )
         return Kind.SUPERMARTINGALE if leaky else Kind.MARTINGALE
 
-    def value(self, state: str, walks: dict | None = None) -> Fraction:
+    @cached_property
+    def _walks(self) -> dict:
+        return {}  # checked binary string -> (machine state, capital) there
+
+    def value(self, state: str) -> Fraction:
         """Capital at state.
 
-        walks, when given, maps strings to the (machine state, capital)
-        pair reached there: the walk resumes from state itself or from
-        state one or two bits shorter when walks holds it, and stores
-        state's own pair. Only pairs this program stored may be in it.
+        The program keeps the (machine state, capital) pair of every
+        state it has read: the walk resumes from the pair stored for
+        state or for state one or two bits shorter, and stores state's.
         """
+        walks = self._walks
+        hit = walks.get(state) if isinstance(state, str) else None
+        if hit is not None:
+            return hit[1]
         bits.check_bits(state)
-        c = self.initial
-        q = self.rule.start
-        done = 0
-        if walks is not None:
-            for cut in range(min(len(state), 2) + 1):
-                hit = walks.get(state[: len(state) - cut])
-                if hit is not None:
-                    q, c = hit
-                    done = len(state) - cut
-                    break
+        q, c, done = self.rule.start, self.initial, 0
+        for cut in range(1, min(len(state), 2) + 1):
+            hit = walks.get(state[: len(state) - cut])
+            if hit is not None:
+                q, c = hit
+                done = len(state) - cut
+                break
         for bit in state[done:]:
             st = self.rule.states[q]
             c = apply_bet(st.bet, c, bit)
             q = st.on0 if bit == "0" else st.on1
-        if walks is not None:
-            walks[state] = (q, c)
+        walks[state] = (q, c)
         return c
 
     def to_table(self, depth: int) -> StrategyTable:
@@ -321,10 +324,6 @@ class StageApprox:
     sided: Sided = Sided.NONE
 
     def __post_init__(self):
-        # one dict of program walks per component, keyed by state: values
-        # never depend on the stage, so every stage and every reader
-        # shares them, and a longer path resumes from its stored prefix
-        object.__setattr__(self, "_walks", tuple({} for _ in self.components))
         for c in self.components:
             if self.parity is not Parity.NONE and c.program.parity is not self.parity:
                 raise PreconditionError(
@@ -338,11 +337,9 @@ class StageApprox:
 
     def eval(self, stage: int, state: str) -> Fraction:
         total = Fraction(0)
-        for c, walks in zip(self.components, self._walks):
+        for c in self.components:
             if c.stage <= stage:
-                hit = walks.get(state)
-                v = hit[1] if hit is not None else c.program.value(state, walks)
-                total += c.weight * v
+                total += c.weight * c.program.value(state)
         return total
 
     def activation_stages(self) -> list[int]:

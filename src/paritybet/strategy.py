@@ -305,9 +305,7 @@ def to_online(m: StrategyTable) -> OnlineTable:
         raise PreconditionError("to_online needs a single-parity table")
     if m.depth % 2 != 0:
         raise PreconditionError("to_online needs an even-depth table")
-    diag = validate(m)
-    if not diag.holds(m.kind, m.parity, m.sided):
-        raise PreconditionError("table does not satisfy its declared tags")
+    require_valid(m)
     rounds = m.depth // 2
     vals: dict[tuple[str, str], Fraction] = {}
     if m.parity is Parity.BETS_ON_ODD:

@@ -320,6 +320,14 @@ def test_floor_memo_keys_on_the_prev_object():
     assert again == chained and again is not chained
 
 
+def test_floor_memo_returns_a_chained_floor_again_for_a_foreign_prev():
+    odd = _two_stage_odd()
+    f0 = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=0)
+    twin = StrategyTable(f0.depth, dict(f0.values), f0.kind, f0.parity, f0.sided)
+    chained = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5, prev=twin)
+    assert floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=6, prev=twin) is chained
+
+
 def test_floor_memo_dies_with_its_mixture():
     odd = _two_stage_odd()
     f0 = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=0)

@@ -400,7 +400,14 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("dim", "--strategy", _ODD_TABLE, ["--x", "{x}", "--precision", "1001"]),
     ("dimhalf", "--components", [to_jsonable(Component(0, Fraction(1, 4), _PROGRAM))],
      ["--nmax", "6", "--stages", "8"]),
-], ids=["validate-depth", "stest-s", "dim-precision", "dimhalf-nmax"])
+    ("diagonalize", "--adversaries", [to_jsonable(parity_window("w", 3, 2))],
+     ["--engine", "N", "--target", "1000001"]),
+    # 2 * 8 * (2^30 - 1) interpolated bits
+    ("diagonalize", "--adversaries",
+     [to_jsonable(parity_window(f"w{i}", 3, 2)) for i in range(30)],
+     ["--engine", "N", "--mode", "settle", "--dim0", "--dim0-blocks", "8", "--target", "40"]),
+], ids=["validate-depth", "stest-s", "dim-precision", "dimhalf-nmax",
+        "diagonalize-target", "diagonalize-dim0-blocks"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
     x = tmp_path / "x.txt"
     x.write_text("01\n")

@@ -1,6 +1,7 @@
 """Finite betting programs: bet application, the program zoo, structural
 tag enforcement, and staged mixtures."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from paritybet import (
     by_parity_program,
     combine_programs,
     constant_program,
+    floor,
     follow_program,
     mixture,
     validate,
@@ -230,11 +232,27 @@ def _prefix_closed_strings(draw):
 @settings(max_examples=100, deadline=None)
 @given(_machines(), _prefix_closed_strings())
 def test_resumed_walk_matches_a_fresh_walk(program, strings):
-    walks = {}
+    # to_table is an independent depth-first evaluator; one table at the
+    # longest length holds every prefix read below
+    table = program.to_table(max(map(len, strings)))
     for s in strings:
-        q = program.rule.start
-        for bit in s:
-            q = program.rule.states[q].on0 if bit == "0" else program.rule.states[q].on1
-        fresh = program.value(s)
-        assert program.value(s, walks) == fresh
-        assert walks[s] == (q, fresh)
+        assert program.value(s) == table.value(s)
+
+
+def test_value_rejects_a_non_binary_state_before_and_after_the_memo_fills():
+    program = constant_program(1, FractionBet(Fraction(1, 2)))
+    for _ in range(2):
+        for bad in ("012", ["0"]):
+            with pytest.raises(StructuralError):
+                program.value(bad)
+        # fill the memo with the prefixes a resumed walk of "012" would use
+        assert program.value("01") == Fraction(3, 4)
+        assert program.value("0") == Fraction(1, 2)
+
+
+def test_a_mixture_holds_only_its_fields():
+    m = mixture([follow_program("0110", Parity.BETS_ON_ODD, 1)] * 2, Parity.BETS_ON_ODD)
+    m.eval(1, "011")
+    m.table(1, 4)
+    floor(m, 4, Parity.BETS_ON_ODD, stage=1)
+    assert set(vars(m)) == {f.name for f in fields(m)}
