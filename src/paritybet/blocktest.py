@@ -365,36 +365,39 @@ class PackingCertificate:
         self.array = array
         self._sets = [frozenset(lv) for lv in array.levels]
 
-    def _on_array(self, state: str) -> bool:
-        i, r = divmod(len(state), 2)
-        if r != 0:
-            raise AssertionError("only even-length states are array members")
-        if i >= len(self._sets):
-            return state[: 2 * (len(self._sets) - 1)] in self._sets[-1]
-        return state in self._sets[i]
-
     def value(self, state: str) -> Fraction:
-        n = len(state)
-        if n % 2 == 0:
-            i = n // 2
-            if i >= len(self._sets):
-                # beyond the materialized depth the strategy stops betting
-                return self.value(state[: 2 * (len(self._sets) - 1)])
+        top = 2 * len(self._sets) - 2
+        if len(state) > top:  # past the deepest member level nothing bets
+            state = state[:top]
+        i, odd = divmod(len(state), 2)
+        if not odd:
             return Fraction(4, 3) ** i if state in self._sets[i] else Fraction(0)
-        parent = state[:-1]
-        if not self._on_array(parent):
+        if state[:-1] not in self._sets[i]:
             return Fraction(0)
-        i = len(parent) // 2
-        if i + 1 >= len(self._sets):
-            return self.value(parent)
         cnt = sum(1 for b in "01" if state + b in self._sets[i + 1])
         return cnt * Fraction(4, 3) ** (i + 1) / 2
 
     def to_table(self, depth: int) -> StrategyTable:
-        from . import bits
-
-        vals = {s: self.value(s) for s in bits.all_states(depth)}
-        return StrategyTable(depth, vals, Kind.SUPERMARTINGALE, Parity.NONE, Sided.NONE)
+        """value() at every state to depth, one level at a time, over the
+        denominator 3^(k-1) of an array of k levels."""
+        k = len(self._sets)
+        top = 2 * k - 2
+        members = [{int(s or "0", 2) for s in lv} for lv in self._sets]
+        levels = []
+        for n in range(min(depth, top) + 1):
+            i, odd = divmod(n, 2)
+            w, on = 4**i * 3 ** (k - 1 - i), members[i]  # (4/3)^i
+            if not odd:
+                levels.append([w if j in on else 0 for j in range(1 << n)])
+                continue
+            w, kids = w * 2 // 3, members[i + 1]  # half of (4/3)^(i+1)
+            levels.append([
+                w * ((2 * j in kids) + (2 * j + 1 in kids)) if j >> 1 in on else 0
+                for j in range(1 << n)
+            ])
+        for n in range(top + 1, depth + 1):
+            levels.append([levels[top][j >> (n - top)] for j in range(1 << n)])
+        return StrategyTable._of_levels(3 ** (k - 1), levels, Kind.SUPERMARTINGALE)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
 from .programs import StageApprox, at_stage
-from .strategy import Kind, Parity, Sided, StrategyTable
+from .strategy import Kind, Parity, StrategyTable, _per_child, _state
 
 HALF = Fraction(1, 2)
 
@@ -123,7 +123,8 @@ def floor(
     with both children at copying levels), then a top-down pass splits
     each betting node, preferring to keep children equal and pushing
     toward the cheaper cap only when forced. Bottom-level agreement is
-    not guaranteed in parity mode; it is impossible in general.
+    not guaranteed in parity mode; it is impossible in general. Both
+    modes read the input through its to_table(depth), as integer levels.
 
     prev chains parity floors across stages: the new floor is forced to
     dominate prev pointwise, which keeps floor sequences monotone when
@@ -152,56 +153,66 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
         raise PreconditionError("depth must be nonnegative")
     if isinstance(m, StrategyTable) and depth > m.depth:
         raise PreconditionError(f"floor depth {depth} exceeds table depth {m.depth}")
-    ev = at_stage(m, stage).value
+    view = at_stage(m, stage)
     if parity == Parity.NONE:
         if prev is not None:
             raise PreconditionError("chaining applies to parity mode only")
-        vals: dict[str, Fraction] = {}
-        for state in bits.level(depth):
-            vals[state] = Fraction(ev(state))
-        for length in range(depth - 1, -1, -1):
-            for state in bits.level(length):
-                vals[state] = (vals[state + "0"] + vals[state + "1"]) / 2
-        return StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
-    if depth % 2:
-        raise PreconditionError("parity mode needs an even depth")
-    if prev is not None and (prev.depth != depth or prev.parity != parity):
-        raise PreconditionError("prev floor has a different shape")
+    else:
+        if depth % 2:
+            raise PreconditionError("parity mode needs an even depth")
+        if prev is not None and (prev.depth != depth or prev.parity != parity):
+            raise PreconditionError("prev floor has a different shape")
+    # the input (and prev) as integers over one denominator times 2^depth,
+    # so that each level's halving below stays exact
+    t = view.to_table(depth)
+    den = t.values.den if prev is None else math.lcm(t.values.den, prev.values.den)
+    up = (den // t.values.den) << depth
+    den <<= depth
+    bottom = [x * up for x in t.values.levels[depth]]
+    if parity == Parity.NONE:
+        levels = [bottom]
+        for _ in range(depth):
+            kids = levels[0]
+            levels.insert(0, [(a + b) >> 1 for a, b in zip(kids[0::2], kids[1::2])])
+        return StrategyTable._of_levels(den, levels, Kind.MARTINGALE)
 
-    caps: dict[str, Fraction] = {}
-    for state in bits.level(depth):
-        caps[state] = Fraction(ev(state))
+    # caps: bottom-up, the most each state can support
+    caps = [bottom]
     for length in range(depth - 1, -1, -1):
-        betting = parity.bets_at(length)
-        for state in bits.level(length):
-            c0, c1 = caps[state + "0"], caps[state + "1"]
-            own = Fraction(ev(state))
-            caps[state] = min(own, (c0 + c1) / 2) if betting else min(own, c0, c1)
+        kids, own = caps[0], [x * up for x in t.values.levels[length]]
+        if parity.bets_at(length):
+            cap = [min(x, (a + b) >> 1) for x, a, b in zip(own, kids[0::2], kids[1::2])]
+        else:
+            cap = [min(x, a, b) for x, a, b in zip(own, kids[0::2], kids[1::2])]
+        caps.insert(0, cap)
+    if prev is None:
+        base = [[0] * (1 << n) for n in range(depth + 1)]
+    else:
+        lift = den // prev.values.den
+        base = [[x * lift for x in lv] for lv in prev.values.levels]
 
-    def base(state: str) -> Fraction:
-        return prev.value(state) if prev is not None else Fraction(0)
-
-    out: dict[str, Fraction] = {"": caps[""]}
-    if out[""] < base(""):
+    # top-down: split each betting state, keeping its children equal when
+    # the caps and prev allow, else leaning toward the cheaper cap
+    out = [[caps[0][0]]]
+    if out[0][0] < base[0][0]:
         raise PreconditionError("prev floor is not dominated; stages must grow")
     for length in range(depth):
-        betting = parity.bets_at(length)
-        for state in bits.level(length):
-            x = out[state]
-            if not betting:
-                out[state + "0"] = x
-                out[state + "1"] = x
-                continue
-            lo = max(base(state + "0"), 2 * x - caps[state + "1"])
-            hi = min(caps[state + "0"], 2 * x - base(state + "1"))
+        level = out[length]
+        if not parity.bets_at(length):
+            out.append(_per_child(level))
+            continue
+        cap, low, kids = caps[length + 1], base[length + 1], []
+        for i, x in enumerate(level):
+            lo = max(low[2 * i], 2 * x - cap[2 * i + 1])
+            hi = min(cap[2 * i], 2 * x - low[2 * i + 1])
             if lo > hi:
                 raise PreconditionError(
-                    f"no feasible split at {state!r}; prev is not a chained floor"
+                    f"no feasible split at {_state(length, i)!r}; prev is not a chained floor"
                 )
             left = min(max(x, lo), hi)
-            out[state + "0"] = left
-            out[state + "1"] = 2 * x - left
-    return StrategyTable(depth, out, Kind.MARTINGALE, parity, Sided.NONE)
+            kids += (left, 2 * x - left)
+        out.append(kids)
+    return StrategyTable._of_levels(den, out, Kind.MARTINGALE, parity)
 
 
 def _check_sides(n_approx: StageApprox, t_approx: StageApprox) -> None:

@@ -98,6 +98,9 @@ _MAX_NMAX = 5
 # bytes for it: this caps --target and the 2*b*(2^k - 1) bits that
 # --dim0-blocks b interpolates in settle mode for k adversaries
 _MAX_BITS = 10**6
+# dim reads the strategy at every prefix of --x, and the exact capitals
+# grow with the length: a 2000-bit x takes seconds, 5000 bits a minute
+_MAX_X_BITS = 2000
 
 
 def _cmd_validate(args) -> int:
@@ -200,6 +203,8 @@ def _cmd_dim(args) -> int:
         x = "".join(fh.read().split())
     if not x or any(c not in "01" for c in x):
         raise WireError("--x must hold a nonempty string of 0/1 bits")
+    if len(x) > _MAX_X_BITS:
+        raise PreconditionError(f"--x holds {len(x)} bits, above {_MAX_X_BITS}")
     report = empirical_dim_bound(
         strategy, x, stage=args.stage, precision=args.precision
     )

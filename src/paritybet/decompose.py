@@ -11,16 +11,21 @@ nonnegative remainders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import floordiv, mul
 
-from . import bits
 from .errors import PreconditionError
 from .strategy import (
     Kind,
     Parity,
     Sided,
     StrategyTable,
+    _per_child,
+    _state,
+    _weighted,
     as_capital,
     validate,
 )
@@ -46,26 +51,31 @@ def parity_factorize(m: StrategyTable) -> tuple[StrategyTable, StrategyTable]:
             f"parity_factorize needs a martingale; law fails at "
             f"{diag.witnesses.get('martingale')!r}"
         )
-    odd_part: dict[str, Fraction] = {bits.EMPTY: Fraction(1)}
-    even_part: dict[str, Fraction] = {bits.EMPTY: Fraction(1)}
-    for state in bits.all_states(m.depth):
-        if state == bits.EMPTY:
-            continue
-        parent = state[:-1]
-        pv = m.value(parent)
-        if pv == 0:
-            ratio = Fraction(1)  # inside a dead cone neither factor bets
-        else:
-            ratio = m.value(state) / pv
-        if len(parent) % 2 == 1:
-            odd_part[state] = odd_part[parent] * ratio
-            even_part[state] = even_part[parent]
-        else:
-            even_part[state] = even_part[parent] * ratio
-            odd_part[state] = odd_part[parent]
-    e = StrategyTable(m.depth, odd_part, Kind.MARTINGALE, Parity.BETS_ON_ODD)
-    o = StrategyTable(m.depth, even_part, Kind.MARTINGALE, Parity.BETS_ON_EVEN)
-    return e, o
+    # each factor's levels as numerators and denominators, state by state
+    factors = {Parity.BETS_ON_ODD: ([[1]], [[1]]), Parity.BETS_ON_EVEN: ([[1]], [[1]])}
+    levels = m.values.levels
+    for n in range(m.depth):
+        parents = _per_child(levels[n])
+        # a child over its parent in lowest terms; inside a dead cone
+        # (parent 0, so child 0) the ratio is 1 and neither factor bets
+        kids = [c if p else 1 for c, p in zip(levels[n + 1], parents)]
+        live = [p or 1 for p in parents]
+        g = list(map(math.gcd, kids, live))
+        ratio = (list(map(floordiv, kids, g)), list(map(floordiv, live, g)))
+        for parity, parts in factors.items():
+            for part, r in zip(parts, ratio):
+                above = _per_child(part[-1])
+                part.append(list(map(mul, above, r)) if parity.bets_at(n) else above)
+    return tuple(
+        StrategyTable._of_levels(*_over_one_den(*factors[p]), Kind.MARTINGALE, p)
+        for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN)
+    )
+
+
+def _over_one_den(nums: list, dens: list) -> tuple[int, list]:
+    """Levels of the rationals num/den, state by state, over one denominator."""
+    den = math.lcm(*chain.from_iterable(dens))
+    return den, [[x * (den // d) for x, d in zip(xs, ds)] for xs, ds in zip(nums, dens)]
 
 
 def min_block_martingale(m00, m10) -> StrategyTable:
@@ -152,18 +162,19 @@ def block_decompose(
         raise PreconditionError("n does not reach the spec's level-1 targets")
     m_core = min_block_martingale(spec.m00, spec.m10)
     n_core = unique_first_bit_martingale(spec.n0, spec.n1)
-    m_rest_vals = {s: m.value(s) - m_core.value(s) for s in bits.all_states(2)}
-    n_rest_vals = {s: n.value(s) - n_core.value(s) for s in bits.all_states(2)}
-    # Exceeding a target at 00/10 can push the core's complementary leaf
-    # above the input's; the remainder then fails to exist as a nonnegative
-    # strategy. Targets hit with equality never trigger this.
-    for label, rest in (("m", m_rest_vals), ("n", n_rest_vals)):
-        for state in bits.all_states(2):
-            if rest[state] < 0:
-                raise PreconditionError(
-                    f"no nonnegative remainder: {label} falls below its "
-                    f"core by {-rest[state]} at state {state!r}"
-                )
-    m_rest = StrategyTable(2, m_rest_vals, Kind.MARTINGALE, Parity.BETS_ON_ODD)
-    n_rest = StrategyTable(2, n_rest_vals, Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    rests = []
+    for label, t, core in (("m", m, m_core), ("n", n, n_core)):
+        den, levels = _weighted(((1, t), (-1, core)), 2)
+        # Exceeding a target at 00/10 can push the core's complementary
+        # leaf above the input's; the remainder then fails to exist as a
+        # nonnegative strategy. Targets hit with equality never trigger it.
+        for length, level in enumerate(levels):
+            for i, x in enumerate(level):
+                if x < 0:
+                    raise PreconditionError(
+                        f"no nonnegative remainder: {label} falls below its "
+                        f"core by {Fraction(-x, den)} at state {_state(length, i)!r}"
+                    )
+        rests.append(StrategyTable._of_levels(den, levels, Kind.MARTINGALE, core.parity))
+    m_rest, n_rest = rests
     return m_core, m_rest, n_core, n_rest

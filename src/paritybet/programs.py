@@ -21,13 +21,14 @@ step we support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import bits
 from .errors import PreconditionError, StructuralError
-from .strategy import Kind, Parity, Sided, StrategyTable, as_capital
+from .strategy import Kind, Parity, Sided, StrategyTable, _weighted, as_capital
 
 
 @dataclass(frozen=True)
@@ -220,21 +221,42 @@ class BetProgram:
         return c
 
     def to_table(self, depth: int) -> StrategyTable:
-        """Expand to a total table by one depth-first walk."""
+        """Expand to a total table one level at a time. The capitals of
+        level n are integers over initial.denominator * scale^n, where
+        scale clears the denominator of every stake and factor."""
         if depth < 0:
             raise PreconditionError("table depth must be nonnegative")
-        vals: dict[str, Fraction] = {}
-
-        def walk(state: str, q: int, c: Fraction):
-            vals[state] = c
-            if len(state) == depth:
-                return
-            st = self.rule.states[q]
-            walk(state + "0", st.on0, apply_bet(st.bet, c, "0"))
-            walk(state + "1", st.on1, apply_bet(st.bet, c, "1"))
-
-        walk(bits.EMPTY, self.rule.start, self.initial)
-        return StrategyTable(depth, vals, self.kind, self.parity, self.sided)
+        states = self.rule.states
+        scale = math.lcm(*(
+            (st.bet.stake if isinstance(st.bet, FractionBet) else st.bet.factor).denominator
+            for st in states if isinstance(st.bet, (FractionBet, ScaleBet))
+        ))
+        # apply_bet on scaled capitals: the children of capital c are
+        # c * m0 - k and c * m1 + k, with k = s * min(w, c) for a wager w
+        step = []
+        for st in states:
+            bet, m0, m1, s, w = st.bet, scale, scale, 0, 0
+            if isinstance(bet, FractionBet):
+                m0, m1 = int(scale * (1 - bet.stake)), int(scale * (1 + bet.stake))
+            elif isinstance(bet, ScaleBet):
+                m0 = m1 = int(scale * bet.factor)
+            elif isinstance(bet, IntegerBet):
+                s, w = (scale if bet.outcome else -scale), bet.wager
+            step.append((m0, m1, s, w, st.on0, st.on1))
+        den, qs, levels = self.initial.denominator, [self.rule.start], [[self.initial.numerator]]
+        for _ in range(depth):
+            kids_q, kids = [], []
+            for q, c in zip(qs, levels[-1]):
+                m0, m1, s, w, q0, q1 = step[q]
+                k = s * min(w * den, c)
+                kids += (c * m0 - k, c * m1 + k)
+                kids_q += (q0, q1)
+            qs = kids_q
+            levels.append(kids)
+            den *= scale
+        if scale > 1:
+            levels = [[c * scale ** (depth - n) for c in lv] for n, lv in enumerate(levels)]
+        return StrategyTable._of_levels(den, levels, self.kind, self.parity, self.sided)
 
 
 def constant_program(
@@ -357,10 +379,9 @@ class StageApprox:
         if depth < 0:
             raise PreconditionError("table depth must be nonnegative")
         active = [(c.weight, c.program.to_table(depth)) for c in self.components if c.stage <= stage]
-        vals = {}
-        for state in bits.all_states(depth):
-            vals[state] = sum((w * t.value(state) for w, t in active), Fraction(0))
-        return StrategyTable(depth, vals, self.kind, self.parity, self.sided)
+        return StrategyTable._of_levels(
+            *_weighted(active, depth), self.kind, self.parity, self.sided
+        )
 
 
 def combine_programs(parts, parity: Parity = Parity.NONE, sided: Sided = Sided.NONE) -> StageApprox:

@@ -169,6 +169,8 @@ def _encode(obj):
         for name in derived:
             out[name] = _encode(getattr(obj, name)())
         return out
+    if isinstance(obj, Mapping):  # a table's read-only values
+        return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, Enum):
         return obj.value
     raise WireError(f"cannot serialize {cls.__name__}")
@@ -178,7 +180,7 @@ def to_jsonable(obj):
     """Plain-JSON form of a wire object, a report, or a structure of them.
 
     One rule: None, str, int and bool pass through, a Fraction becomes
-    str(Fraction), an enum its value, lists, tuples and dicts recurse, and
+    str(Fraction), an enum its value, lists, tuples and mappings recurse, and
     a dataclass in _TAGS becomes its fields plus its tag and any
     _DERIVED keys. Deterministic.
     """

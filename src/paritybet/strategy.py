@@ -8,14 +8,26 @@ average of its two children; a supermartingale may keep less. A parity tag
 restricts where bets happen: BETS_ON_EVEN strategies change value only when
 a bit is appended to an even-length state, BETS_ON_ODD only at odd-length
 states. A sided tag orients every bet toward a fixed outcome.
+
+A table keeps its values as scaled integers: level n is the list of the
+2^n numerators of the states of length n, in the order of int(state, 2),
+and every level shares one denominator, the least one, so equal tables
+have equal levels. validate, combine and product run as loops over whole
+levels; the children of entry i of level n are entries 2i and 2i + 1 of
+level n + 1. The values field reads the levels as a read-only map from
+state to Fraction.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain, repeat
+from operator import add, and_, gt, lt, mul, ne, or_
+from typing import Iterable
 
 from . import bits
 from .errors import PreconditionError, StructuralError
@@ -57,10 +69,66 @@ class Sided(enum.Enum):
 
 def as_capital(v) -> Fraction:
     """Coerce to an exact nonnegative rational."""
-    f = Fraction(v)
-    if f < 0:
+    f = v if type(v) is Fraction else Fraction(v)
+    if f.numerator < 0:
         raise StructuralError(f"capital must be nonnegative, got {f}")
     return f
+
+
+def _state(n: int, i: int) -> str:
+    """The state at index i of level n."""
+    return format(i, "b").zfill(n) if n else bits.EMPTY
+
+
+def _per_child(level: list) -> list:
+    """Each entry of a level once for each of its two children."""
+    return list(chain.from_iterable(zip(level, level)))
+
+
+class _Values(Mapping):
+    """A table's values: the read-only map from state to Fraction over its
+    integer levels. A Fraction is built the first time its state is read
+    and kept; iterating builds the ones still missing, in level order."""
+
+    __slots__ = ("den", "levels", "_read")
+
+    def __init__(self, den: int, levels: tuple, read: dict | None = None):
+        self.den, self.levels, self._read = den, levels, {} if read is None else read
+
+    def __getitem__(self, state):
+        f = self._read.get(state)
+        if f is None:
+            if type(state) is not str or len(state) >= len(self.levels) or state.strip("01"):
+                raise KeyError(state)
+            lv = self.levels[len(state)]
+            f = self._read[state] = Fraction(lv[int(state or "0", 2)], self.den)
+        return f
+
+    def _all(self) -> dict:
+        if len(self._read) < len(self):
+            self._read = {
+                _state(n, i): Fraction(x, self.den)
+                for n, lv in enumerate(self.levels)
+                for i, x in enumerate(lv)
+            }
+        return self._read
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __len__(self) -> int:
+        return (1 << len(self.levels)) - 1
+
+    def items(self):
+        return self._all().items()
+
+    def __eq__(self, other):
+        if isinstance(other, _Values):
+            return self.den == other.den and self.levels == other.levels
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return repr(self._all())
 
 
 @dataclass(frozen=True)
@@ -82,10 +150,34 @@ class StrategyTable:
             if len(key) > self.depth:
                 raise StructuralError(f"state {key!r} is longer than depth {self.depth}")
             vals[key] = as_capital(v)
-        for state in bits.all_states(self.depth):
-            if state not in vals:
-                raise StructuralError(f"missing table entry for state {state!r}")
-        object.__setattr__(self, "values", vals)
+        if len(vals) < (2 << self.depth) - 1:
+            for state in bits.all_states(self.depth):
+                if state not in vals:
+                    raise StructuralError(f"missing table entry for state {state!r}")
+        den = math.lcm(*(f.denominator for f in vals.values()))
+        levels = tuple([0] * (1 << n) for n in range(self.depth + 1))
+        for key, f in vals.items():
+            levels[len(key)][int(key or "0", 2)] = f.numerator * (den // f.denominator)
+        object.__setattr__(self, "values", _Values(den, levels, vals))
+
+    @classmethod
+    def _of_levels(cls, den: int, levels, kind: Kind, parity=Parity.NONE, sided=Sided.NONE):
+        """The trusted constructor of the table operations: levels hold
+        nonnegative numerators over den, 2^n of them at level n. They are
+        brought to the least denominator, and nothing else is checked."""
+        g = math.gcd(den, *chain.from_iterable(levels))
+        if g > 1:
+            den //= g
+            levels = [[x // g for x in lv] for lv in levels]
+        t = object.__new__(cls)
+        t.__dict__.update(
+            depth=len(levels) - 1,
+            values=_Values(den, tuple(levels)),
+            kind=kind,
+            parity=parity,
+            sided=sided,
+        )
+        return t
 
     def value(self, state: str) -> Fraction:
         try:
@@ -98,18 +190,10 @@ class StrategyTable:
         so the requested depth does not apply."""
         return self
 
-    def interior(self):
-        return bits.all_states(self.depth - 1) if self.depth > 0 else iter(())
-
-    def bets_at(self, state: str) -> bool:
-        """Does the table's value actually change below this interior state?"""
-        v = self.value(state)
-        return self.value(state + "0") != v or self.value(state + "1") != v
-
     def retagged(self, kind=None, parity=None, sided=None) -> "StrategyTable":
-        return StrategyTable(
-            self.depth,
-            self.values,
+        return StrategyTable._of_levels(
+            self.values.den,
+            self.values.levels,
             kind if kind is not None else self.kind,
             parity if parity is not None else self.parity,
             sided if sided is not None else self.sided,
@@ -145,6 +229,12 @@ class Diagnosis:
         return True
 
 
+def _moves(levels, n: int) -> list:
+    """For each state of level n: does the value change below it?"""
+    up, down = levels[n], levels[n + 1]
+    return list(map(or_, map(ne, down[0::2], up), map(ne, down[1::2], up)))
+
+
 def validate(table: StrategyTable) -> Diagnosis:
     """Scan every interior state once and report which laws hold.
 
@@ -153,39 +243,38 @@ def validate(table: StrategyTable) -> Diagnosis:
     law force the zero-propagation convention (a zero state has zero
     children), so no separate check is needed. Witnesses record the least
     violating state per failed check.
+
+    Each law is checked for a whole level at once on the integer levels;
+    only a law that fails there looks up its first violating state.
     """
+    levels = table.values.levels
     witness: dict[str, str] = {}
-
-    def note(name: str, state: str):
-        if name not in witness or state < witness[name]:
-            witness[name] = state
-
-    mart = superm = even = odd = zero_s = one_s = True
-    for state in table.interior():
-        v = table.value(state)
-        c0 = table.value(state + "0")
-        c1 = table.value(state + "1")
-        twice = c0 + c1
-        if twice != 2 * v:
-            mart = False
-            note("martingale", state)
-        if twice > 2 * v:
-            superm = False
-            note("supermartingale", state)
-        changed = c0 != v or c1 != v
-        if changed and len(state) % 2 == 1:
-            even = False
-            note("bets_on_even", state)
-        if changed and len(state) % 2 == 0:
-            odd = False
-            note("bets_on_odd", state)
-        if c0 < c1:
-            zero_s = False
-            note("zero_sided", state)
-        if c1 < c0:
-            one_s = False
-            note("one_sided", state)
-    return Diagnosis(mart, superm, even, odd, zero_s, one_s, witness)
+    for n in range(table.depth):
+        up, down = levels[n], levels[n + 1]
+        c0, c1 = down[0::2], down[1::2]
+        twice, doubled = list(map(add, c0, c1)), list(map(add, up, up))
+        checks = (
+            ("martingale", list(map(ne, twice, doubled))),
+            ("supermartingale", list(map(gt, twice, doubled))),
+            ("bets_on_even" if n % 2 else "bets_on_odd", _moves(levels, n)),
+            ("zero_sided", list(map(lt, c0, c1))),
+            ("one_sided", list(map(lt, c1, c0))),
+        )
+        # a name is noted at its first failing state in scan order (state
+        # by state, check by check), which fixes the witnesses' order
+        failed = sorted(
+            (flags.index(True), k, name)
+            for k, (name, flags) in enumerate(checks)
+            if True in flags
+        )
+        for i, _, name in failed:
+            state = _state(n, i)
+            if name not in witness or state < witness[name]:
+                witness[name] = state
+    verdicts = (name not in witness for name in (
+        "martingale", "supermartingale", "bets_on_even", "bets_on_odd", "zero_sided", "one_sided",
+    ))
+    return Diagnosis(*verdicts, witness)
 
 
 def require_valid(table: StrategyTable) -> Diagnosis:
@@ -198,6 +287,22 @@ def require_valid(table: StrategyTable) -> Diagnosis:
             f"witnesses: {dict(diag.witnesses)}"
         )
     return diag
+
+
+def _weighted(items, depth: int) -> tuple[int, list]:
+    """Denominator and levels of the pointwise sum of w * t over the
+    (weight, table) items, all of the given depth; the zero table when
+    there are none. A weight may be negative."""
+    den = math.lcm(*(w.denominator * t.values.den for w, t in items))
+    levels = [[0] * (1 << n) for n in range(depth + 1)]
+    for w, t in items:
+        scale = w.numerator * (den // (w.denominator * t.values.den))
+        if scale:
+            levels = [
+                list(map(add, acc, map(mul, lv, repeat(scale))))
+                for acc, lv in zip(levels, t.values.levels)
+            ]
+    return den, levels
 
 
 def combine(parts: Iterable[tuple[Fraction, StrategyTable]]) -> StrategyTable:
@@ -213,14 +318,10 @@ def combine(parts: Iterable[tuple[Fraction, StrategyTable]]) -> StrategyTable:
     for _, t in items:
         if t.depth != depth:
             raise PreconditionError(f"depth mismatch: {t.depth} != {depth}")
-    vals = {}
-    for state in bits.all_states(depth):
-        vals[state] = sum((w * t.value(state) for w, t in items), Fraction(0))
     parities = {t.parity for _, t in items}
     sides = {t.sided for _, t in items}
-    return StrategyTable(
-        depth,
-        vals,
+    return StrategyTable._of_levels(
+        *_weighted(items, depth),
         Kind.of_sum(t.kind for _, t in items),
         parities.pop() if len(parities) == 1 else Parity.NONE,
         sides.pop() if len(sides) == 1 else Sided.NONE,
@@ -244,11 +345,16 @@ def product(a: StrategyTable, b: StrategyTable) -> StrategyTable:
         )
     if a.kind is not Kind.MARTINGALE or b.kind is not Kind.MARTINGALE:
         raise PreconditionError("product is defined for martingale factors only")
-    for state in a.interior():
-        if a.bets_at(state) and b.bets_at(state):
-            raise PreconditionError(f"both factors bet at state {state!r}")
-    vals = {s: a.value(s) * b.value(s) for s in bits.all_states(a.depth)}
-    return StrategyTable(a.depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
+    la, lb = a.values.levels, b.values.levels
+    for n in range(a.depth):
+        both = list(map(and_, _moves(la, n), _moves(lb, n)))
+        if True in both:
+            raise PreconditionError(f"both factors bet at state {_state(n, both.index(True))!r}")
+    return StrategyTable._of_levels(
+        a.values.den * b.values.den,
+        [list(map(mul, x, y)) for x, y in zip(la, lb)],
+        Kind.MARTINGALE,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,254 @@
+"""Differential reference: the table operations as they were written over
+string-keyed Fraction dicts, before tables became scaled-integer levels.
+
+Each function is the old code, copied with `self` turned into an argument
+and the two StrategyTable helpers it used (interior, bets_at) inlined as
+functions here; certificate_value is PackingCertificate.value as it was.
+The outputs are built by the public StrategyTable constructor, so they
+compare with the level-array code by value, by Diagnosis and by wire
+bytes. Nothing in src/ imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from paritybet import bits
+from paritybet.errors import PreconditionError
+from paritybet.programs import apply_bet, at_stage
+from paritybet.strategy import (
+    Diagnosis,
+    Kind,
+    Parity,
+    Sided,
+    StrategyTable,
+    as_capital,
+)
+
+
+def interior(table):
+    return bits.all_states(table.depth - 1) if table.depth > 0 else iter(())
+
+
+def bets_at(table, state: str) -> bool:
+    v = table.value(state)
+    return table.value(state + "0") != v or table.value(state + "1") != v
+
+
+def validate(table: StrategyTable) -> Diagnosis:
+    witness: dict[str, str] = {}
+
+    def note(name: str, state: str):
+        if name not in witness or state < witness[name]:
+            witness[name] = state
+
+    mart = superm = even = odd = zero_s = one_s = True
+    for state in interior(table):
+        v = table.value(state)
+        c0 = table.value(state + "0")
+        c1 = table.value(state + "1")
+        twice = c0 + c1
+        if twice != 2 * v:
+            mart = False
+            note("martingale", state)
+        if twice > 2 * v:
+            superm = False
+            note("supermartingale", state)
+        changed = c0 != v or c1 != v
+        if changed and len(state) % 2 == 1:
+            even = False
+            note("bets_on_even", state)
+        if changed and len(state) % 2 == 0:
+            odd = False
+            note("bets_on_odd", state)
+        if c0 < c1:
+            zero_s = False
+            note("zero_sided", state)
+        if c1 < c0:
+            one_s = False
+            note("one_sided", state)
+    return Diagnosis(mart, superm, even, odd, zero_s, one_s, witness)
+
+
+def combine(parts) -> StrategyTable:
+    items = [(as_capital(w), t) for w, t in parts]
+    if not items:
+        raise PreconditionError("combine needs at least one table")
+    depth = items[0][1].depth
+    for _, t in items:
+        if t.depth != depth:
+            raise PreconditionError(f"depth mismatch: {t.depth} != {depth}")
+    vals = {}
+    for state in bits.all_states(depth):
+        vals[state] = sum((w * t.value(state) for w, t in items), Fraction(0))
+    parities = {t.parity for _, t in items}
+    sides = {t.sided for _, t in items}
+    return StrategyTable(
+        depth,
+        vals,
+        Kind.of_sum(t.kind for _, t in items),
+        parities.pop() if len(parities) == 1 else Parity.NONE,
+        sides.pop() if len(sides) == 1 else Sided.NONE,
+    )
+
+
+def product(a: StrategyTable, b: StrategyTable) -> StrategyTable:
+    if a.depth != b.depth:
+        raise PreconditionError(f"depth mismatch: {a.depth} != {b.depth}")
+    if {a.parity, b.parity} != {Parity.BETS_ON_EVEN, Parity.BETS_ON_ODD}:
+        raise PreconditionError(
+            "product needs one BETS_ON_EVEN and one BETS_ON_ODD factor, got "
+            f"{a.parity.value} and {b.parity.value}"
+        )
+    if a.kind is not Kind.MARTINGALE or b.kind is not Kind.MARTINGALE:
+        raise PreconditionError("product is defined for martingale factors only")
+    for state in interior(a):
+        if bets_at(a, state) and bets_at(b, state):
+            raise PreconditionError(f"both factors bet at state {state!r}")
+    vals = {s: a.value(s) * b.value(s) for s in bits.all_states(a.depth)}
+    return StrategyTable(a.depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
+
+
+def parity_factorize(m: StrategyTable) -> tuple[StrategyTable, StrategyTable]:
+    diag = validate(m)
+    if not diag.martingale:
+        raise PreconditionError(
+            f"parity_factorize needs a martingale; law fails at "
+            f"{diag.witnesses.get('martingale')!r}"
+        )
+    odd_part: dict[str, Fraction] = {bits.EMPTY: Fraction(1)}
+    even_part: dict[str, Fraction] = {bits.EMPTY: Fraction(1)}
+    for state in bits.all_states(m.depth):
+        if state == bits.EMPTY:
+            continue
+        parent = state[:-1]
+        pv = m.value(parent)
+        if pv == 0:
+            ratio = Fraction(1)  # inside a dead cone neither factor bets
+        else:
+            ratio = m.value(state) / pv
+        if len(parent) % 2 == 1:
+            odd_part[state] = odd_part[parent] * ratio
+            even_part[state] = even_part[parent]
+        else:
+            even_part[state] = even_part[parent] * ratio
+            odd_part[state] = odd_part[parent]
+    e = StrategyTable(m.depth, odd_part, Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    o = StrategyTable(m.depth, even_part, Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    return e, o
+
+
+def to_table(program, depth: int) -> StrategyTable:
+    """BetProgram.to_table."""
+    if depth < 0:
+        raise PreconditionError("table depth must be nonnegative")
+    vals: dict[str, Fraction] = {}
+
+    def walk(state: str, q: int, c: Fraction):
+        vals[state] = c
+        if len(state) == depth:
+            return
+        st = program.rule.states[q]
+        walk(state + "0", st.on0, apply_bet(st.bet, c, "0"))
+        walk(state + "1", st.on1, apply_bet(st.bet, c, "1"))
+
+    walk(bits.EMPTY, program.rule.start, program.initial)
+    return StrategyTable(depth, vals, program.kind, program.parity, program.sided)
+
+
+def stage_table(approx, stage: int, depth: int) -> StrategyTable:
+    """StageApprox.table."""
+    if depth < 0:
+        raise PreconditionError("table depth must be nonnegative")
+    active = [(c.weight, to_table(c.program, depth)) for c in approx.components if c.stage <= stage]
+    vals = {}
+    for state in bits.all_states(depth):
+        vals[state] = sum((w * t.value(state) for w, t in active), Fraction(0))
+    return StrategyTable(depth, vals, approx.kind, approx.parity, approx.sided)
+
+
+def floor(m, depth: int, parity: Parity = Parity.NONE, stage=None, prev=None) -> StrategyTable:
+    """builder._floor."""
+    if depth < 0:
+        raise PreconditionError("depth must be nonnegative")
+    if isinstance(m, StrategyTable) and depth > m.depth:
+        raise PreconditionError(f"floor depth {depth} exceeds table depth {m.depth}")
+    ev = at_stage(m, stage).value
+    if parity == Parity.NONE:
+        if prev is not None:
+            raise PreconditionError("chaining applies to parity mode only")
+        vals: dict[str, Fraction] = {}
+        for state in bits.level(depth):
+            vals[state] = Fraction(ev(state))
+        for length in range(depth - 1, -1, -1):
+            for state in bits.level(length):
+                vals[state] = (vals[state + "0"] + vals[state + "1"]) / 2
+        return StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
+    if depth % 2:
+        raise PreconditionError("parity mode needs an even depth")
+    if prev is not None and (prev.depth != depth or prev.parity != parity):
+        raise PreconditionError("prev floor has a different shape")
+
+    caps: dict[str, Fraction] = {}
+    for state in bits.level(depth):
+        caps[state] = Fraction(ev(state))
+    for length in range(depth - 1, -1, -1):
+        betting = parity.bets_at(length)
+        for state in bits.level(length):
+            c0, c1 = caps[state + "0"], caps[state + "1"]
+            own = Fraction(ev(state))
+            caps[state] = min(own, (c0 + c1) / 2) if betting else min(own, c0, c1)
+
+    def base(state: str) -> Fraction:
+        return prev.value(state) if prev is not None else Fraction(0)
+
+    out: dict[str, Fraction] = {"": caps[""]}
+    if out[""] < base(""):
+        raise PreconditionError("prev floor is not dominated; stages must grow")
+    for length in range(depth):
+        betting = parity.bets_at(length)
+        for state in bits.level(length):
+            x = out[state]
+            if not betting:
+                out[state + "0"] = x
+                out[state + "1"] = x
+                continue
+            lo = max(base(state + "0"), 2 * x - caps[state + "1"])
+            hi = min(caps[state + "0"], 2 * x - base(state + "1"))
+            if lo > hi:
+                raise PreconditionError(
+                    f"no feasible split at {state!r}; prev is not a chained floor"
+                )
+            left = min(max(x, lo), hi)
+            out[state + "0"] = left
+            out[state + "1"] = 2 * x - left
+    return StrategyTable(depth, out, Kind.MARTINGALE, parity, Sided.NONE)
+
+
+def certificate_value(cert, state: str) -> Fraction:
+    """PackingCertificate.value, with its _on_array helper inlined."""
+    sets = cert._sets
+
+    def on_array(state: str) -> bool:
+        i, r = divmod(len(state), 2)
+        if r != 0:
+            raise AssertionError("only even-length states are array members")
+        if i >= len(sets):
+            return state[: 2 * (len(sets) - 1)] in sets[-1]
+        return state in sets[i]
+
+    n = len(state)
+    if n % 2 == 0:
+        i = n // 2
+        if i >= len(sets):
+            # beyond the materialized depth the strategy stops betting
+            return certificate_value(cert, state[: 2 * (len(sets) - 1)])
+        return Fraction(4, 3) ** i if state in sets[i] else Fraction(0)
+    parent = state[:-1]
+    if not on_array(parent):
+        return Fraction(0)
+    i = len(parent) // 2
+    if i + 1 >= len(sets):
+        return certificate_value(cert, parent)
+    cnt = sum(1 for b in "01" if state + b in sets[i + 1])
+    return cnt * Fraction(4, 3) ** (i + 1) / 2

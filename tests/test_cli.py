@@ -398,6 +398,7 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("validate", "--in", _PROGRAM, ["--depth", "21"]),
     ("stest", "--validate", _ARRAY, ["--s", "1/100000000"]),
     ("dim", "--strategy", _ODD_TABLE, ["--x", "{x}", "--precision", "1001"]),
+    ("dim", "--strategy", constant_program(1, FractionBet(Fraction(1, 3))), ["--x", "{long_x}"]),
     ("dimhalf", "--components", [to_jsonable(Component(0, Fraction(1, 4), _PROGRAM))],
      ["--nmax", "6", "--stages", "8"]),
     ("diagonalize", "--adversaries", [to_jsonable(parity_window("w", 3, 2))],
@@ -406,12 +407,14 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("diagonalize", "--adversaries",
      [to_jsonable(parity_window(f"w{i}", 3, 2)) for i in range(30)],
      ["--engine", "N", "--mode", "settle", "--dim0", "--dim0-blocks", "8", "--target", "40"]),
-], ids=["validate-depth", "stest-s", "dim-precision", "dimhalf-nmax",
+], ids=["validate-depth", "stest-s", "dim-precision", "dim-x", "dimhalf-nmax",
         "diagonalize-target", "diagonalize-dim0-blocks"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
     x = tmp_path / "x.txt"
     x.write_text("01\n")
-    limit = [arg.format(x=x) for arg in limit]
+    long_x = tmp_path / "long_x.txt"
+    long_x.write_text("01" * 1000 + "1\n")
+    limit = [arg.format(x=x, long_x=long_x) for arg in limit]
     argv = [subcommand, slot, write_json(tmp_path, "in.json", obj), *limit]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
