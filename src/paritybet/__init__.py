@@ -41,7 +41,6 @@ from .programs import (
     apply_bet,
     at_stage,
     by_parity_program,
-    combine_programs,
     constant_program,
     follow_program,
 )
@@ -108,9 +107,7 @@ from .builder import (
 )
 from .serialize import (
     WireError,
-    dump_json,
     dumps,
-    frac_str,
     from_jsonable,
     load_json,
     parse_frac,
@@ -121,99 +118,10 @@ from .serialize import (
 
 __version__ = "0.1.0"
 
+# every public name the imports above bind, less the submodules they bind
+# as a side effect (a module has no __module__)
 __all__ = [
-    "BettingLabError",
-    "EngineBankruptError",
-    "PreconditionError",
-    "StructuralError",
-    "UnsupportedError",
-    "Diagnosis",
-    "Kind",
-    "OnlineTable",
-    "Parity",
-    "Sided",
-    "StrategyTable",
-    "as_capital",
-    "combine",
-    "from_online",
-    "product",
-    "require_valid",
-    "to_online",
-    "validate",
-    "BetProgram",
-    "Component",
-    "FractionBet",
-    "Fsm",
-    "FsmState",
-    "IntegerBet",
-    "ScaleBet",
-    "StageApprox",
-    "apply_bet",
-    "at_stage",
-    "by_parity_program",
-    "combine_programs",
-    "constant_program",
-    "follow_program",
-    "BlockSpec",
-    "block_decompose",
-    "min_block_martingale",
-    "parity_factorize",
-    "unique_first_bit_martingale",
-    "BlockReport",
-    "GrowthLine",
-    "LevelReport",
-    "PackingCertificate",
-    "ParityTestResult",
-    "TestArray",
-    "build_parity_test",
-    "check_block34",
-    "enumerate_block",
-    "level_measure",
-    "max_fanout",
-    "mixture",
-    "packing_certificate",
-    "verify_block_inequality",
-    "BitRecord",
-    "Checkpoint",
-    "ConeCertificate",
-    "DiagTrace",
-    "IntStrategy",
-    "diagonalize",
-    "find_settling_extension",
-    "replay_trace",
-    "unit_bet_alternating",
-    "unit_bet_on_one",
-    "verify_cone_constancy",
-    "DimReport",
-    "ExponentSample",
-    "LevelVerdict",
-    "compare_scaled_weight",
-    "empirical_dim_bound",
-    "log2_bracket",
-    "strategies_from_test",
-    "validate_s_test",
-    "weak_s_random_check",
-    "BuilderState",
-    "GrowthVerdict",
-    "RequestLedger",
-    "StageEvent",
-    "StageParams",
-    "capital_threshold",
-    "check_growth_bound",
-    "floor",
-    "greedy_leftmost_extension",
-    "params",
-    "run_stage_machine",
-    "stage_parameters",
-    "WireError",
-    "dump_json",
-    "dumps",
-    "frac_str",
-    "from_jsonable",
-    "load_json",
-    "parse_frac",
-    "parse_trace",
-    "to_jsonable",
-    "trace_lines",
-    "__version__",
-]
+    name
+    for name, obj in globals().items()
+    if not name.startswith("_") and getattr(obj, "__module__", "").startswith(__name__)
+] + ["__version__"]

@@ -36,16 +36,6 @@ def all_states(depth: int):
         yield from level(n)
 
 
-def prefixes(s: str):
-    """Every prefix of s including the empty string and s itself."""
-    for i in range(len(s) + 1):
-        yield s[:i]
-
-
-def is_prefix(p: str, s: str) -> bool:
-    return s.startswith(p)
-
-
 def interleave(x: str, y: str) -> str:
     """Alternate the bits of x and y starting with x: x0 y0 x1 y1 ...
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bits import all_states
 from .decompose import BlockSpec
 from .errors import BettingLabError, PreconditionError, StructuralError
 from .programs import BetProgram, Component, StageApprox, at_stage
@@ -111,12 +112,12 @@ CLOSED = "closed"
 
 @dataclass(frozen=True)
 class EnumState:
-    """Resumable cursor for the at-most-three enumeration above one parent.
+    """Where the at-most-three enumeration above one parent ended.
 
     enumerated always starts with parent+00 and parent+10; a third string
     (parent+01 or parent+11, never both) appears once the joint capital has
     exceeded the threshold on both reference leaves. last_stage is the last
-    stage actually inspected, so a resume starts at last_stage + 1.
+    stage actually inspected.
     """
 
     parent: str
@@ -143,7 +144,6 @@ def enumerate_block(
     m: StageApprox,
     n: StageApprox,
     budget: int,
-    resume: EnumState | None = None,
 ) -> EnumState:
     """Enumerate at most three 2-bit extensions of parent against (m, n).
 
@@ -152,8 +152,7 @@ def enumerate_block(
     exceeds c at both of those leaves; at that moment the four reference
     values are recorded and the third string is parent+01 when n0 <= n1,
     parent+11 otherwise. Capital only changes at component activation
-    stages, so only those stages are inspected. Pass the returned state
-    back as resume to continue under a larger budget.
+    stages, so only those stages are inspected.
     """
     if len(parent) % 2 != 0:
         raise PreconditionError("block parent must have even length")
@@ -161,19 +160,10 @@ def enumerate_block(
     if budget < 0:
         raise PreconditionError("stage budget must be nonnegative")
     p = parent
-    if resume is not None:
-        if resume.parent != p or resume.threshold != c:
-            raise PreconditionError("resume state belongs to a different block")
-        if resume.phase == CLOSED:
-            return resume
-        start = resume.last_stage + 1
-    else:
-        start = 0
     leaves = (p + "00", p + "10")
     firsts = (p + "0", p + "1")
     stages = sorted(
-        {s for s in m.activation_stages() + n.activation_stages() if start <= s <= budget}
-        | ({start} if start <= budget else set())
+        {0} | {s for s in m.activation_stages() + n.activation_stages() if s <= budget}
     )
     for s in stages:
         if all(m.eval(s, leaf) + n.eval(s, leaf) > c for leaf in leaves):
@@ -378,26 +368,8 @@ class PackingCertificate:
         return cnt * Fraction(4, 3) ** (i + 1) / 2
 
     def to_table(self, depth: int) -> StrategyTable:
-        """value() at every state to depth, one level at a time, over the
-        denominator 3^(k-1) of an array of k levels."""
-        k = len(self._sets)
-        top = 2 * k - 2
-        members = [{int(s or "0", 2) for s in lv} for lv in self._sets]
-        levels = []
-        for n in range(min(depth, top) + 1):
-            i, odd = divmod(n, 2)
-            w, on = 4**i * 3 ** (k - 1 - i), members[i]  # (4/3)^i
-            if not odd:
-                levels.append([w if j in on else 0 for j in range(1 << n)])
-                continue
-            w, kids = w * 2 // 3, members[i + 1]  # half of (4/3)^(i+1)
-            levels.append([
-                w * ((2 * j in kids) + (2 * j + 1 in kids)) if j >> 1 in on else 0
-                for j in range(1 << n)
-            ])
-        for n in range(top + 1, depth + 1):
-            levels.append([levels[top][j >> (n - top)] for j in range(1 << n)])
-        return StrategyTable._of_levels(3 ** (k - 1), levels, Kind.SUPERMARTINGALE)
+        values = {s: self.value(s) for s in all_states(depth)}
+        return StrategyTable(depth, values, Kind.SUPERMARTINGALE)
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,11 @@ class Fsm:
 
 
 def apply_bet(bet: Bet | None, capital, bit: str):
-    """Capital after one bit under the given bet: the one bet law every
-    evaluator and duel steps with. Zero capital is absorbing for every bet
-    shape, which is the zero-propagation convention. An integer bet keeps
-    an int capital an int."""
+    """Capital after one bit under the given bet: the law BetProgram.value
+    and the duels step with (BetProgram.to_table steps a scaled-integer
+    copy, tested against this one). Zero capital is absorbing for every
+    bet shape, the zero-propagation convention. An integer bet keeps an
+    int capital an int."""
     if bet is None:
         return capital
     if isinstance(bet, FractionBet):
@@ -382,13 +383,6 @@ class StageApprox:
         return StrategyTable._of_levels(
             *_weighted(active, depth), self.kind, self.parity, self.sided
         )
-
-
-def combine_programs(parts, parity: Parity = Parity.NONE, sided: Sided = Sided.NONE) -> StageApprox:
-    """Weighted sum of programs as a stage approximation, all active from
-    stage 0. The staged activation variant is built by mixture()."""
-    comps = tuple(Component(0, Fraction(w), p) for w, p in parts)
-    return StageApprox(comps, Kind.of_sum(c.program.kind for c in comps), parity, sided)
 
 
 class _StageView:

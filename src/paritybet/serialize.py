@@ -62,10 +62,6 @@ class WireError(Exception):
     command line can map it to its own exit code."""
 
 
-def frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 # str(Fraction) form in ASCII digits; checked before Fraction() sees the
 # text, so exponents, decimals and padding never reach the constructor
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -317,16 +313,14 @@ def dumps(obj) -> str:
     return json.dumps(_encode(obj), sort_keys=True, indent=2) + "\n"
 
 
-def dump_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-
-
 def load_json(path: str):
+    """The JSON value in the file at path. Bytes that are not UTF-8, text
+    that is not JSON or too deeply nested, and an integer past Python's
+    digit limit are each a WireError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"{path}: invalid JSON ({exc})") from exc
 
 

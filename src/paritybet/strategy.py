@@ -190,15 +190,6 @@ class StrategyTable:
         so the requested depth does not apply."""
         return self
 
-    def retagged(self, kind=None, parity=None, sided=None) -> "StrategyTable":
-        return StrategyTable._of_levels(
-            self.values.den,
-            self.values.levels,
-            kind if kind is not None else self.kind,
-            parity if parity is not None else self.parity,
-            sided if sided is not None else self.sided,
-        )
-
 
 @dataclass(frozen=True)
 class Diagnosis:

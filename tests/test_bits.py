@@ -25,12 +25,6 @@ def test_level_is_sorted():
     assert lv == sorted(lv)
 
 
-def test_prefixes_and_is_prefix():
-    assert list(bits.prefixes("011")) == ["", "0", "01", "011"]
-    assert bits.is_prefix("01", "011")
-    assert not bits.is_prefix("10", "011")
-
-
 @given(bitstrings, st.booleans())
 def test_interleave_round_trip(x, longer):
     # interleave only accepts |x| == |y| or |x| == |y| + 1

@@ -74,9 +74,6 @@ def test_enumerate_block_stays_watching(small_oscillating_pair):
     assert st.phase == "watching"
     assert st.enumerated == ("00", "10")
     assert st.recorded is None
-    # resuming a watching state continues from the next stage
-    again = enumerate_block("", Fraction(1), odd, even, 200, resume=st)
-    assert again.phase == "watching"
 
 
 def test_enumerate_block_closes_on_pressure():
@@ -104,13 +101,6 @@ def test_enumerate_block_closes_on_pressure():
     by_default = verify_block_inequality(odd, even, "", st.recorded)
     assert by_default == verify_block_inequality(odd, even, "", st.recorded, stage=3)
     assert by_default != verify_block_inequality(odd, even, "", st.recorded, stage=0)
-
-
-def test_enumerate_block_resume_mismatch(small_oscillating_pair):
-    odd, even = small_oscillating_pair
-    st = enumerate_block("", Fraction(1), odd, even, 10)
-    with pytest.raises(PreconditionError):
-        enumerate_block("00", Fraction(1), odd, even, 20, resume=st)
 
 
 def test_check_block34_accepts_and_rejects():

@@ -19,7 +19,6 @@ from paritybet import (
     StrategyTable,
     TestArray,
     constant_program,
-    dump_json,
     dumps,
     from_jsonable,
     parse_trace,
@@ -200,6 +199,36 @@ def test_cli_rejects_wrong_typed_input(capsys, tmp_path, subcommand, slot, bad):
     assert code == 2 and out == ""
     error = json.loads(err)  # exactly one JSON object
     assert error["error"] == "WireError" and slot in error["message"]
+
+
+# files no JSON slot can read: each ends in one WireError, never a traceback
+_MALFORMED = {
+    "not-utf8": b"01\xff10",
+    "deep": b"[" * 100000 + b"]" * 100000,
+    "long-int": b"[" + b"7" * 5000 + b"]",
+}
+_FILE_SLOTS = {
+    "validate-in": ["validate", "--in"],
+    "stest-validate": ["stest", "--s", "1/2", "--validate"],
+    "dimhalf-components": ["dimhalf", "--nmax", "1", "--stages", "20", "--components"],
+    "diagonalize-adversaries": ["diagonalize", "--engine", "N", "--target", "5", "--adversaries"],
+}
+
+
+@pytest.mark.parametrize("slot, malformed", [
+    *[pytest.param(slot, bad, id=f"{slot}-{bad}") for slot in _FILE_SLOTS for bad in _MALFORMED],
+    pytest.param("dim-x", "not-utf8", id="dim-x-not-utf8"),
+])
+def test_cli_malformed_file_is_a_wire_error(capsys, tmp_path, slot, malformed):
+    path = tmp_path / "bad"
+    path.write_bytes(_MALFORMED[malformed])
+    if slot == "dim-x":
+        argv = ["dim", "--strategy", write_json(tmp_path, "t.json", _ODD_TABLE), "--x"]
+    else:
+        argv = _FILE_SLOTS[slot]
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "WireError"  # exactly one JSON object
 
 
 def test_dimhalf_rejects_malformed_component(capsys, tmp_path):
@@ -407,8 +436,12 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("diagonalize", "--adversaries",
      [to_jsonable(parity_window(f"w{i}", 3, 2)) for i in range(30)],
      ["--engine", "N", "--mode", "settle", "--dim0", "--dim0-blocks", "8", "--target", "40"]),
+    ("paritytest", "--mixture",
+     {"odd": to_jsonable(_quiet_mixture(Parity.BETS_ON_ODD)),
+      "even": to_jsonable(_quiet_mixture(Parity.BETS_ON_EVEN))},
+     ["--depth", "1001"]),
 ], ids=["validate-depth", "stest-s", "dim-precision", "dim-x", "dimhalf-nmax",
-        "diagonalize-target", "diagonalize-dim0-blocks"])
+        "diagonalize-target", "diagonalize-dim0-blocks", "paritytest-depth"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
     x = tmp_path / "x.txt"
     x.write_text("01\n")

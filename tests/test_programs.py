@@ -24,7 +24,6 @@ from paritybet import (
     StructuralError,
     apply_bet,
     by_parity_program,
-    combine_programs,
     constant_program,
     floor,
     follow_program,
@@ -194,14 +193,6 @@ def test_mixture_rejects_mismatched_parity():
         mixture([constant_program(1, None, Parity.BETS_ON_EVEN)], Parity.BETS_ON_ODD)
     with pytest.raises(PreconditionError):
         mixture([], Parity.BETS_ON_ODD)
-
-
-def test_combine_programs_mixed_parity():
-    odd = constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_ODD)
-    even = constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_EVEN)
-    approx = combine_programs([(Fraction(1, 2), odd), (Fraction(1, 2), even)])
-    assert approx.parity is Parity.NONE
-    assert approx.eval(0, "") == 1
 
 
 _BETS = st.one_of(

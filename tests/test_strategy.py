@@ -97,7 +97,7 @@ def test_holds_and_require_valid():
     t = table(2, ODD_BETTOR, parity=Parity.BETS_ON_ODD)
     require_valid(t)
     with pytest.raises(PreconditionError):
-        require_valid(t.retagged(parity=Parity.BETS_ON_EVEN))
+        require_valid(StrategyTable(t.depth, t.values, t.kind, Parity.BETS_ON_EVEN))
 
 
 def test_sided_verdicts():

@@ -143,8 +143,8 @@ def test_product_matches_reference(seed, depth):
     odd_f, even_f = ref.parity_factorize(random_positive_martingale(rng, max(depth, 1)))
     same(product(odd_f, even_f), ref.product(odd_f, even_f))
     # two factors that may bet at a common state
-    a = random_table(rng, depth).retagged(Kind.MARTINGALE, Parity.BETS_ON_EVEN)
-    b = random_table(rng, depth).retagged(Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    a = StrategyTable(depth, random_table(rng, depth).values, Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    b = StrategyTable(depth, random_table(rng, depth).values, Kind.MARTINGALE, Parity.BETS_ON_ODD)
     same(outcome(product, a, b), outcome(ref.product, a, b))
 
 
