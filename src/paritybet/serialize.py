@@ -5,7 +5,9 @@ arrays, block specs and duel traces round-trip. Reports (diagnoses,
 level verdicts, growth verdicts, dimension reports) serialize one way,
 out. One rule, from each dataclass's fields, writes every object and
 reads back the ones that round-trip. Every rational crosses the wire as
-str(Fraction), so nothing is ever rounded; a file written twice from the
+str(Fraction), so nothing is ever rounded. dumps writes the text itself,
+byte for byte as json.dumps(sort_keys=True, indent=2) would, and spells a
+table's values from its integer levels; a file written twice from the
 same objects is byte-identical.
 """
 
@@ -17,6 +19,7 @@ from collections.abc import Mapping
 from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -54,7 +57,7 @@ from .programs import (
     ScaleBet,
     StageApprox,
 )
-from .strategy import Diagnosis, StrategyTable
+from .strategy import Diagnosis, StrategyTable, _Values
 
 
 class WireError(Exception):
@@ -62,8 +65,8 @@ class WireError(Exception):
     command line can map it to its own exit code."""
 
 
-# str(Fraction) form in ASCII digits; checked before Fraction() sees the
-# text, so exponents, decimals and padding never reach the constructor
+# str(Fraction) form in ASCII digits, checked before int() reads its parts,
+# so exponents, underscores and padding never reach it
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -75,8 +78,9 @@ def parse_frac(s) -> Fraction:
     if isinstance(s, str):
         if _RATIONAL.fullmatch(s) is None:
             raise WireError(f"bad rational {s[:40]!r}")
+        num, _, den = s.partition("/")
         try:
-            return Fraction(s)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError) as exc:
             raise WireError(f"bad rational {s[:40]!r}") from exc
     raise WireError(f"expected a rational, got {type(s).__name__}")
@@ -165,20 +169,41 @@ def _encode(obj):
         for name in derived:
             out[name] = _encode(getattr(obj, name)())
         return out
-    if isinstance(obj, Mapping):  # a table's read-only values
-        return {k: _encode(v) for k, v in obj.items()}
+    if cls is _Values:
+        return _spelled(obj)
     if isinstance(obj, Enum):
         return obj.value
     raise WireError(f"cannot serialize {cls.__name__}")
+
+
+def _spelled(values: _Values) -> dict:
+    """A table's values as str(Fraction) spells them, from each level
+    numerator and the shared denominator with one gcd and no Fraction, in
+    preorder, which is sorted key order ("", "0", "00", ..., "1")."""
+    den = values.den
+    levels = [[str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+               for x in lv] for lv in values.levels]
+    out = {}
+    _preorder(levels, 0, 0, "", out)
+    return out
+
+
+def _preorder(levels, n, i, state, out):
+    out[state] = levels[n][i]
+    n += 1
+    if n < len(levels):
+        _preorder(levels, n, 2 * i, state + "0", out)
+        _preorder(levels, n, 2 * i + 1, state + "1", out)
 
 
 def to_jsonable(obj):
     """Plain-JSON form of a wire object, a report, or a structure of them.
 
     One rule: None, str, int and bool pass through, a Fraction becomes
-    str(Fraction), an enum its value, lists, tuples and mappings recurse, and
-    a dataclass in _TAGS becomes its fields plus its tag and any
-    _DERIVED keys. Deterministic.
+    str(Fraction), an enum its value, lists, tuples and dicts recurse, a
+    table's values become an object of state to str(Fraction), and a
+    dataclass in _TAGS becomes its fields plus its tag and any _DERIVED
+    keys. Deterministic.
     """
     # recursion stays on _encode, so a wrapper of this public name (the
     # bench tracer's spans) sees one call per object written, not per value
@@ -309,8 +334,42 @@ def from_jsonable(d, cls=None):
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text for an object or plain structure."""
-    return json.dumps(_encode(obj), sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+    plus a newline, written directly; a key that is not a str is a WireError."""
+    return _text(_encode(obj), "") + "\n"
+
+
+# json's own escaper, in C where built: ASCII out, \uXXXX for anything else
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _text(x, pad: str) -> str:
+    """JSON text of x, a value _encode returns, on a line indented by pad.
+    Not a closure: one that calls itself sits in a reference cycle, which
+    holds every text it built until the cyclic collector runs."""
+    cls = type(x)
+    if cls is str:
+        return _escape(x)
+    if cls is dict or cls is list:
+        if not x:
+            return "{}" if cls is dict else "[]"
+        inner = pad + "  "
+        if cls is list:
+            body = [_text(v, inner) for v in x]
+            return f"[\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}]"
+        try:
+            body = [f"{_escape(k)}: {_escape(v) if type(v) is str else _text(v, inner)}"
+                    for k, v in sorted(x.items())]
+        except TypeError:  # a key that is not a str, met by sort or escape
+            raise WireError("object keys must be strings") from None
+        return f"{{\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}}}"
+    if cls is int:
+        return repr(x)
+    if cls is bool:
+        return "true" if x else "false"
+    if x is None:
+        return "null"
+    raise WireError(f"cannot serialize {cls.__name__}")
 
 
 def load_json(path: str):

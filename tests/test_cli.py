@@ -519,6 +519,63 @@ def test_verify_two_round_small(capsys):
     assert all(rep["passed"] for rep in payload["reports"])
 
 
+# stdout of verify at its default seed, recorded before the writer spelled
+# JSON itself; minimality is left out (about 10 s whatever --n is)
+_VERIFY_BYTES = {
+    ("floor-parity",): """\
+{
+  "lemma": "floor-parity",
+  "passed": true,
+  "reports": [
+    {
+      "failures": [],
+      "name": "floor-parity-grid",
+      "passed": true,
+      "stats": {},
+      "total": 1371
+    }
+  ],
+  "seed": 0
+}
+""",
+    ("growth", "--n", "20"): """\
+{
+  "lemma": "growth",
+  "passed": true,
+  "reports": [
+    {
+      "failures": [],
+      "name": "growth-random",
+      "passed": true,
+      "stats": {
+        "skipped_unrepresentable_p": 1
+      },
+      "total": 20
+    },
+    {
+      "failures": [],
+      "name": "growth-all-in",
+      "passed": true,
+      "stats": {
+        "bound": "1/4",
+        "rise": "1/8"
+      },
+      "total": 1
+    }
+  ],
+  "seed": 0
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(_VERIFY_BYTES), ids=lambda a: a[0])
+def test_verify_bytes(capsys, args):
+    code, out, err = run_cli(capsys, "verify", "--lemma", *args)
+    assert (code, err) == (0, "")
+    assert out == _VERIFY_BYTES[args]
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "validate", "--in", "/nonexistent/x.json")
     assert code == 2

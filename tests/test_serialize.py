@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import gc
 import json
 import random
 from fractions import Fraction
@@ -61,6 +62,24 @@ def test_parse_frac_rejects(junk):
 def test_parse_frac_rejects_off_grammar_strings(junk):
     with pytest.raises(WireError):
         parse_frac(junk)
+
+
+# every string the pattern admits, and the edges Fraction() meets on them
+_RATIONAL_TEXT = st.from_regex(r"-?[0-9]+(?:/[0-9]+)?", fullmatch=True) | st.sampled_from(
+    ["-0", "-0/7", "007/010", "1/0", "-0/0", "1" * 5000, "-" + "9" * 5000 + "/3"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONAL_TEXT)
+def test_parse_frac_matches_fraction_parse(s):
+    try:
+        want = Fraction(s)
+    except (ValueError, ZeroDivisionError):  # "1/0", or past the int digit limit
+        with pytest.raises(WireError, match="bad rational"):
+            parse_frac(s)
+    else:
+        assert parse_frac(s) == want
 
 
 def test_table_roundtrip_keeps_tags():
@@ -149,6 +168,61 @@ def test_dumps_is_sorted_and_stable():
     assert a == b
     payload = json.loads(a)
     assert list(payload) == sorted(payload)
+
+
+# JSON trees of every kind _encode returns, with str keys: non-ASCII text,
+# control characters and a lone surrogate, big and negative ints, bools,
+# None, and empty and nested containers
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "\ud800", "\x00\x1f\x7f", "caf\u00e9", "\u2028", '"\\/\b\t', "\U0001f600"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**50), 10**50) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON)
+def test_dumps_matches_json_module(x):
+    assert dumps(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1: "a"}, {"a": [{None: 0}]}, {"a": 1, 2: "b"}])
+def test_dumps_refuses_a_key_that_is_not_a_str(bad):
+    with pytest.raises(WireError, match="keys must be strings"):
+        dumps(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.sampled_from([1, 2, 12, 360, 2**61 - 1]), st.randoms())
+def test_table_values_spelled_from_levels(depth, den, rng):
+    # zero entries, whole ones, and numerators sharing factors with den
+    levels = [[rng.choice((0, den, rng.randrange(4 * den))) for _ in range(1 << n)]
+              for n in range(depth + 1)]
+    t = StrategyTable._of_levels(den, levels, Kind.SUPERMARTINGALE)
+    # the reference reads a second table, so t's lazy cache stays empty
+    other = StrategyTable._of_levels(den, levels, Kind.SUPERMARTINGALE)
+    want = {s: str(f) for s, f in other.values.items()}
+    wire = to_jsonable(t)
+    assert wire["values"] == want
+    assert dumps(t) == json.dumps({**wire, "values": want}, sort_keys=True, indent=2) + "\n"
+    assert len(t.values._read) == 0
+
+
+def test_dumps_of_a_table_leaves_no_garbage_and_no_fractions():
+    t = constant_program(1, FractionBet(Fraction(1, 5))).to_table(10)
+    gc.collect()
+    gc.disable()
+    try:
+        text = dumps(t)
+        # a self-calling closure would sit in a cycle holding every text
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(t.values._read) == 0
+    assert json.loads(text)["values"]["1111111111"] == "60466176/9765625"
 
 
 def test_dump_and_load_json(tmp_path):
