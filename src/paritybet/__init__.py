@@ -38,7 +38,6 @@ from .programs import (
     IntegerBet,
     ScaleBet,
     StageApprox,
-    apply_bet,
     at_stage,
     by_parity_program,
     constant_program,

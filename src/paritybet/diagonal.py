@@ -35,7 +35,7 @@ from .errors import (
     StructuralError,
     UnsupportedError,
 )
-from .programs import BetProgram, Fsm, FsmState, IntegerBet, apply_bet
+from .programs import BetProgram, Fsm, FsmState, IntegerBet
 from .strategy import Parity, Sided
 
 
@@ -86,24 +86,26 @@ def unit_bet_alternating() -> IntStrategy:
 
 class _Players:
     """Cursor over a duel's players, engine first: each player's machine
-    state and integer capital. Capital moves only through apply_bet, and
-    only for a player that has a bet and nonzero capital."""
+    state and integer capital. Capital moves only through the program's
+    decoded bet law, whose integer bets keep an int capital an int."""
 
-    __slots__ = ("states", "q", "cap")
+    __slots__ = ("states", "steps", "q", "cap")
 
     def __init__(self, strategies):
         programs = [s.program for s in strategies]
         self.states = [p.rule.states for p in programs]
+        self.steps = [p._steps for p in programs]
         self.q = [p.rule.start for p in programs]
         self.cap = [int(p.initial) for p in programs]
 
     def step(self, bit: str) -> None:
-        q, cap = self.q, self.cap
-        for i, states in enumerate(self.states):
-            st = states[q[i]]
-            if st.bet is not None and cap[i]:
-                cap[i] = apply_bet(st.bet, cap[i], bit)
-            q[i] = st.on1 if bit == "1" else st.on0
+        b, q, cap = bit == "1", self.q, self.cap
+        for i, (laws, succ) in enumerate(self.steps):
+            # integer-form programs have the multiplier 1 on every edge
+            _, lean, w = laws[q[i]][b]
+            if lean and cap[i]:
+                cap[i] += lean * min(w, cap[i])
+            q[i] = succ[b][q[i]]
 
     def live_bet(self, i: int) -> IntegerBet | None:
         """Player i's current bet when its effective stake is at least 1."""
@@ -114,12 +116,11 @@ class _Players:
 
     def lean(self, bit: str) -> int:
         """What the adversaries' live bets net, together, if bit comes."""
-        q, cap = self.q, self.cap
-        total = 0
+        b, q, cap, total = bit == "1", self.q, self.cap, 0
         for i in range(1, len(q)):
-            bet = self.states[i][q[i]].bet
-            if bet is not None and cap[i]:
-                total += apply_bet(bet, cap[i], bit) - cap[i]
+            _, lean, w = self.steps[i][0][q[i]][b]
+            if lean and cap[i]:
+                total += lean * min(w, cap[i])
         return total
 
     def favored(self) -> str:
@@ -321,9 +322,6 @@ class _Duel:
         self.certificates: list[ConeCertificate] = []
         self.block_bits = 0
 
-    def parity(self) -> int:
-        return len(self.z) % 2
-
     def emit(self, bit: str, rule: str) -> None:
         players = self.players
         players.step(bit)
@@ -422,10 +420,9 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
         elif players.cap[0] < buffer_needed:
             duel.emit(players.favored(), RULE_PUMP)
         else:
-            plan = _path_to_betting(program, players.q[me], duel.parity(), prefer)
-            if plan is None:
-                continue  # settled; certified at the top of the next pass
-            nav = plan
+            # a nonempty path: the certificate check above found a betting
+            # configuration reachable, and the current one is not live
+            nav = _path_to_betting(program, players.q[me], len(duel.z) % 2, prefer)
             duel.emit(nav.pop(0), RULE_NAVIGATE)
     while players.cap[0] <= c:
         duel.emit(players.favored(), RULE_PAD)

@@ -56,7 +56,7 @@ def compare_scaled_weight(lengths: list[int], s, k: int) -> int:
     algebraic degree exactly q (x^q - 2 is irreducible). Otherwise the
     sign of D(t) is obtained by shrinking a dyadic bracket around t until
     the interval evaluation of D excludes zero, which the nonvanishing
-    guarantees will happen.
+    guarantees will happen; with q = 1 the first bracket decides it.
     """
     s = _check_rational_scale(s)
     p, q = s.numerator, s.denominator
@@ -69,9 +69,6 @@ def compare_scaled_weight(lengths: list[int], s, k: int) -> int:
     coeffs[0] -= Fraction(1, 2**k) if k >= 0 else Fraction(2 ** (-k))
     if all(c == 0 for c in coeffs):
         return 0
-    if q == 1:
-        total = coeffs[0]
-        return -1 if total < 0 else 1
     lo, hi = Fraction(1, 2), Fraction(1)  # bracket of t = 2^(-1/q)
     while True:
         low_val = sum(

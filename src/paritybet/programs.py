@@ -17,6 +17,9 @@ stakes a whole-number wager on a named outcome, clamped to current capital
 so values stay nonnegative integers. A scale bet multiplies capital by a
 factor <= 1 on both children, the one deliberately leaky (supermartingale)
 step we support.
+
+One bet law serves all three: a program decodes its bets once into a step
+table that value, to_table, the tag checks and the integer duels read.
 """
 
 from __future__ import annotations
@@ -91,21 +94,19 @@ class Fsm:
                 raise StructuralError("transition target out of range")
 
 
-def apply_bet(bet: Bet | None, capital, bit: str):
-    """Capital after one bit under the given bet: the law BetProgram.value
-    and the duels step with (BetProgram.to_table steps a scaled-integer
-    copy, tested against this one). Zero capital is absorbing for every
-    bet shape, the zero-propagation convention. An integer bet keeps an
-    int capital an int."""
-    if bet is None:
-        return capital
-    if isinstance(bet, FractionBet):
-        f = bet.stake
-        return capital * (1 + f) if bit == "1" else capital * (1 - f)
+def _law(bet: Bet | None) -> tuple:
+    """A bet's edges on bit 0 and on bit 1, each (m, lean, wager): capital c
+    moves to c * m + lean * min(wager, c), so 0 is absorbing. A fraction
+    bet f has m = 1 - f and 1 + f, a scale bet its factor twice, and an
+    integer bet m = 1 with its lean +1 on its outcome, which keeps an int
+    capital an int. Whole multipliers are ints: they multiply faster."""
     if isinstance(bet, IntegerBet):
-        w = min(bet.wager, capital)
-        return capital + w if bit == str(bet.outcome) else capital - w
-    return capital * bet.factor
+        lean = 1 if bet.outcome else -1
+        return (1, -lean, bet.wager), (1, lean, bet.wager)
+    if bet is None:
+        return (1, 0, 0), (1, 0, 0)
+    m0, m1 = (1 - bet.stake, 1 + bet.stake) if isinstance(bet, FractionBet) else (bet.factor,) * 2
+    return tuple((m.numerator if m.denominator == 1 else m, 0, 0) for m in (m0, m1))
 
 
 def _reachable_configs(fsm: Fsm) -> dict:
@@ -161,34 +162,37 @@ class BetProgram:
         kept, since duels search it once per planning step."""
         return _reachable_configs(self.rule)
 
+    @cached_property
+    def _steps(self) -> tuple[list, tuple[list, list]]:
+        """The machine with its bets decoded once: each state's _law (equal
+        bets share one), and the successor columns on 0 and on 1."""
+        states, decoded = self.rule.states, {}
+        laws = [decoded.get(st.bet) or decoded.setdefault(st.bet, _law(st.bet)) for st in states]
+        return laws, ([st.on0 for st in states], [st.on1 for st in states])
+
     def _check_structural_tags(self):
         # walked afresh, not through configs: most programs never need the
         # graph again, and keeping it would cost memory per program
         for q, p in _reachable_configs(self.rule):
-            bet = self.rule.states[q].bet
-            if bet is None:
+            if self.rule.states[q].bet is None:
                 continue
             if not self.parity.bets_at(p):
                 raise StructuralError(
                     f"declared {self.parity.value} but machine state {q} "
                     f"bets at position parity {p}"
                 )
-            if self.sided is Sided.ZERO:
-                if isinstance(bet, FractionBet) and bet.stake > 0:
-                    raise StructuralError("declared zero_sided but a bet leans to 1")
-                if isinstance(bet, IntegerBet) and bet.outcome == 1 and bet.wager > 0:
-                    raise StructuralError("declared zero_sided but a bet leans to 1")
-            if self.sided is Sided.ONE:
-                if isinstance(bet, FractionBet) and bet.stake < 0:
-                    raise StructuralError("declared one_sided but a bet leans to 0")
-                if isinstance(bet, IntegerBet) and bet.outcome == 0 and bet.wager > 0:
-                    raise StructuralError("declared one_sided but a bet leans to 0")
+            if self.sided is Sided.NONE:
+                continue
+            # positive when the bet leans to 1, negative when it leans to 0
+            (m0, l0, w), (m1, l1, _) = self._steps[0][q]
+            tilt = m1 - m0 + (l1 - l0) * w
+            if tilt and (tilt > 0) is (self.sided is Sided.ZERO):
+                raise StructuralError(
+                    f"declared {self.sided.value} but a bet leans to {int(tilt > 0)}")
 
     @property
     def kind(self) -> Kind:
-        leaky = any(
-            isinstance(st.bet, ScaleBet) and st.bet.factor != 1 for st in self.rule.states
-        )
+        leaky = any(e0[0] + e1[0] != 2 for e0, e1 in self._steps[0])
         return Kind.SUPERMARTINGALE if leaky else Kind.MARTINGALE
 
     @cached_property
@@ -214,44 +218,38 @@ class BetProgram:
                 q, c = hit
                 done = len(state) - cut
                 break
+        laws, succ = self._steps
         for bit in state[done:]:
-            st = self.rule.states[q]
-            c = apply_bet(st.bet, c, bit)
-            q = st.on0 if bit == "0" else st.on1
+            b = bit == "1"
+            m, lean, w = laws[q][b]
+            q = succ[b][q]
+            # the bet law with its identity terms skipped
+            if lean:
+                c += lean * min(w, c)
+            elif m != 1:
+                c *= m
         walks[state] = (q, c)
         return c
 
     def to_table(self, depth: int) -> StrategyTable:
         """Expand to a total table one level at a time. The capitals of
         level n are integers over initial.denominator * scale^n, where
-        scale clears the denominator of every stake and factor."""
+        scale clears the denominator of every multiplier."""
         if depth < 0:
             raise PreconditionError("table depth must be nonnegative")
-        states = self.rule.states
-        scale = math.lcm(*(
-            (st.bet.stake if isinstance(st.bet, FractionBet) else st.bet.factor).denominator
-            for st in states if isinstance(st.bet, (FractionBet, ScaleBet))
-        ))
-        # apply_bet on scaled capitals: the children of capital c are
-        # c * m0 - k and c * m1 + k, with k = s * min(w, c) for a wager w
-        step = []
-        for st in states:
-            bet, m0, m1, s, w = st.bet, scale, scale, 0, 0
-            if isinstance(bet, FractionBet):
-                m0, m1 = int(scale * (1 - bet.stake)), int(scale * (1 + bet.stake))
-            elif isinstance(bet, ScaleBet):
-                m0 = m1 = int(scale * bet.factor)
-            elif isinstance(bet, IntegerBet):
-                s, w = (scale if bet.outcome else -scale), bet.wager
-            step.append((m0, m1, s, w, st.on0, st.on1))
+        laws, (on0, on1) = self._steps
+        scale = math.lcm(*(e[0].denominator for law in laws for e in law))
+        # the bet law on integers c over each level's denominator den
+        scaled = [(int(m0 * scale), l0 * scale, int(m1 * scale), l1 * scale, w)
+                  for (m0, l0, w), (m1, l1, _) in laws]
         den, qs, levels = self.initial.denominator, [self.rule.start], [[self.initial.numerator]]
         for _ in range(depth):
             kids_q, kids = [], []
             for q, c in zip(qs, levels[-1]):
-                m0, m1, s, w, q0, q1 = step[q]
-                k = s * min(w * den, c)
-                kids += (c * m0 - k, c * m1 + k)
-                kids_q += (q0, q1)
+                m0, l0, m1, l1, w = scaled[q]
+                k = min(w * den, c)
+                kids += (c * m0 + l0 * k, c * m1 + l1 * k)
+                kids_q += (on0[q], on1[q])
             qs = kids_q
             levels.append(kids)
             den *= scale
@@ -332,6 +330,14 @@ class Component:
         if self.stage < 0:
             raise StructuralError("activation stage must be >= 0")
         object.__setattr__(self, "weight", as_capital(self.weight))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # kept: a program's hash walks its machine, and floor hashes a mixture
+        return hash((self.stage, self.weight, self.program))
 
 
 @dataclass(frozen=True)

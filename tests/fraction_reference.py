@@ -3,7 +3,9 @@ string-keyed Fraction dicts, before tables became scaled-integer levels.
 
 Each function is the old code, copied with `self` turned into an argument
 and the two StrategyTable helpers it used (interior, bets_at) inlined as
-functions here; certificate_value is PackingCertificate.value as it was.
+functions here; certificate_value is PackingCertificate.value as it was,
+and apply_bet is the per-shape bet law that BetProgram.value and the
+duels stepped with before programs decoded their bets once.
 The outputs are built by the public StrategyTable constructor, so they
 compare with the level-array code by value, by Diagnosis and by wire
 bytes. Nothing in src/ imports this module.
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from paritybet import bits
 from paritybet.errors import PreconditionError
-from paritybet.programs import apply_bet, at_stage
+from paritybet.programs import FractionBet, IntegerBet, at_stage
 from paritybet.strategy import (
     Diagnosis,
     Kind,
@@ -24,6 +26,23 @@ from paritybet.strategy import (
     StrategyTable,
     as_capital,
 )
+
+
+def apply_bet(bet, capital, bit: str):
+    """The bet law as it was written per bet shape, before programs
+    decoded their bets into step tables: the capital after one bit under
+    the given bet. Zero capital is absorbing for every bet shape, the
+    zero-propagation convention. An integer bet keeps an int capital an
+    int."""
+    if bet is None:
+        return capital
+    if isinstance(bet, FractionBet):
+        f = bet.stake
+        return capital * (1 + f) if bit == "1" else capital * (1 - f)
+    if isinstance(bet, IntegerBet):
+        w = min(bet.wager, capital)
+        return capital + w if bit == str(bet.outcome) else capital - w
+    return capital * bet.factor
 
 
 def interior(table):

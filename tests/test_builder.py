@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
+    BetProgram,
     BettingLabError,
     Component,
     FractionBet,
@@ -337,6 +338,26 @@ def test_floor_memo_dies_with_its_mixture():
     del odd
     gc.collect()
     assert ref() is None
+
+
+def test_floor_memo_hit_hashes_no_program(monkeypatch):
+    odd = _two_stage_odd()
+    first = floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5)
+    calls = []
+
+    def counting_hash(program):
+        calls.append(program)
+        return 0
+
+    monkeypatch.setattr(BetProgram, "__hash__", counting_hash)
+    assert floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=5) is first
+    assert calls == []
+    monkeypatch.undo()
+    # an equal mixture built afresh hashes alike and shares the memo
+    twin = _two_stage_odd()
+    assert twin == odd and twin is not odd
+    assert hash(twin) == hash(odd)
+    assert floor(twin, 4, parity=Parity.BETS_ON_ODD, stage=5) is first
 
 
 _PARITIES = st.sampled_from([Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN])

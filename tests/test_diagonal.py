@@ -36,6 +36,24 @@ def sided_constant(name, cap, outcome):
     return IntStrategy(prog, name=name)
 
 
+def late_window(name, cap):
+    """Idles in a two-state loop, where 1 at an odd position loops and 0
+    leaves it; two idle bits later it bets 1 on outcome 1 once, at an even
+    position, and freezes. Both engines play 1 at odd positions while
+    they settle an earlier adversary or pump, so the duel must plan and
+    walk a three-bit path to reach the bet."""
+    sts = (
+        FsmState(None, 1, 1),
+        FsmState(None, 2, 0),
+        FsmState(None, 3, 3),
+        FsmState(None, 4, 4),
+        FsmState(IntegerBet(1, 1), 5, 5),
+        FsmState(None, 5, 5),
+    )
+    prog = BetProgram(Fraction(cap), Fsm(sts), "integer", Parity.BETS_ON_EVEN, Sided.ONE)
+    return IntStrategy(prog, name=name)
+
+
 def test_unit_engines():
     n = unit_bet_on_one()
     assert n.name == "N" and n.initial == 5
@@ -120,6 +138,34 @@ def test_settle_dim0_blocks():
     replay_trace(tr, unit_bet_on_one(), advs)
 
 
+def _late_families():
+    return [
+        ("N", unit_bet_on_one(), [parity_window("w0", 4, 3), late_window("late", 3)]),
+        ("D", unit_bet_alternating(), [sided_constant("s0", 3, 0), late_window("late", 3)]),
+    ]
+
+
+@pytest.mark.parametrize("name, engine, advs", _late_families(), ids=[f[0] for f in _late_families()])
+def test_settle_navigates_to_a_late_window(name, engine, advs):
+    tr = diagonalize(advs, engine, 30, mode="settle")
+    rules = [r.rule for r in tr.records]
+    assert len(tr.certificates) == 2
+    # the late window opens only once the first adversary has settled
+    first = rules.index("navigate")
+    assert first >= len(tr.certificates[0].prefix)
+    # the planned leg is walked to its end, where the late window bets,
+    # and that bet is defeated
+    last = len(rules) - 1 - rules[::-1].index("navigate")
+    assert rules[first : last + 1] == ["navigate"] * 3
+    assert rules[last + 1] == "defeat"
+    assert tr.records[last + 1].adversaries[1] == 2
+    replay_trace(tr, engine, advs)
+    for cert in tr.certificates:
+        adv = advs[cert.adversary]
+        assert verify_cone_constancy(adv, cert.prefix, 12)
+        assert adv.program.value(cert.prefix) == cert.constant_value
+
+
 def test_find_settling_extension():
     adv = parity_window("w", 5, 4)
     tau, cert = find_settling_extension(adv, "", 5, "parity")
@@ -169,6 +215,7 @@ def _duels():
         ("greedy-N", unit_bet_on_one(), tagged, {}),
         ("greedy-D", unit_bet_alternating(), sided, {}),
         ("settle-dim0", unit_bet_on_one(), parity_advs, {"mode": "settle", "dim0_blocks": 4}),
+        *((f"settle-late-{n}", e, a, {"mode": "settle"}) for n, e, a in _late_families()),
     ]
 
 

@@ -33,6 +33,11 @@ def test_compare_scaled_weight_rational_cases():
     # 2^-(1/3) vs 1: irrational weight below the bound
     assert compare_scaled_weight([1], Fraction(1, 3), 0) == -1
     assert compare_scaled_weight([3], Fraction(1, 3), 0) == -1
+    # s = 1: one coefficient, so the weight is rational
+    assert compare_scaled_weight([2], Fraction(1), 0) == -1
+    assert compare_scaled_weight([1, 1], Fraction(1), 0) == 0
+    assert compare_scaled_weight([0], Fraction(1), 1) == 1
+    assert compare_scaled_weight([1, 2, 3], Fraction(1), -1) == -1
 
 
 def test_compare_scaled_weight_irrational_above():

@@ -22,34 +22,59 @@ from paritybet import (
     Sided,
     StageApprox,
     StructuralError,
-    apply_bet,
+    BitRecord,
+    IntStrategy,
     by_parity_program,
     constant_program,
+    diagonalize,
+    dumps,
     floor,
     follow_program,
     mixture,
+    unit_bet_on_one,
     validate,
 )
+from paritybet.diagonal import _Players
+
+import fraction_reference as ref
+
+
+def one_state(initial, bet):
+    return BetProgram(Fraction(initial), Fsm((FsmState(bet, 0, 0),)))
 
 
 def test_apply_bet_zero_absorbing():
+    # the bet law through a one-state program's value and to_table(1)
     for bet in (FractionBet(Fraction(1, 2)), IntegerBet(3, 1), ScaleBet(Fraction(1, 2))):
-        assert apply_bet(bet, Fraction(0), "0") == 0
-        assert apply_bet(bet, Fraction(0), "1") == 0
+        p = one_state(0, bet)
+        assert p.value("0") == 0
+        assert p.value("1") == 0
+        assert dict(p.to_table(1).values) == {"": 0, "0": 0, "1": 0}
 
 
 def test_apply_bet_shapes():
-    assert apply_bet(None, Fraction(5), "0") == 5
-    assert apply_bet(FractionBet(Fraction(1, 2)), Fraction(2), "1") == 3
-    assert apply_bet(FractionBet(Fraction(1, 2)), Fraction(2), "0") == 1
-    # integer bets clamp the wager at the capital
-    assert apply_bet(IntegerBet(7, 1), Fraction(3), "0") == 0
-    assert apply_bet(IntegerBet(7, 1), Fraction(3), "1") == 6
-    # int capitals stay int under integer bets, for the integer duels
-    for bit in "01":
-        after = apply_bet(IntegerBet(2, 1), 3, bit)
-        assert type(after) is int and after == (5 if bit == "1" else 1)
-    assert apply_bet(ScaleBet(Fraction(1, 2)), Fraction(2), "1") == 1
+    # (bet, capital before, capital after 0, capital after 1)
+    cases = [
+        (None, 5, 5, 5),
+        (FractionBet(Fraction(1, 2)), 2, 1, 3),
+        # integer bets clamp the wager at the capital
+        (IntegerBet(7, 1), 3, 0, 6),
+        (IntegerBet(2, 1), 3, 1, 5),
+        (ScaleBet(Fraction(1, 2)), 2, 1, 1),
+    ]
+    for bet, before, after0, after1 in cases:
+        p = one_state(before, bet)
+        assert (p.value("0"), p.value("1")) == (after0, after1)
+        assert dict(p.to_table(1).values) == {"": before, "0": after0, "1": after1}
+    # int capitals stay int under integer bets, for the integer duels: the
+    # adversaries net -1 on the unit engine's 1, so the duel plays it
+    advs = [
+        IntStrategy(constant_program(3, IntegerBet(2, 1), Parity.BETS_ON_EVEN), name="a"),
+        IntStrategy(constant_program(3, IntegerBet(3, 0), Parity.BETS_ON_EVEN), name="b"),
+    ]
+    first = diagonalize(advs, unit_bet_on_one(), 6).records[0]
+    assert first == BitRecord("1", "favored", 6, (5, 0))
+    assert [type(c) for c in (first.engine, *first.adversaries)] == [int, int, int]
 
 
 def test_bet_shape_guards():
@@ -86,12 +111,29 @@ def test_structural_parity_check():
             "fractional",
             Parity.BETS_ON_EVEN,
         )
+    # a bet that cannot move capital still counts as a bet
+    for bet in (FractionBet(0), IntegerBet(0, 1), ScaleBet(1)):
+        with pytest.raises(StructuralError, match="^declared bets_on_even but machine state 0 bets at position parity 1$"):
+            BetProgram(Fraction(1), Fsm((FsmState(bet, 0, 0),)), "fsm", Parity.BETS_ON_EVEN, Sided.ZERO)
 
 
 def test_structural_sided_check():
     with pytest.raises(StructuralError):
         constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_EVEN, Sided.ZERO)
     constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_EVEN, Sided.ONE)
+    leans_to_1 = (FractionBet(Fraction(1, 2)), IntegerBet(1, 1))
+    leans_to_0 = (FractionBet(Fraction(-1, 2)), IntegerBet(1, 0))
+    level = (FractionBet(0), IntegerBet(0, 1), IntegerBet(0, 0), ScaleBet(Fraction(1, 2)), None)
+    for sided, banned, message in (
+        (Sided.ZERO, leans_to_1, "declared zero_sided but a bet leans to 1"),
+        (Sided.ONE, leans_to_0, "declared one_sided but a bet leans to 0"),
+    ):
+        for bet in banned:
+            with pytest.raises(StructuralError, match=f"^{message}$"):
+                constant_program(1, bet, Parity.NONE, sided)
+        allowed = level + (leans_to_0 if sided is Sided.ZERO else leans_to_1)
+        for bet in allowed:
+            constant_program(1, bet, Parity.NONE, sided)
 
 
 def test_constant_program_parity_values():
@@ -195,21 +237,23 @@ def test_mixture_rejects_mismatched_parity():
         mixture([], Parity.BETS_ON_ODD)
 
 
+# every bet shape, with the edge cases of the law drawn often: stakes of
+# -1, 0 and 1, scale factors of 0 and 1, wagers above the capital, and
+# zero initial capital
 _BETS = st.one_of(
     st.none(),
-    st.builds(FractionBet, st.fractions(-1, 1, max_denominator=6)),
-    st.builds(IntegerBet, st.integers(0, 4), st.integers(0, 1)),
-    st.builds(ScaleBet, st.fractions(0, 1, max_denominator=6)),
+    st.builds(FractionBet, st.sampled_from([-1, 0, 1]) | st.fractions(-1, 1, max_denominator=6)),
+    st.builds(IntegerBet, st.integers(0, 9), st.integers(0, 1)),
+    st.builds(ScaleBet, st.sampled_from([0, 1]) | st.fractions(0, 1, max_denominator=6)),
 )
 
 
 @st.composite
-def _machines(draw):
+def _machines(draw, bets=_BETS, initial=st.just(0) | st.fractions(0, 4, max_denominator=4)):
     n = draw(st.integers(1, 8))
     target = st.integers(0, n - 1)
-    states = tuple(FsmState(draw(_BETS), draw(target), draw(target)) for _ in range(n))
-    initial = draw(st.fractions(0, 4, max_denominator=4))
-    return BetProgram(initial, Fsm(states, draw(target)))
+    states = tuple(FsmState(draw(bets), draw(target), draw(target)) for _ in range(n))
+    return BetProgram(draw(initial), Fsm(states, draw(target)))
 
 
 @st.composite
@@ -247,3 +291,48 @@ def test_a_mixture_holds_only_its_fields():
     m.table(1, 4)
     floor(m, 4, Parity.BETS_ON_ODD, stage=1)
     assert set(vars(m)) == {f.name for f in fields(m)}
+
+
+def _reference_walk(program, state):
+    q, c = program.rule.start, program.initial
+    for bit in state:
+        st_ = program.rule.states[q]
+        c = ref.apply_bet(st_.bet, c, bit)
+        q = st_.on0 if bit == "0" else st_.on1
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(_machines(), _prefix_closed_strings(), st.integers(0, 8))
+def test_bet_law_matches_the_fraction_reference(program, strings, depth):
+    for s in strings:
+        want = _reference_walk(program, s)
+        # resumed from the program's own walks, then fresh
+        assert program.value(s) == want
+        assert type(program.value(s)) is Fraction
+        assert BetProgram(program.initial, program.rule).value(s) == want
+    assert dumps(program.to_table(depth)) == dumps(ref.to_table(program, depth))
+
+
+_INT_MACHINES = _machines(
+    st.none() | st.builds(IntegerBet, st.integers(0, 9), st.integers(0, 1)),
+    st.integers(0, 6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_INT_MACHINES, min_size=1, max_size=4), st.text(alphabet="01", max_size=12))
+def test_duel_capitals_match_the_fraction_reference(programs, z):
+    strategies = [IntStrategy(BetProgram(p.initial, p.rule, "integer")) for p in programs]
+    players = _Players(strategies)
+    qs = [p.rule.start for p in programs]
+    caps = [int(p.initial) for p in programs]
+    for bit in z:
+        bets = [p.rule.states[q].bet for p, q in zip(programs, qs)]
+        moved = [ref.apply_bet(b, c, bit) for b, c in zip(bets, caps)]
+        assert players.lean(bit) == sum(moved[1:]) - sum(caps[1:])
+        players.step(bit)
+        qs = [p.rule.states[q].on1 if bit == "1" else p.rule.states[q].on0 for p, q in zip(programs, qs)]
+        caps = moved
+        assert players.cap == caps and players.q == qs
+        assert all(type(c) is int for c in players.cap)
