@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from paritybet import (
     BetProgram,
+    BitRecord,
     Component,
     FractionBet,
     Fsm,
     FsmState,
+    IntStrategy,
     IntegerBet,
     Kind,
     Parity,
@@ -22,8 +24,6 @@ from paritybet import (
     Sided,
     StageApprox,
     StructuralError,
-    BitRecord,
-    IntStrategy,
     by_parity_program,
     constant_program,
     diagonalize,
