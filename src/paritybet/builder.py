@@ -446,9 +446,26 @@ def run_stage_machine(
     def joint(u: int, st: str) -> Fraction:
         return n_approx.eval(u, st) + t_approx.eval(u, st)
 
+    # joint(u, st) changes with u only at an activation stage of either
+    # side, so each index keeps the (prefix, joint capital) it last read
+    # until the next activation stage or until its prefix changes; index 0
+    # is the root
+    wakes = {*n_approx.activation_stages(), *t_approx.activation_stages()}
+    budgets = [capital_threshold(n) for n in range(n_max + 1)]
+    reads: dict[int, tuple[str, Fraction]] = {}
+
+    def joint_at(u: int, n: int) -> Fraction:
+        sig = state.sigmas[n]
+        hit = reads.get(n)
+        if hit is None or hit[0] != sig:
+            hit = reads[n] = (sig, joint(u, sig))
+        return hit[1]
+
     for u in range(stages + 1):
         state.stage = u
-        root = joint(u, "")
+        if u in wakes:
+            reads.clear()
+        root = joint_at(u, 0)
         if root >= HALF:
             raise PreconditionError(
                 f"joint root capital {root} reached 1/2 at stage {u}; aborting"
@@ -456,17 +473,16 @@ def run_stage_machine(
         acted_n = None
         action = None
         for n in range(min(u, n_max) + 1):
-            sig = state.sigmas[n]
-            if sig is None:
+            if state.sigmas[n] is None:
                 acted_n, action = n, "define"
                 break
-            if joint(u, sig) > capital_threshold(n):
+            if joint_at(u, n) > budgets[n]:
                 acted_n, action = n, "undefine"
                 break
         if action == "define":
             n = acted_n
             base = state.sigmas[n - 1]
-            bound = joint(u, base)
+            bound = joint_at(u, n - 1)
             tau = greedy_leftmost_extension(
                 lambda st: joint(u, st), base, bound, par[n].s
             )

@@ -212,20 +212,19 @@ def _log2_digits(num: int, den: int, m: int, precision: int, guard: int):
     scale = 1 << guard
     lo_i = (num << guard) // den
     hi_i = -((-num << guard) // den)
-    lo_log, hi_log = Fraction(m), Fraction(m + 1)
+    digits = 0
     for _ in range(precision):
         lo_i = (lo_i * lo_i) >> guard
         hi_i = (hi_i * hi_i + scale - 1) >> guard
-        mid = (lo_log + hi_log) / 2
+        digits <<= 1
         if lo_i >= 2 * scale:
             lo_i >>= 1
             hi_i = (hi_i + 1) >> 1
-            lo_log = mid
-        elif hi_i < 2 * scale:
-            hi_log = mid
-        else:
+            digits |= 1
+        elif hi_i >= 2 * scale:
             return None
-    return lo_log, hi_log
+    low = (m << precision) + digits
+    return Fraction(low, 1 << precision), Fraction(low + 1, 1 << precision)
 
 
 def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
@@ -235,19 +234,21 @@ def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     exact = _power_of_two_log(v)
     if exact is not None:
         return Fraction(exact), Fraction(exact)
-    m = 0
-    while v >= 2:
-        v /= 2
-        m += 1
-    while v < 1:
-        v *= 2
+    # scale by 2^-m into 1 <= num/den < 2, so log2(v) = m + log2(num/den);
+    # v is not a power of two so no squaring ever lands exactly on a
+    # digit boundary and some guard width always resolves every digit
+    num, den = v.numerator, v.denominator
+    m = num.bit_length() - den.bit_length()
+    if m >= 0:
+        den <<= m
+    else:
+        num <<= -m
+    if num < den:
+        num <<= 1
         m -= 1
-    # now 1 <= v < 2 and log2(original) = m + log2(v); v is not a power of
-    # two so no squaring ever lands exactly on a digit boundary and some
-    # guard width always resolves every digit
     guard = precision + 16
     while True:
-        got = _log2_digits(v.numerator, v.denominator, m, precision, guard)
+        got = _log2_digits(num, den, m, precision, guard)
         if got is not None:
             return got
         guard *= 2

@@ -299,14 +299,14 @@ def follow_program(target: str, parity: Parity, initial) -> BetProgram:
     n = len(target)
     settled = n  # no-bet sink once the target is exhausted
     diverged = n + 1  # no-bet sink after leaving the target path
+    # a wrong bit at a betting state loses the whole stake, so the
+    # diverged sink carries capital 0; every betting state shares one of
+    # these two bets
+    all_in = {"0": FractionBet(Fraction(-1)), "1": FractionBet(Fraction(1))}
     states = []
     for i in range(n):
         wants = target[i]
-        bet = None
-        if parity.bets_at(i):
-            # a wrong bit here loses the whole stake, so the diverged
-            # sink carries capital 0
-            bet = FractionBet(Fraction(1) if wants == "1" else Fraction(-1))
+        bet = all_in[wants] if parity.bets_at(i) else None
         on_match = i + 1
         states.append(
             FsmState(
@@ -365,11 +365,20 @@ class StageApprox:
                 raise PreconditionError("supermartingale component in declared martingale")
 
     def eval(self, stage: int, state: str) -> Fraction:
-        total = Fraction(0)
+        # sum the weighted values as integers over one running denominator,
+        # taking a gcd only when a term's denominator differs from it
+        num, den = 0, 1
         for c in self.components:
             if c.stage <= stage:
-                total += c.weight * c.program.value(state)
-        return total
+                w, v = c.weight, c.program.value(state)
+                n, d = w.numerator * v.numerator, w.denominator * v.denominator
+                if d == den:
+                    num += n
+                else:
+                    g = math.gcd(d, den)
+                    num = num * (d // g) + n * (den // g)
+                    den = den // g * d
+        return Fraction(num, den)
 
     def activation_stages(self) -> list[int]:
         return sorted({c.stage for c in self.components})

@@ -5,7 +5,10 @@ Each function is the old code, copied with `self` turned into an argument
 and the two StrategyTable helpers it used (interior, bets_at) inlined as
 functions here; certificate_value is PackingCertificate.value as it was,
 and apply_bet is the per-shape bet law that BetProgram.value and the
-duels stepped with before programs decoded their bets once.
+duels stepped with before programs decoded their bets once. log2_bracket
+is the one that normalised by halving a Fraction and built each digit's
+bracket as a Fraction, and run_stage_machine the one that read every
+joint capital afresh at every stage.
 The outputs are built by the public StrategyTable constructor, so they
 compare with the level-array code by value, by Diagnosis and by wire
 bytes. Nothing in src/ imports this module.
@@ -16,7 +19,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from paritybet import bits
-from paritybet.errors import PreconditionError
+from paritybet.builder import (
+    HALF,
+    BuilderState,
+    StageEvent,
+    _check_sides,
+    capital_threshold,
+    greedy_leftmost_extension,
+    stage_parameters,
+)
+from paritybet.dimension import _power_of_two_log
+from paritybet.errors import BettingLabError, PreconditionError, StructuralError
 from paritybet.programs import FractionBet, IntegerBet, at_stage
 from paritybet.strategy import (
     Diagnosis,
@@ -271,3 +284,126 @@ def certificate_value(cert, state: str) -> Fraction:
         return certificate_value(cert, parent)
     cnt = sum(1 for b in "01" if state + b in sets[i + 1])
     return cnt * Fraction(4, 3) ** (i + 1) / 2
+
+
+def _log2_digits(num: int, den: int, m: int, precision: int, guard: int):
+    """dimension._log2_digits."""
+    scale = 1 << guard
+    lo_i = (num << guard) // den
+    hi_i = -((-num << guard) // den)
+    lo_log, hi_log = Fraction(m), Fraction(m + 1)
+    for _ in range(precision):
+        lo_i = (lo_i * lo_i) >> guard
+        hi_i = (hi_i * hi_i + scale - 1) >> guard
+        mid = (lo_log + hi_log) / 2
+        if lo_i >= 2 * scale:
+            lo_i >>= 1
+            hi_i = (hi_i + 1) >> 1
+            lo_log = mid
+        elif hi_i < 2 * scale:
+            hi_log = mid
+        else:
+            return None
+    return lo_log, hi_log
+
+
+def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
+    """dimension.log2_bracket."""
+    if v <= 0:
+        raise PreconditionError("log2 needs a positive value")
+    exact = _power_of_two_log(v)
+    if exact is not None:
+        return Fraction(exact), Fraction(exact)
+    m = 0
+    while v >= 2:
+        v /= 2
+        m += 1
+    while v < 1:
+        v *= 2
+        m -= 1
+    guard = precision + 16
+    while True:
+        got = _log2_digits(v.numerator, v.denominator, m, precision, guard)
+        if got is not None:
+            return got
+        guard *= 2
+
+
+def run_stage_machine(n_approx, t_approx, stages: int, n_max: int):
+    """builder.run_stage_machine."""
+    _check_sides(n_approx, t_approx)
+    if stages < 0 or n_max < 0:
+        raise PreconditionError("stages and n_max must be nonnegative")
+
+    par = stage_parameters(n_max)
+    state = BuilderState(params=par)
+    state.sigmas = [""] + [None] * n_max
+    state.change_counts = [0] * (n_max + 1)
+    since_parent = [0] * (n_max + 1)
+    last_in_interval: list = [None] * (n_max + 1)
+
+    def joint(u: int, st: str) -> Fraction:
+        return n_approx.eval(u, st) + t_approx.eval(u, st)
+
+    for u in range(stages + 1):
+        state.stage = u
+        root = joint(u, "")
+        if root >= HALF:
+            raise PreconditionError(
+                f"joint root capital {root} reached 1/2 at stage {u}; aborting"
+            )
+        acted_n = None
+        action = None
+        for n in range(min(u, n_max) + 1):
+            sig = state.sigmas[n]
+            if sig is None:
+                acted_n, action = n, "define"
+                break
+            if joint(u, sig) > capital_threshold(n):
+                acted_n, action = n, "undefine"
+                break
+        if action == "define":
+            n = acted_n
+            base = state.sigmas[n - 1]
+            bound = joint(u, base)
+            tau = greedy_leftmost_extension(
+                lambda st: joint(u, st), base, bound, par[n].s
+            )
+            prior = last_in_interval[n]
+            if prior is not None and tau < prior:
+                raise StructuralError(
+                    f"prefix at index {n} regressed from {prior!r} to {tau!r} "
+                    f"at stage {u} under a stable parent"
+                )
+            since_parent[n] += 1
+            if since_parent[n] > 2 ** par[n].p:
+                raise BettingLabError(
+                    f"index {n} changed more than 2^{par[n].p} times "
+                    "under a stable parent"
+                )
+            state.sigmas[n] = tau
+            state.change_counts[n] += 1
+            last_in_interval[n] = tau
+            state.events.append(StageEvent(u, "define", n, tau))
+        elif action == "undefine":
+            n = acted_n
+            for i in range(n, n_max + 1):
+                if state.sigmas[i] is not None:
+                    state.events.append(
+                        StageEvent(u, "undefine", i, state.sigmas[i])
+                    )
+                    state.sigmas[i] = None
+        if action is not None:
+            for i in range(acted_n + 1, n_max + 1):
+                since_parent[i] = 0
+                last_in_interval[i] = None
+        for k in range(1, n_max + 1):
+            sig = state.sigmas[k]
+            if sig is None:
+                continue
+            known = state.ledger.k_v(sig)
+            if known is None or known > par[k].described_len:
+                state.ledger.add(sig, par[k].described_len)
+                state.events.append(StageEvent(u, "describe", k, sig))
+                break
+    return state, state.deepest_defined(), state.ledger

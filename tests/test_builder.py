@@ -38,6 +38,8 @@ from paritybet import bits
 
 from conftest import random_positive_martingale
 
+import fraction_reference as ref
+
 
 def test_params_frozen_rows():
     rows = [(params(n).q, params(n).p, params(n).s) for n in range(3)]
@@ -302,6 +304,117 @@ def test_stage_machine_parity_guards():
     n_approx, t_approx = _quiet_pair()
     with pytest.raises(PreconditionError):
         run_stage_machine(t_approx, n_approx, 10, 1)
+
+
+def _run_both(n_approx, t_approx, stages, n_max):
+    """The stage machine and its reference on the same pair: each side's
+    record, or the type and text of what it raised."""
+    out = []
+    for run in (run_stage_machine, ref.run_stage_machine):
+        try:
+            state, prefix, ledger = run(n_approx, t_approx, stages, n_max)
+        except BettingLabError as err:
+            out.append((type(err), str(err)))
+            continue
+        out.append((state.events, state.sigmas, state.change_counts, ledger.requests, prefix))
+    return out
+
+
+_STAKES = st.sampled_from([Fraction(-1, 2), Fraction(-1, 8), Fraction(1, 8), Fraction(1, 4)])
+
+
+def _side(parity):
+    """Up to four components of one parity: quiet, constant-bet and
+    target-following programs, waking at stages up to 12."""
+    program = st.one_of(
+        st.builds(constant_program, st.just(1), st.none(), st.just(parity)),
+        st.builds(
+            constant_program, st.just(1), st.builds(FractionBet, _STAKES), st.just(parity)
+        ),
+        st.builds(
+            follow_program,
+            # the greedy walks go left, so zero-led targets get pumped
+            st.sampled_from(["0" * 18, "0" * 80, "01" * 9])
+            | st.builds(lambda k, tail: "0" * k + tail, st.integers(0, 40), st.text("01", max_size=20)),
+            st.just(parity),
+            st.sampled_from([Fraction(1, 2**k) for k in (6, 9, 12, 20, 30)]),
+        ),
+    )
+    weight = st.sampled_from([0, Fraction(1, 8), Fraction(1, 16), Fraction(3, 64), 1])
+    comps = st.lists(st.builds(Component, st.integers(0, 12), weight, program), max_size=4)
+    # a follower of zeros that wakes late pumps the prefixes defined so far
+    pump = st.builds(
+        lambda stage, k, n: Component(stage, 1, follow_program("0" * n, parity, Fraction(1, 2**k))),
+        st.integers(1, 12), st.integers(4, 14), st.sampled_from([18, 80]),
+    )
+    return st.tuples(comps, st.lists(pump, max_size=1)).map(
+        lambda cs: StageApprox(tuple(cs[0] + cs[1]), Kind.MARTINGALE, parity))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_side(Parity.BETS_ON_ODD), _side(Parity.BETS_ON_EVEN), st.integers(0, 30), st.integers(0, 2))
+def test_stage_machine_matches_the_reference(n_approx, t_approx, stages, n_max):
+    got, want = _run_both(n_approx, t_approx, stages, n_max)
+    assert got == want
+
+
+def test_stage_machine_rereads_after_an_activation_stage():
+    # index 1 is defined at stage 1 and read, unchanged, at stages 2 to 4;
+    # the follower waking at stage 5 pumps that prefix to 1/4 + 1 > 3/4,
+    # so the machine must read it again there and cut it before it
+    # defines index 1 anew at stage 6
+    n_approx = StageApprox((
+        Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_ODD)),
+        Component(5, 1, follow_program("0" * 18, Parity.BETS_ON_ODD, Fraction(1, 512))),
+    ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    t_approx = StageApprox(
+        (Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_EVEN)),),
+        Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    got, want = _run_both(n_approx, t_approx, 8, 1)
+    assert got == want
+    events = [(e.stage, e.kind, e.n) for e in got[0]]
+    assert events == [
+        (1, "define", 1), (1, "describe", 1),
+        (5, "undefine", 1),
+        (6, "define", 1), (6, "describe", 1),
+    ]
+    assert got[0][3].value == "01" + "0" * 16
+
+
+def _tower_demo_pair():
+    """The mixtures demos/tower.py runs for 2,000 stages at n_max 2."""
+    n_side = StageApprox((
+        Component(0, Fraction(1, 8),
+                  constant_program(1, FractionBet(Fraction(1, 8)), Parity.BETS_ON_ODD)),
+        Component(3, Fraction(1, 16), constant_program(1, None, Parity.BETS_ON_ODD)),
+        Component(50, Fraction(1),
+                  follow_program("0" * 18, Parity.BETS_ON_ODD, Fraction(385, 262144))),
+    ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    t_side = StageApprox((
+        Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_EVEN)),
+        Component(7, Fraction(1, 16),
+                  constant_program(1, FractionBet(Fraction(-1, 4)), Parity.BETS_ON_EVEN)),
+    ), Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    return n_side, t_side
+
+
+def test_stage_machine_reads_each_prefix_once_per_activation_interval(monkeypatch):
+    calls = []
+    evaluate = StageApprox.eval
+
+    def counted(self, stage, state):
+        calls.append(stage)
+        return evaluate(self, stage, state)
+
+    monkeypatch.setattr(StageApprox, "eval", counted)
+    counts = []
+    for run in (run_stage_machine, ref.run_stage_machine):
+        calls.clear()
+        state, _, _ = run(*_tower_demo_pair(), 2000, 2)
+        counts.append(len(calls))
+    assert state.change_counts == [0, 2, 3]
+    # the reference reads the root and every defined prefix at every stage
+    assert counts == [540, 16512]
 
 
 def test_floor_memo_returns_the_same_table():

@@ -1,6 +1,7 @@
 """Scaled tests, the exact weight comparison, and growth-exponent reports."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,9 @@ from paritybet import (
     validate_s_test,
     weak_s_random_check,
 )
-from paritybet import bits
+from paritybet import bits, dimension
+
+import fraction_reference as ref
 
 
 def test_compare_scaled_weight_rational_cases():
@@ -130,6 +133,44 @@ def test_log2_bracket_large_operand():
     want = 40 * (2 - Fraction(1585, 1000))  # 40 * log2(4/3) = 16.6..
     assert lo <= want + 1 and hi >= want - 1
     assert hi - lo <= Fraction(1, 2**20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2**200), st.integers(1, 2**200), st.integers(1, 64)
+)
+def test_log2_bracket_matches_the_fraction_reference(num, den, precision):
+    v = Fraction(num, den)
+    assert log2_bracket(v, precision) == ref.log2_bracket(v, precision)
+
+
+# sqrt(2) to 200 bits, rounded down and up, and the reciprocal of the
+# lower one: each sits so close to a digit boundary that the guard width
+# doubles from 36 to 288 before every digit resolves
+_ROOT2 = isqrt(2 << 400)
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        (Fraction(_ROOT2, 1 << 200), (Fraction(524287, 1048576), Fraction(1, 2))),
+        (Fraction(_ROOT2 + 1, 1 << 200), (Fraction(1, 2), Fraction(524289, 1048576))),
+        (Fraction(1 << 200, _ROOT2), (Fraction(-1, 2), Fraction(-524287, 1048576))),
+    ],
+)
+def test_log2_bracket_retries_with_a_doubled_guard(monkeypatch, v, want):
+    seen = []
+    digits = dimension._log2_digits
+
+    def spy(num, den, m, precision, guard):
+        got = digits(num, den, m, precision, guard)
+        seen.append((guard, got))
+        return got
+
+    monkeypatch.setattr(dimension, "_log2_digits", spy)
+    assert log2_bracket(v, 20) == want == ref.log2_bracket(v, 20)
+    assert [g for g, _ in seen] == [36, 72, 144, 288]
+    assert [got is None for _, got in seen] == [True, True, True, False]
 
 
 def _doubling_table(path):

@@ -1,6 +1,7 @@
 """Finite betting programs: bet application, the program zoo, structural
 tag enforcement, and staged mixtures."""
 
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -169,6 +170,21 @@ def test_follow_program_even_parity():
     assert p.value("0") == 0  # first position is a betting state
 
 
+@pytest.mark.parametrize("parity", [Parity.BETS_ON_EVEN, Parity.BETS_ON_ODD])
+def test_follow_program_shares_its_two_bets(parity):
+    target = "".join(random.Random(2000).choice("01") for _ in range(2000))
+    p = follow_program(target, parity, Fraction(1, 8))
+    assert len({id(st_.bet) for st_ in p.rule.states if st_.bet is not None}) <= 2
+    # the same machine with a fresh bet at every betting state
+    n, fresh = len(target), []
+    for i, wants in enumerate(target):
+        bet = FractionBet(Fraction(1 if wants == "1" else -1)) if parity.bets_at(i) else None
+        fresh.append(FsmState(bet, i + 1 if wants == "0" else n + 1, i + 1 if wants == "1" else n + 1))
+    fresh += [FsmState(None, n, n), FsmState(None, n + 1, n + 1)]
+    built = BetProgram(Fraction(1, 8), Fsm(tuple(fresh)), "fractional", parity)
+    assert dumps(p) == dumps(built)
+
+
 def test_follow_needs_parity():
     with pytest.raises(PreconditionError):
         follow_program("01", Parity.NONE, 1)
@@ -272,6 +288,40 @@ def test_resumed_walk_matches_a_fresh_walk(program, strings):
     table = program.to_table(max(map(len, strings)))
     for s in strings:
         assert program.value(s) == table.value(s)
+
+
+@st.composite
+def _mixtures(draw):
+    """Up to five components of every bet shape, weights over mixed
+    denominators and zero, and the stages around their activations."""
+    weights = st.just(0) | st.fractions(0, 3, max_denominator=12)
+    comps = draw(st.lists(
+        st.builds(Component, st.integers(0, 6), weights, _machines()), max_size=5
+    ))
+    wakes = sorted({c.stage for c in comps})
+    # below, at, between and past the activation stages
+    around = {w + d for w in wakes for d in (-1, 0, 1)} | {0, 7}
+    stages = draw(st.lists(st.sampled_from(sorted(around)), min_size=1, max_size=4))
+    return StageApprox(tuple(comps), Kind.SUPERMARTINGALE), stages
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixtures(), _prefix_closed_strings())
+def test_mixture_eval_matches_a_fraction_sum(mixture_and_stages, strings):
+    approx, stages = mixture_and_stages
+    for stage in stages:
+        for s in strings:
+            want = sum(
+                (c.weight * c.program.value(s) for c in approx.components if c.stage <= stage),
+                Fraction(0),
+            )
+            got = approx.eval(stage, s)
+            assert got == want and type(got) is Fraction
+
+
+def test_an_empty_mixture_evaluates_to_zero():
+    assert StageApprox(()).eval(3, "01") == Fraction(0)
+    assert type(StageApprox(()).eval(0, "")) is Fraction
 
 
 def test_value_rejects_a_non_binary_state_before_and_after_the_memo_fills():
