@@ -4,17 +4,28 @@ bound. Everything runs on exact rationals; a suite reports counted
 failures with reproducible witnesses instead of raising, so a red run
 shows exactly which instance broke.
 
-Scaled-integer grids: exhaustive passes represent values as integers in
-units of 1/den, which keeps the inner loops allocation-free. Randomized
-passes draw denominators and numerators from a seeded random.Random, so
-a (seed, count) pair pins the whole instance stream.
+Scaled-integer grids: two_round_grid, minimality_grid and
+floor_parity_grid run their inner loops on integers. two_round_grid
+counts in units of 1/den; the other two take, per outer instance, one
+unit that the grid's half-step 1/(2 den) and the denominators of the
+tables under test divide, and build a Fraction only to spell a failure
+witness. The real floor, validate, min_block_martingale and
+verify_block_inequality still run once per outer instance, on tables
+built from the same integers. Randomized passes draw denominators and
+numerators from a seeded random.Random, so a (seed, count) pair pins the
+whole instance stream. The one sampler, _draw, works in integer units of
+1/840 (840 = lcm(1..8)): every value it draws has a denominator of at
+most 8, and every bound built from such values by sums, differences,
+doubling, min and max stays on that grid.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import gt
 
 from . import bits
 from .blocktest import verify_block_inequality
@@ -60,34 +71,45 @@ class OracleReport:
         }
 
 
-def _rand_frac(rng: random.Random, lo: Fraction, hi: Fraction, den_max: int = 8):
-    """Uniform-ish rational in [lo, hi] with a small random denominator."""
+_GRID = 840  # lcm(1..8): the sampler's values are multiples of 1/_GRID
+
+
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    """Uniform-ish rational in [lo, hi] with a random denominator of at
+    most 8; bounds and result are integers in units of 1/_GRID."""
     if hi < lo:
         raise PreconditionError("empty interval")
-    den = rng.randint(1, den_max)
-    span = hi - lo
-    steps = int(span * den)
-    return lo + Fraction(rng.randint(0, steps), den) if steps else lo
+    den = rng.randint(1, 8)
+    steps = (hi - lo) * den // _GRID
+    return lo + rng.randint(0, steps) * (_GRID // den) if steps else lo
 
 
-def _odd_block_table(r, m00, m01, m10, m11) -> StrategyTable:
-    vals = {
-        "": r, "0": r, "1": r,
-        "00": m00, "01": m01, "10": m10, "11": m11,
-    }
-    return StrategyTable(
-        2, vals, Kind.SUPERMARTINGALE, Parity.BETS_ON_ODD, Sided.NONE
+def _rand_frac(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """_draw between two rationals on the 1/_GRID grid."""
+    return Fraction(_draw(rng, int(lo * _GRID), int(hi * _GRID)), _GRID)
+
+
+def _odd_block_table(den, r, m00, m01, m10, m11) -> StrategyTable:
+    """The second-bit block table with the given numerators over den."""
+    return StrategyTable._of_levels(
+        den, [[r], [r, r], [m00, m01, m10, m11]],
+        Kind.SUPERMARTINGALE, Parity.BETS_ON_ODD,
     )
 
 
-def _even_block_table(r, n0, n1) -> StrategyTable:
-    vals = {
-        "": r, "0": n0, "1": n1,
-        "00": n0, "01": n0, "10": n1, "11": n1,
-    }
-    return StrategyTable(
-        2, vals, Kind.SUPERMARTINGALE, Parity.BETS_ON_EVEN, Sided.NONE
+def _even_block_table(den, r, n0, n1) -> StrategyTable:
+    """The first-bit block table with the given numerators over den."""
+    return StrategyTable._of_levels(
+        den, [[r], [n0, n1], [n0, n0, n1, n1]],
+        Kind.SUPERMARTINGALE, Parity.BETS_ON_EVEN,
     )
+
+
+def _scaled(table: StrategyTable, unit: int) -> list:
+    """A table's values in units of 1/unit, level by level; unit must be
+    a multiple of the table's denominator."""
+    k = unit // table.values.den
+    return [v * k for lv in table.values.levels for v in lv]
 
 
 def two_round_random(rng: random.Random, count: int = 10000) -> OracleReport:
@@ -101,26 +123,26 @@ def two_round_random(rng: random.Random, count: int = 10000) -> OracleReport:
     """
     report = OracleReport("two-round-random")
     while report.total < count:
-        r = _rand_frac(rng, Fraction(0), Fraction(2))
-        a = _rand_frac(rng, Fraction(0), 2 * r)
-        a2 = _rand_frac(rng, Fraction(0), 2 * r - a)
-        b = _rand_frac(rng, Fraction(0), 2 * r)
-        b2 = _rand_frac(rng, Fraction(0), 2 * r - b)
-        rn = _rand_frac(rng, Fraction(0), Fraction(2))
-        n0v = _rand_frac(rng, Fraction(0), 2 * rn)
-        n1v = _rand_frac(rng, Fraction(0), 2 * rn - n0v)
+        r = _draw(rng, 0, 2 * _GRID)
+        a = _draw(rng, 0, 2 * r)
+        a2 = _draw(rng, 0, 2 * r - a)
+        b = _draw(rng, 0, 2 * r)
+        b2 = _draw(rng, 0, 2 * r - b)
+        rn = _draw(rng, 0, 2 * _GRID)
+        n0v = _draw(rng, 0, 2 * rn)
+        n1v = _draw(rng, 0, 2 * rn - n0v)
         lo_c = r + rn
         hi_c = min(a + n0v, b + n1v)
         if hi_c < lo_c:
             continue  # no admissible budget; redraw
-        c = _rand_frac(rng, lo_c, hi_c)
-        n0 = _rand_frac(rng, max(Fraction(0), c - a), n0v)
-        m00 = _rand_frac(rng, max(Fraction(0), c - n0), a)
-        n1 = _rand_frac(rng, max(Fraction(0), c - b), n1v)
-        m10 = _rand_frac(rng, max(Fraction(0), c - n1), b)
-        spec = BlockSpec(m00, m10, n0, n1, c)
-        m = _odd_block_table(r, a, a2, b, b2)
-        n = _even_block_table(rn, n0v, n1v)
+        c = _draw(rng, lo_c, hi_c)
+        n0 = _draw(rng, max(0, c - a), n0v)
+        m00 = _draw(rng, max(0, c - n0), a)
+        n1 = _draw(rng, max(0, c - b), n1v)
+        m10 = _draw(rng, max(0, c - n1), b)
+        spec = BlockSpec(*(Fraction(v, _GRID) for v in (m00, m10, n0, n1, c)))
+        m = _odd_block_table(_GRID, r, a, a2, b, b2)
+        n = _even_block_table(_GRID, rn, n0v, n1v)
         rep = verify_block_inequality(m, n, "", spec)
         report.total += 1
         if not rep.hypotheses_ok:
@@ -130,8 +152,10 @@ def two_round_random(rng: random.Random, count: int = 10000) -> OracleReport:
                 kind="conclusion",
                 branch=rep.branch_state,
                 value=str(rep.branch_value),
-                budget=str(c),
-                instance=[str(v) for v in (r, a, a2, b, b2, rn, n0v, n1v)],
+                budget=str(spec.c),
+                instance=[
+                    str(Fraction(v, _GRID)) for v in (r, a, a2, b, b2, rn, n0v, n1v)
+                ],
             )
     return report
 
@@ -166,20 +190,13 @@ def two_round_grid(den: int = 8) -> OracleReport:
                                     den=den,
                                 )
                             if report.total % 4999 == 0:
-                                fr = Fraction
                                 rep = verify_block_inequality(
-                                    _odd_block_table(
-                                        fr(r, den), fr(a, den), fr(ao, den),
-                                        fr(b, den), fr(bo, den),
-                                    ),
-                                    _even_block_table(
-                                        fr(rn, den), fr(n0, den), fr(n1, den)
-                                    ),
+                                    _odd_block_table(den, r, a, ao, b, bo),
+                                    _even_block_table(den, rn, n0, n1),
                                     "",
-                                    BlockSpec(
-                                        fr(a, den), fr(b, den), fr(n0, den),
-                                        fr(n1, den), fr(c, den),
-                                    ),
+                                    BlockSpec(*(
+                                        Fraction(v, den) for v in (a, b, n0, n1, c)
+                                    )),
                                 )
                                 replayed += 1
                                 if not (rep.hypotheses_ok and rep.conclusion_ok):
@@ -210,49 +227,39 @@ def minimality_grid(den: int = 4, max_value: int = 4) -> OracleReport:
         for i10 in range(top + 1):
             m00, m10 = Fraction(i00, den), Fraction(i10, den)
             base = min_block_martingale(m00, m10)
-            root0 = base.value("")
-            l01, l11 = base.value("01"), base.value("11")
+            # everything below is in units of 1/unit; the root grid steps
+            # by a half-unit of 1/den, the leaves by a whole one
+            unit = math.lcm(base.values.den, 2 * den)
+            half = unit // (2 * den)
+            root0, _, _, _, l01, _, l11 = _scaled(base, unit)
+            a, b = 2 * half * i00, 2 * half * i10
+            roots = range(root0 // half * half, max_value * unit + 1, half)
             # equality class: the root is the single free choice
-            r2 = int(root0 * 2 * den)  # root grid in half-units
-            for rr in range(r2, 2 * max_value * den + 1):
-                r = Fraction(rr, 2 * den)
-                if 2 * r - m00 < 0 or 2 * r - m10 < 0:
-                    report.fail(kind="grid-bug", at=[i00, i10, rr])
+            for r in roots:
+                if 2 * r - a < 0 or 2 * r - b < 0:
+                    report.fail(kind="grid-bug", at=[i00, i10, r // half])
                     continue
                 report.total += 1
-                ok = (
-                    r >= root0
-                    and 2 * r - m00 >= l01
-                    and 2 * r - m10 >= l11
-                )
-                if not ok:
+                if not (r >= root0 and 2 * r - a >= l01 and 2 * r - b >= l11):
                     report.fail(
                         kind="equality-minimality",
                         targets=[str(m00), str(m10)],
-                        root=str(r),
+                        root=str(Fraction(r, unit)),
                     )
             # dominating class: leaves may exceed the targets
-            for rr in range(r2, 2 * max_value * den + 1):
-                r = Fraction(rr, 2 * den)
-                cap = min(2 * r, Fraction(max_value))
-                ai = int((cap - m00) * den)
-                bi = int((cap - m10) * den)
-                if ai < 0 or bi < 0:
-                    continue
-                for da in range(ai + 1):
-                    va = m00 + Fraction(da, den)
-                    for db in range(bi + 1):
-                        vb = m10 + Fraction(db, den)
+            for r in roots:
+                cap = min(2 * r, max_value * unit)
+                for va in range(a, cap + 1, 2 * half):
+                    below_a = 2 * r - va < l01
+                    for vb in range(b, cap + 1, 2 * half):
                         report.total += 1
-                        if not (
-                            r >= root0 and va >= m00 and vb >= m10
-                        ):
+                        if not (r >= root0 and va >= a and vb >= b):
                             report.fail(
                                 kind="sound-subset",
                                 targets=[str(m00), str(m10)],
-                                table=[str(r), str(va), str(vb)],
+                                table=[str(Fraction(v, unit)) for v in (r, va, vb)],
                             )
-                        if 2 * r - va < l01 or 2 * r - vb < l11:
+                        if below_a or 2 * r - vb < l11:
                             dominating_violations += 1
     report.stats["dominating_pointwise_violations"] = dominating_violations
     if dominating_violations == 0:
@@ -446,73 +453,63 @@ def floor_parity_grid(den: int = 4, max_value: int = 1) -> OracleReport:
     """
     report = OracleReport("floor-parity-grid")
     top = max_value * den
-    fr = Fraction
     for ri in range(top + 1):
-        r = fr(ri, den)
         for a in range(min(top, 2 * ri) + 1):
             for a2 in range(min(top, 2 * ri - a) + 1):
                 for b in range(min(top, 2 * ri) + 1):
                     for b2 in range(min(top, 2 * ri - b) + 1):
-                        m = _odd_block_table(
-                            r, fr(a, den), fr(a2, den), fr(b, den), fr(b2, den)
-                        )
+                        at = [ri, a, a2, b, b2]
+                        m = _odd_block_table(den, ri, a, a2, b, b2)
                         x = floor(m, 2, Parity.BETS_ON_ODD)
                         report.total += 1
                         diag = validate(x)
                         if not diag.holds(
                             Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.NONE
                         ):
-                            report.fail(kind="invalid-floor", m=[ri, a, a2, b, b2])
+                            report.fail(kind="invalid-floor", m=at)
                             continue
-                        if any(
-                            x.value(s) > m.value(s) for s in bits.all_states(2)
-                        ):
-                            report.fail(kind="not-below", m=[ri, a, a2, b, b2])
+                        unit = math.lcm(x.values.den, m.values.den, 2 * den)
+                        xs, ms = _scaled(x, unit), _scaled(m, unit)
+                        if any(map(gt, xs, ms)):
+                            report.fail(kind="not-below", m=at)
                             continue
-                        xr = x.value("")
-                        # competitors: root ry and free leaf picks, all on
-                        # the half-step grid the caps arithmetic lives on
-                        bad = False
-                        for ry2 in range(int(r * 2 * den) + 1):
-                            ry = fr(ry2, 2 * den)
-                            lo0 = max(fr(0), 2 * ry - fr(a2, den))
-                            hi0 = min(fr(a, den), 2 * ry)
-                            lo1 = max(fr(0), 2 * ry - fr(b2, den))
-                            hi1 = min(fr(b, den), 2 * ry)
-                            if lo0 > hi0 or lo1 > hi1:
-                                continue
-                            if ry > xr:
-                                report.fail(
-                                    kind="root-not-maximal",
-                                    m=[ri, a, a2, b, b2],
-                                    competitor_root=str(ry),
-                                    floor_root=str(xr),
-                                )
-                                bad = True
-                                break
-                            if ry < xr:
-                                continue
-                            for y0i in range(int(lo0 * 2 * den), int(hi0 * 2 * den) + 1):
-                                y0 = fr(y0i, 2 * den)
-                                for y1i in range(int(lo1 * 2 * den), int(hi1 * 2 * den) + 1):
-                                    y1 = fr(y1i, 2 * den)
-                                    above = (
-                                        y0 >= x.value("00")
-                                        and 2 * ry - y0 >= x.value("01")
-                                        and y1 >= x.value("10")
-                                        and 2 * ry - y1 >= x.value("11")
-                                    )
-                                    strict = y0 != x.value("00") or y1 != x.value("10")
-                                    if above and strict:
-                                        report.fail(
-                                            kind="strictly-dominated",
-                                            m=[ri, a, a2, b, b2],
-                                            competitor=[str(ry), str(y0), str(y1)],
-                                        )
-                                        bad = True
-                                        break
-                                if bad:
-                                    break
-                            if bad:
-                                break
+                        witness = _floor_beaten(xs, ms, unit, unit // (2 * den), at)
+                        if witness:
+                            report.fail(**witness)
     return report
+
+
+def _floor_beaten(xs, ms, unit: int, step: int, at: list) -> dict | None:
+    """The failure witness of the first competitor that beats the parity
+    floor xs under the input ms, or None. Both come as _scaled values in
+    units of 1/unit; competitors are a root and free leaf picks, all on
+    the grid of step/unit that the caps arithmetic lives on."""
+    xr, _, _, x00, x01, x10, x11 = xs
+    r, _, _, a, a2, b, b2 = ms
+    for ry in range(0, r + 1, step):
+        lo0, hi0 = max(0, 2 * ry - a2), min(a, 2 * ry)
+        lo1, hi1 = max(0, 2 * ry - b2), min(b, 2 * ry)
+        if lo0 > hi0 or lo1 > hi1:
+            continue
+        if ry > xr:
+            return dict(
+                kind="root-not-maximal",
+                m=at,
+                competitor_root=str(Fraction(ry, unit)),
+                floor_root=str(Fraction(xr, unit)),
+            )
+        if ry < xr:
+            continue
+        for y0 in range(lo0, hi0 + 1, step):
+            for y1 in range(lo1, hi1 + 1, step):
+                above = (
+                    y0 >= x00 and 2 * ry - y0 >= x01
+                    and y1 >= x10 and 2 * ry - y1 >= x11
+                )
+                if above and (y0 != x00 or y1 != x10):
+                    return dict(
+                        kind="strictly-dominated",
+                        m=at,
+                        competitor=[str(Fraction(v, unit)) for v in (ry, y0, y1)],
+                    )
+    return None

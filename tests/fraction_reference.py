@@ -8,7 +8,11 @@ and apply_bet is the per-shape bet law that BetProgram.value and the
 duels stepped with before programs decoded their bets once. log2_bracket
 is the one that normalised by halving a Fraction and built each digit's
 bracket as a Fraction, and run_stage_machine the one that read every
-joint capital afresh at every stage.
+joint capital afresh at every stage. two_round_random (with its sampler
+_rand_frac), minimality_grid and floor_parity_grid are the oracle suites
+as they ran on Fractions; they call the real floor, validate,
+min_block_martingale and verify_block_inequality through their modules,
+where a test can plant a fault with monkeypatch.
 The outputs are built by the public StrategyTable constructor, so they
 compare with the level-array code by value, by Diagnosis and by wire
 bytes. Nothing in src/ imports this module.
@@ -16,9 +20,10 @@ bytes. Nothing in src/ imports this module.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
-from paritybet import bits
+from paritybet import bits, blocktest, builder, decompose, strategy
 from paritybet.builder import (
     HALF,
     BuilderState,
@@ -28,8 +33,10 @@ from paritybet.builder import (
     greedy_leftmost_extension,
     stage_parameters,
 )
+from paritybet.decompose import BlockSpec
 from paritybet.dimension import _power_of_two_log
 from paritybet.errors import BettingLabError, PreconditionError, StructuralError
+from paritybet.oracles import OracleReport
 from paritybet.programs import FractionBet, IntegerBet, at_stage
 from paritybet.strategy import (
     Diagnosis,
@@ -407,3 +414,234 @@ def run_stage_machine(n_approx, t_approx, stages: int, n_max: int):
                 state.events.append(StageEvent(u, "describe", k, sig))
                 break
     return state, state.deepest_defined(), state.ledger
+
+
+def _rand_frac(rng: random.Random, lo: Fraction, hi: Fraction, den_max: int = 8):
+    """Uniform-ish rational in [lo, hi] with a small random denominator."""
+    if hi < lo:
+        raise PreconditionError("empty interval")
+    den = rng.randint(1, den_max)
+    span = hi - lo
+    steps = int(span * den)
+    return lo + Fraction(rng.randint(0, steps), den) if steps else lo
+
+
+def _odd_block_table(r, m00, m01, m10, m11) -> StrategyTable:
+    vals = {
+        "": r, "0": r, "1": r,
+        "00": m00, "01": m01, "10": m10, "11": m11,
+    }
+    return StrategyTable(
+        2, vals, Kind.SUPERMARTINGALE, Parity.BETS_ON_ODD, Sided.NONE
+    )
+
+
+def _even_block_table(r, n0, n1) -> StrategyTable:
+    vals = {
+        "": r, "0": n0, "1": n1,
+        "00": n0, "01": n0, "10": n1, "11": n1,
+    }
+    return StrategyTable(
+        2, vals, Kind.SUPERMARTINGALE, Parity.BETS_ON_EVEN, Sided.NONE
+    )
+
+
+def two_round_random(rng: random.Random, count: int = 10000) -> OracleReport:
+    """Randomized instances of the two-round block inequality.
+
+    Draws a second-bit supermartingale, a first-bit supermartingale, a
+    budget between the joint root value and the cheaper column, and
+    targets with slack inside the admissible windows, so all seven
+    hypotheses hold by construction; then checks the concluding branch
+    via the block checker.
+    """
+    report = OracleReport("two-round-random")
+    while report.total < count:
+        r = _rand_frac(rng, Fraction(0), Fraction(2))
+        a = _rand_frac(rng, Fraction(0), 2 * r)
+        a2 = _rand_frac(rng, Fraction(0), 2 * r - a)
+        b = _rand_frac(rng, Fraction(0), 2 * r)
+        b2 = _rand_frac(rng, Fraction(0), 2 * r - b)
+        rn = _rand_frac(rng, Fraction(0), Fraction(2))
+        n0v = _rand_frac(rng, Fraction(0), 2 * rn)
+        n1v = _rand_frac(rng, Fraction(0), 2 * rn - n0v)
+        lo_c = r + rn
+        hi_c = min(a + n0v, b + n1v)
+        if hi_c < lo_c:
+            continue  # no admissible budget; redraw
+        c = _rand_frac(rng, lo_c, hi_c)
+        n0 = _rand_frac(rng, max(Fraction(0), c - a), n0v)
+        m00 = _rand_frac(rng, max(Fraction(0), c - n0), a)
+        n1 = _rand_frac(rng, max(Fraction(0), c - b), n1v)
+        m10 = _rand_frac(rng, max(Fraction(0), c - n1), b)
+        spec = BlockSpec(m00, m10, n0, n1, c)
+        m = _odd_block_table(r, a, a2, b, b2)
+        n = _even_block_table(rn, n0v, n1v)
+        rep = blocktest.verify_block_inequality(m, n, "", spec)
+        report.total += 1
+        if not rep.hypotheses_ok:
+            report.fail(kind="hypotheses", witness=rep.witness, spec=str(spec))
+        elif not rep.conclusion_ok:
+            report.fail(
+                kind="conclusion",
+                branch=rep.branch_state,
+                value=str(rep.branch_value),
+                budget=str(c),
+                instance=[str(v) for v in (r, a, a2, b, b2, rn, n0v, n1v)],
+            )
+    return report
+
+
+def minimality_grid(den: int = 4, max_value: int = 4) -> OracleReport:
+    """Brute-force minimality of the cheapest second-bit block strategy.
+
+    Over every target pair on the grid: (i) among second-bit-parity
+    martingales hitting both leaf targets exactly, the constructed table
+    is pointwise minimal on all seven states; (ii) among martingales
+    whose leaves only dominate the targets, it is minimal on the root,
+    both level-1 states, and the two targeted leaves. Full pointwise
+    minimality under dominating leaves is false; the suite counts the
+    witnesses (their absence would itself be suspicious) instead of
+    asserting it.
+    """
+    report = OracleReport("minimality-grid")
+    top = max_value * den
+    dominating_violations = 0
+    for i00 in range(top + 1):
+        for i10 in range(top + 1):
+            m00, m10 = Fraction(i00, den), Fraction(i10, den)
+            base = decompose.min_block_martingale(m00, m10)
+            root0 = base.value("")
+            l01, l11 = base.value("01"), base.value("11")
+            # equality class: the root is the single free choice
+            r2 = int(root0 * 2 * den)  # root grid in half-units
+            for rr in range(r2, 2 * max_value * den + 1):
+                r = Fraction(rr, 2 * den)
+                if 2 * r - m00 < 0 or 2 * r - m10 < 0:
+                    report.fail(kind="grid-bug", at=[i00, i10, rr])
+                    continue
+                report.total += 1
+                ok = (
+                    r >= root0
+                    and 2 * r - m00 >= l01
+                    and 2 * r - m10 >= l11
+                )
+                if not ok:
+                    report.fail(
+                        kind="equality-minimality",
+                        targets=[str(m00), str(m10)],
+                        root=str(r),
+                    )
+            # dominating class: leaves may exceed the targets
+            for rr in range(r2, 2 * max_value * den + 1):
+                r = Fraction(rr, 2 * den)
+                cap = min(2 * r, Fraction(max_value))
+                ai = int((cap - m00) * den)
+                bi = int((cap - m10) * den)
+                if ai < 0 or bi < 0:
+                    continue
+                for da in range(ai + 1):
+                    va = m00 + Fraction(da, den)
+                    for db in range(bi + 1):
+                        vb = m10 + Fraction(db, den)
+                        report.total += 1
+                        if not (
+                            r >= root0 and va >= m00 and vb >= m10
+                        ):
+                            report.fail(
+                                kind="sound-subset",
+                                targets=[str(m00), str(m10)],
+                                table=[str(r), str(va), str(vb)],
+                            )
+                        if 2 * r - va < l01 or 2 * r - vb < l11:
+                            dominating_violations += 1
+    report.stats["dominating_pointwise_violations"] = dominating_violations
+    if dominating_violations == 0:
+        report.fail(
+            kind="missing-counterexample",
+            note="dominating leaves never dipped below the base table; "
+            "the sound-subset restriction would be unnecessary",
+        )
+    return report
+
+
+def floor_parity_grid(den: int = 4, max_value: int = 1) -> OracleReport:
+    """Exhaustive depth-2 check that the parity floor is a maximal
+    second-bit-parity martingale under the input.
+
+    For every grid supermartingale: the floor revalidates with its tags,
+    sits under the input, has the largest root any competitor reaches,
+    and no competitor strictly dominates it.
+    """
+    report = OracleReport("floor-parity-grid")
+    top = max_value * den
+    fr = Fraction
+    for ri in range(top + 1):
+        r = fr(ri, den)
+        for a in range(min(top, 2 * ri) + 1):
+            for a2 in range(min(top, 2 * ri - a) + 1):
+                for b in range(min(top, 2 * ri) + 1):
+                    for b2 in range(min(top, 2 * ri - b) + 1):
+                        m = _odd_block_table(
+                            r, fr(a, den), fr(a2, den), fr(b, den), fr(b2, den)
+                        )
+                        x = builder.floor(m, 2, Parity.BETS_ON_ODD)
+                        report.total += 1
+                        diag = strategy.validate(x)
+                        if not diag.holds(
+                            Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.NONE
+                        ):
+                            report.fail(kind="invalid-floor", m=[ri, a, a2, b, b2])
+                            continue
+                        if any(
+                            x.value(s) > m.value(s) for s in bits.all_states(2)
+                        ):
+                            report.fail(kind="not-below", m=[ri, a, a2, b, b2])
+                            continue
+                        xr = x.value("")
+                        # competitors: root ry and free leaf picks, all on
+                        # the half-step grid the caps arithmetic lives on
+                        bad = False
+                        for ry2 in range(int(r * 2 * den) + 1):
+                            ry = fr(ry2, 2 * den)
+                            lo0 = max(fr(0), 2 * ry - fr(a2, den))
+                            hi0 = min(fr(a, den), 2 * ry)
+                            lo1 = max(fr(0), 2 * ry - fr(b2, den))
+                            hi1 = min(fr(b, den), 2 * ry)
+                            if lo0 > hi0 or lo1 > hi1:
+                                continue
+                            if ry > xr:
+                                report.fail(
+                                    kind="root-not-maximal",
+                                    m=[ri, a, a2, b, b2],
+                                    competitor_root=str(ry),
+                                    floor_root=str(xr),
+                                )
+                                bad = True
+                                break
+                            if ry < xr:
+                                continue
+                            for y0i in range(int(lo0 * 2 * den), int(hi0 * 2 * den) + 1):
+                                y0 = fr(y0i, 2 * den)
+                                for y1i in range(int(lo1 * 2 * den), int(hi1 * 2 * den) + 1):
+                                    y1 = fr(y1i, 2 * den)
+                                    above = (
+                                        y0 >= x.value("00")
+                                        and 2 * ry - y0 >= x.value("01")
+                                        and y1 >= x.value("10")
+                                        and 2 * ry - y1 >= x.value("11")
+                                    )
+                                    strict = y0 != x.value("00") or y1 != x.value("10")
+                                    if above and strict:
+                                        report.fail(
+                                            kind="strictly-dominated",
+                                            m=[ri, a, a2, b, b2],
+                                            competitor=[str(ry), str(y0), str(y1)],
+                                        )
+                                        bad = True
+                                        break
+                                if bad:
+                                    break
+                            if bad:
+                                break
+    return report

@@ -519,8 +519,9 @@ def test_verify_two_round_small(capsys):
     assert all(rep["passed"] for rep in payload["reports"])
 
 
-# stdout of verify at its default seed, recorded before the writer spelled
-# JSON itself; minimality is left out (about 10 s whatever --n is)
+# stdout of verify, recorded before the writer spelled JSON itself; the
+# minimality and two-round bytes were recorded before those suites moved
+# from Fractions to integer grids
 _VERIFY_BYTES = {
     ("floor-parity",): """\
 {
@@ -566,10 +567,78 @@ _VERIFY_BYTES = {
   "seed": 0
 }
 """,
+    ("minimality",): """\
+{
+  "lemma": "minimality",
+  "passed": true,
+  "reports": [
+    {
+      "failures": [],
+      "name": "minimality-grid",
+      "passed": true,
+      "stats": {
+        "dominating_pointwise_violations": 54264
+      },
+      "total": 474946
+    }
+  ],
+  "seed": 0
+}
+""",
+    ("two-round",): """\
+{
+  "lemma": "two-round",
+  "passed": true,
+  "reports": [
+    {
+      "failures": [],
+      "name": "two-round-random",
+      "passed": true,
+      "stats": {},
+      "total": 1000
+    },
+    {
+      "failures": [],
+      "name": "two-round-grid",
+      "passed": true,
+      "stats": {
+        "replayed_through_tables": 8
+      },
+      "total": 42669
+    }
+  ],
+  "seed": 0
+}
+""",
+    ("two-round", "--n", "300", "--seed", "5"): """\
+{
+  "lemma": "two-round",
+  "passed": true,
+  "reports": [
+    {
+      "failures": [],
+      "name": "two-round-random",
+      "passed": true,
+      "stats": {},
+      "total": 300
+    },
+    {
+      "failures": [],
+      "name": "two-round-grid",
+      "passed": true,
+      "stats": {
+        "replayed_through_tables": 8
+      },
+      "total": 42669
+    }
+  ],
+  "seed": 5
+}
+""",
 }
 
 
-@pytest.mark.parametrize("args", list(_VERIFY_BYTES), ids=lambda a: a[0])
+@pytest.mark.parametrize("args", list(_VERIFY_BYTES), ids=lambda a: "-".join(a[:1] + a[4:]))
 def test_verify_bytes(capsys, args):
     code, out, err = run_cli(capsys, "verify", "--lemma", *args)
     assert (code, err) == (0, "")
