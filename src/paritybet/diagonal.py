@@ -24,8 +24,10 @@ block-heavy structure is the low-complexity evidence the caller wants.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 
 from . import bits
 from .errors import (
@@ -87,51 +89,123 @@ def unit_bet_alternating() -> IntStrategy:
 class _Players:
     """Cursor over a duel's players, engine first: each player's machine
     state and integer capital. Capital moves only through the program's
-    decoded bet law, whose integer bets keep an int capital an int."""
+    decoded bet law, whose integer bets keep an int capital an int.
 
-    __slots__ = ("states", "steps", "q", "cap")
+    An adversary is dead once its capital is 0 or no betting state is
+    reachable from its machine state. Both are absorbing, so a dead
+    adversary's capital never moves again: only the engine and the live
+    adversaries are stepped, and a dead one's machine state is walked
+    over the bits it missed when it is read. adversaries is the tuple of
+    adversary capitals, rebuilt only when one of them moves."""
+
+    __slots__ = ("states", "steps", "ahead", "cap", "z", "live", "adversaries", "_q", "_since")
 
     def __init__(self, strategies):
         programs = [s.program for s in strategies]
         self.states = [p.rule.states for p in programs]
         self.steps = [p._steps for p in programs]
-        self.q = [p.rule.start for p in programs]
+        self.ahead = [_bets_ahead(p) for p in programs]
+        self._q = [p.rule.start for p in programs]
         self.cap = [int(p.initial) for p in programs]
+        self.z: list[str] = []  # every bit stepped
+        self._since: dict[int, int] = {}  # dead adversary -> bits its _q has walked
+        # (index, bet laws, successor columns, bets ahead) per live adversary
+        self.live = [(i, *self.steps[i], self.ahead[i]) for i in range(1, len(programs))]
+        self._bury()
+        self.adversaries = tuple(self.cap[1:])
+
+    def _bury(self) -> None:
+        """Move the adversaries that died at the last bit out of live."""
+        cap, q, n = self.cap, self._q, len(self.z)
+        for i, _, _, ahead in self.live:
+            if not (cap[i] and ahead[q[i]]):
+                self._since[i] = n
+        self.live = [p for p in self.live if p[0] not in self._since]
 
     def step(self, bit: str) -> None:
-        b, q, cap = bit == "1", self.q, self.cap
-        for i, (laws, succ) in enumerate(self.steps):
-            # integer-form programs have the multiplier 1 on every edge
-            _, lean, w = laws[q[i]][b]
+        b, q, cap = bit == "1", self._q, self.cap
+        self.z.append(bit)
+        # integer-form programs have the multiplier 1 on every edge
+        laws, succ = self.steps[0]
+        _, lean, w = laws[q[0]][b]
+        if lean and cap[0]:
+            cap[0] += lean * min(w, cap[0])
+        q[0] = succ[b][q[0]]
+        moved = died = False
+        for i, laws, succ, ahead in self.live:
+            qi = q[i]
+            _, lean, w = laws[qi][b]
+            q[i] = qi = succ[b][qi]
             if lean and cap[i]:
                 cap[i] += lean * min(w, cap[i])
-            q[i] = succ[b][q[i]]
+                moved = True
+                died = died or not cap[i]
+            died = died or not ahead[qi]
+        if died:
+            self._bury()
+        if moved:
+            self.adversaries = tuple(cap[1:])
+
+    def at(self, i: int) -> int:
+        """Player i's machine state."""
+        walked = self._since.get(i)
+        if walked is not None and walked < len(self.z):
+            succ, qi = self.steps[i][1], self._q[i]
+            for bit in islice(self.z, walked, None):
+                qi = succ[bit == "1"][qi]
+            self._q[i], self._since[i] = qi, len(self.z)
+        return self._q[i]
+
+    @property
+    def q(self) -> list[int]:
+        return [self.at(i) for i in range(len(self._q))]
 
     def live_bet(self, i: int) -> IntegerBet | None:
         """Player i's current bet when its effective stake is at least 1."""
-        bet = self.states[i][self.q[i]].bet
+        if i in self._since:
+            return None
+        bet = self.states[i][self._q[i]].bet
         if bet is None or self.cap[i] <= 0 or bet.wager < 1:
             return None
         return bet
 
     def lean(self, bit: str) -> int:
         """What the adversaries' live bets net, together, if bit comes."""
-        b, q, cap, total = bit == "1", self.q, self.cap, 0
-        for i in range(1, len(q)):
-            _, lean, w = self.steps[i][0][q[i]][b]
+        b, q, cap, total = bit == "1", self._q, self.cap, 0
+        for i, laws, _, _ in self.live:
+            _, lean, w = laws[q[i]][b]
             if lean and cap[i]:
                 total += lean * min(w, cap[i])
         return total
 
     def favored(self) -> str:
         """The engine's favored bit: the outcome it bets on, else 1."""
-        bet = self.states[0][self.q[0]].bet
-        return "1" if bet is None else str(bet.outcome)
+        bet = self.states[0][self._q[0]].bet
+        return "0" if bet is not None and bet.outcome == 0 else "1"
 
 
 def _is_betting_config(program: BetProgram, q: int) -> bool:
     bet = program.rule.states[q].bet
     return isinstance(bet, IntegerBet) and bet.wager >= 1
+
+
+def _bets_ahead(program: BetProgram) -> list[bool]:
+    """Per machine state: whether a betting configuration is reachable
+    from it, itself included, found backwards from the betting states.
+    Parity plays no part: every configuration steps to both successors."""
+    states = program.rule.states
+    into: list[list[int]] = [[] for _ in states]
+    for q, st in enumerate(states):
+        into[st.on0].append(q)
+        into[st.on1].append(q)
+    ahead = [_is_betting_config(program, q) for q in range(len(states))]
+    todo = [q for q, bets in enumerate(ahead) if bets]
+    while todo:
+        for q in into[todo.pop()]:
+            if not ahead[q]:
+                ahead[q] = True
+                todo.append(q)
+    return ahead
 
 
 def _path_to_betting(
@@ -197,15 +271,16 @@ class ConeCertificate:
             raise StructuralError(f"unknown certificate kind {self.kind!r}")
 
 
-def _certify(
-    adversary_index: int, prefix: str, program: BetProgram, q: int, cap: int
-) -> ConeCertificate | None:
-    parity = len(prefix) % 2
+def _certify(players: _Players, me: int) -> ConeCertificate | None:
+    """Player me's certificate at the bits stepped so far, if it is dead."""
+    cap, q = players.cap[me], players.at(me)
     if cap == 0:
-        return ConeCertificate(adversary_index, prefix, FROZEN, q, parity, 0)
-    if _path_to_betting(program, q, parity) is None:
-        return ConeCertificate(adversary_index, prefix, UNREACHABLE, q, parity, cap)
-    return None
+        kind = FROZEN
+    elif not players.ahead[me][q]:
+        kind = UNREACHABLE
+    else:
+        return None
+    return ConeCertificate(me - 1, "".join(players.z), kind, q, len(players.z) % 2, cap)
 
 
 def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) -> bool:
@@ -224,7 +299,7 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
     if player.cap[0] == 0:
         return True
     program = strategy.program
-    frontier = {(player.q[0], len(prefix) % 2)}
+    frontier = {(player.at(0), len(prefix) % 2)}
     for _ in range(probe_depth):
         nxt: set[tuple[int, int]] = set()
         for cfg in frontier:
@@ -259,16 +334,70 @@ class Checkpoint:
     fraction: Fraction
 
 
+def _record(bit: str, rule: str, engine: int, adversaries: tuple[int, ...]) -> BitRecord:
+    """BitRecord(bit, rule, engine, adversaries), which checks nothing,
+    built without the four object.__setattr__ calls of its frozen init."""
+    rec = object.__new__(BitRecord)
+    rec.__dict__.update(bit=bit, rule=rule, engine=engine, adversaries=adversaries)
+    return rec
+
+
+class _Records(Sequence):
+    """A trace's bit records, kept as four columns: the bits, their rules,
+    the engine's capitals and the adversaries' capital tuples, which
+    consecutive records share while no adversary capital moves. Reading a
+    record builds its BitRecord; a slice is a tuple of them."""
+
+    __slots__ = ("bits", "rules", "engine", "adversaries")
+
+    def __init__(self, bits: list, rules: list, engine: list, adversaries: list):
+        self.bits, self.rules, self.engine, self.adversaries = bits, rules, engine, adversaries
+
+    @classmethod
+    def of(cls, records) -> _Records:
+        records = tuple(records)
+        return cls(*([getattr(r, f.name) for r in records] for f in fields(BitRecord)))
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        return _record(self.bits[i], self.rules[i], self.engine[i], self.adversaries[i])
+
+    def __iter__(self):
+        return map(_record, self.bits, self.rules, self.engine, self.adversaries)
+
+    def __eq__(self, other):
+        if isinstance(other, _Records):
+            return all(getattr(self, c) == getattr(other, c) for c in self.__slots__)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class DiagTrace:
+    """A duel's outcome. records holds one BitRecord per emitted bit; any
+    sequence of them may be passed in, and it is kept as columns."""
+
     engine_name: str
     mode: str
     target: int
     z: str
-    records: tuple[BitRecord, ...]
+    records: Sequence[BitRecord]
     checkpoints: tuple[Checkpoint, ...]
     certificates: tuple[ConeCertificate, ...]
     reached: bool
+
+    def __post_init__(self):
+        if not isinstance(self.records, _Records):
+            object.__setattr__(self, "records", _Records.of(self.records))
 
 
 def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStrategy] | tuple[IntStrategy, ...]) -> None:
@@ -276,15 +405,19 @@ def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStr
     mismatch. Passing the same programs that produced the trace must
     succeed; anything else failing is the point."""
     players = _Players([engine, *adversaries])
-    if len(trace.z) != len(trace.records):
+    recs = trace.records
+    if len(trace.z) != len(recs):
         raise StructuralError("record count differs from emitted bits")
-    for i, (bit, rec) in enumerate(zip(trace.z, trace.records)):
-        if bit != rec.bit:
+    cap = players.cap
+    for i, (bit, rec_bit, engine_cap, adversary_caps) in enumerate(
+        zip(trace.z, recs.bits, recs.engine, recs.adversaries)
+    ):
+        if bit != rec_bit:
             raise StructuralError(f"bit {i}: trace string and record disagree")
         players.step(bit)
-        got = (players.cap[0], tuple(players.cap[1:]))
-        want = (rec.engine, rec.adversaries)
-        if got != want:
+        if cap[0] != engine_cap or players.adversaries != adversary_caps:
+            got = (cap[0], players.adversaries)
+            want = (engine_cap, adversary_caps)
             raise StructuralError(
                 f"bit {i}: replay computed {got}, trace recorded {want}"
             )
@@ -308,7 +441,8 @@ def _check_tags(engine: IntStrategy, adversaries) -> None:
 
 class _Duel:
     """Shared mutable state for one construction run. Player 0 is the
-    engine, player i + 1 adversary i."""
+    engine, player i + 1 adversary i. The records are kept as columns
+    beside the players' own list of bits."""
 
     def __init__(self, engine: IntStrategy, adversaries, mode: str, target: int):
         self.engine_strategy = engine
@@ -316,8 +450,10 @@ class _Duel:
         self.players = _Players([engine, *adversaries])
         self.mode = mode
         self.target = target
-        self.z: list[str] = []
-        self.records: list[BitRecord] = []
+        self.z = self.players.z
+        self.rules: list[str] = []
+        self.engine: list[int] = []
+        self.adversaries: list[tuple[int, ...]] = []
         self.checkpoints: list[Checkpoint] = []
         self.certificates: list[ConeCertificate] = []
         self.block_bits = 0
@@ -325,10 +461,9 @@ class _Duel:
     def emit(self, bit: str, rule: str) -> None:
         players = self.players
         players.step(bit)
-        self.z.append(bit)
-        self.records.append(
-            BitRecord(bit, rule, players.cap[0], tuple(players.cap[1:]))
-        )
+        self.rules.append(rule)
+        self.engine.append(players.cap[0])
+        self.adversaries.append(players.adversaries)
         if players.cap[0] <= 0:
             raise EngineBankruptError(
                 f"engine froze at 0 after {len(self.z)} bits; the adversary "
@@ -347,7 +482,7 @@ class _Duel:
             mode=self.mode,
             target=self.target,
             z="".join(self.z),
-            records=tuple(self.records),
+            records=_Records(self.z, self.rules, self.engine, self.adversaries),
             checkpoints=tuple(self.checkpoints),
             certificates=tuple(self.certificates),
             reached=reached,
@@ -398,7 +533,7 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
     nav: list[str] = []
     while True:
         if not nav:
-            cert = _certify(index, "".join(duel.z), program, players.q[me], players.cap[me])
+            cert = _certify(players, me)
             if cert is not None:
                 duel.certificates.append(cert)
                 break
@@ -422,7 +557,7 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
         else:
             # a nonempty path: the certificate check above found a betting
             # configuration reachable, and the current one is not live
-            nav = _path_to_betting(program, players.q[me], len(duel.z) % 2, prefer)
+            nav = _path_to_betting(program, players.at(me), len(duel.z) % 2, prefer)
             duel.emit(nav.pop(0), RULE_NAVIGATE)
     while players.cap[0] <= c:
         duel.emit(players.favored(), RULE_PAD)
@@ -458,7 +593,6 @@ def find_settling_extension(
     duel = _Duel(engine, [adversary], mode, c)
     for b in rho:
         duel.players.step(b)
-    duel.z = list(rho)
     if duel.players.cap[0] <= 2:
         raise PreconditionError(
             f"engine capital at the starting segment is {duel.players.cap[0]}; "

@@ -44,6 +44,7 @@ from .diagonal import (
     ConeCertificate,
     DiagTrace,
     IntStrategy,
+    _Records,
 )
 from .dimension import DimReport, ExponentSample, LevelVerdict
 from .errors import StructuralError
@@ -385,7 +386,10 @@ def load_json(path: str):
 
 def trace_lines(trace: DiagTrace):
     """JSONL encoding of a duel trace: header, one line per bit, then
-    checkpoints, certificates, and a closing summary line."""
+    checkpoints, certificates, and a closing summary line. A bit record's
+    line is spelled from the trace's columns, with the bytes of
+    json.dumps(to_jsonable(record), sort_keys=True), and each run of
+    records sharing one adversary tuple spells it once."""
     yield json.dumps(
         {
             "type": "trace_header",
@@ -395,7 +399,16 @@ def trace_lines(trace: DiagTrace):
         },
         sort_keys=True,
     )
-    for item in (*trace.records, *trace.checkpoints, *trace.certificates):
+    recs, last, spelled = trace.records, None, ""
+    for bit, rule, engine, caps in zip(recs.bits, recs.rules, recs.engine, recs.adversaries):
+        if caps is not last:
+            last, spelled = caps, json.dumps(_encode(caps), sort_keys=True)
+        if type(bit) is str and type(rule) is str and type(engine) is int:
+            yield (f'{{"adversaries": {spelled}, "bit": {_escape(bit)}, '
+                   f'"engine": {engine}, "rule": {_escape(rule)}}}')
+        else:  # a record built by hand with other types: the general rule
+            yield json.dumps(_encode(BitRecord(bit, rule, engine, caps)), sort_keys=True)
+    for item in (*trace.checkpoints, *trace.certificates):
         yield json.dumps(_encode(item), sort_keys=True)
     yield json.dumps(
         {"type": "summary", "reached": trace.reached, "z": trace.z},
@@ -414,7 +427,8 @@ def parse_trace(lines) -> DiagTrace:
     """Rebuild a duel trace from its JSONL lines; the records, checkpoints
     and certificates are read like every other wire object."""
     header = summary = None
-    records: list[BitRecord] = []
+    # the records' columns; equal consecutive adversary tuples share one
+    bits, rules, engine, adversaries = [], [], [], []
     checkpoints: list[Checkpoint] = []
     certificates: list[ConeCertificate] = []
     for raw in lines:
@@ -437,7 +451,12 @@ def parse_trace(lines) -> DiagTrace:
         elif tag == "cone_certificate":
             certificates.append(_reader(ConeCertificate)(d))
         elif tag is None and "bit" in d:
-            records.append(_reader(BitRecord)(d))
+            rec = _reader(BitRecord)(d)
+            bits.append(rec.bit)
+            rules.append(rec.rule)
+            engine.append(rec.engine)
+            caps = rec.adversaries
+            adversaries.append(adversaries[-1] if adversaries and adversaries[-1] == caps else caps)
         else:
             raise WireError(f"unknown trace line type {tag!r}")
     if header is None or summary is None:
@@ -447,7 +466,7 @@ def parse_trace(lines) -> DiagTrace:
         mode=header["mode"],
         target=header["target"],
         z=summary["z"],
-        records=tuple(records),
+        records=_Records(bits, rules, engine, adversaries),
         checkpoints=tuple(checkpoints),
         certificates=tuple(certificates),
         reached=summary["reached"],

@@ -12,7 +12,11 @@ joint capital afresh at every stage. two_round_random (with its sampler
 _rand_frac), minimality_grid and floor_parity_grid are the oracle suites
 as they ran on Fractions; they call the real floor, validate,
 min_block_martingale and verify_block_inequality through their modules,
-where a test can plant a fault with monkeypatch.
+where a test can plant a fault with monkeypatch. Players, Duel,
+diagonalize (with its greedy, settle and block drivers) and trace_lines
+are the duels as they stepped every player at every bit, built a
+BitRecord and a fresh capital tuple per bit, certified by a search, and
+wrote each record through the generic encoder.
 The outputs are built by the public StrategyTable constructor, so they
 compare with the level-array code by value, by Diagnosis and by wire
 bytes. Nothing in src/ imports this module.
@@ -20,6 +24,7 @@ bytes. Nothing in src/ imports this module.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -34,9 +39,33 @@ from paritybet.builder import (
     stage_parameters,
 )
 from paritybet.decompose import BlockSpec
+from paritybet.diagonal import (
+    FROZEN,
+    RULE_BLOCK,
+    RULE_DEFEAT,
+    RULE_DEVIATE,
+    RULE_FAVORED,
+    RULE_NAVIGATE,
+    RULE_PAD,
+    RULE_PUMP,
+    UNREACHABLE,
+    BitRecord,
+    Checkpoint,
+    ConeCertificate,
+    DiagTrace,
+    _check_tags,
+    _path_to_betting,
+)
 from paritybet.dimension import _power_of_two_log
-from paritybet.errors import BettingLabError, PreconditionError, StructuralError
+from paritybet.errors import (
+    BettingLabError,
+    EngineBankruptError,
+    PreconditionError,
+    StructuralError,
+    UnsupportedError,
+)
 from paritybet.oracles import OracleReport
+from paritybet.serialize import _encode
 from paritybet.programs import FractionBet, IntegerBet, at_stage
 from paritybet.strategy import (
     Diagnosis,
@@ -645,3 +674,200 @@ def floor_parity_grid(den: int = 4, max_value: int = 1) -> OracleReport:
                             if bad:
                                 break
     return report
+
+
+class Players:
+    def __init__(self, strategies):
+        programs = [s.program for s in strategies]
+        self.states = [p.rule.states for p in programs]
+        self.steps = [p._steps for p in programs]
+        self.q = [p.rule.start for p in programs]
+        self.cap = [int(p.initial) for p in programs]
+
+    def step(self, bit: str) -> None:
+        b, q, cap = bit == "1", self.q, self.cap
+        for i, (laws, succ) in enumerate(self.steps):
+            _, lean, w = laws[q[i]][b]
+            if lean and cap[i]:
+                cap[i] += lean * min(w, cap[i])
+            q[i] = succ[b][q[i]]
+
+    def live_bet(self, i: int):
+        bet = self.states[i][self.q[i]].bet
+        if bet is None or self.cap[i] <= 0 or bet.wager < 1:
+            return None
+        return bet
+
+    def lean(self, bit: str) -> int:
+        b, q, cap, total = bit == "1", self.q, self.cap, 0
+        for i in range(1, len(q)):
+            _, lean, w = self.steps[i][0][q[i]][b]
+            if lean and cap[i]:
+                total += lean * min(w, cap[i])
+        return total
+
+    def favored(self) -> str:
+        bet = self.states[0][self.q[0]].bet
+        return "1" if bet is None else str(bet.outcome)
+
+
+def _certify(adversary_index, prefix, program, q, cap):
+    parity = len(prefix) % 2
+    if cap == 0:
+        return ConeCertificate(adversary_index, prefix, FROZEN, q, parity, 0)
+    if _path_to_betting(program, q, parity) is None:
+        return ConeCertificate(adversary_index, prefix, UNREACHABLE, q, parity, cap)
+    return None
+
+
+class Duel:
+    def __init__(self, engine, adversaries, mode: str, target: int):
+        self.engine_strategy = engine
+        self.programs = [a.program for a in adversaries]
+        self.players = Players([engine, *adversaries])
+        self.mode = mode
+        self.target = target
+        self.z: list[str] = []
+        self.records: list[BitRecord] = []
+        self.checkpoints: list[Checkpoint] = []
+        self.certificates: list[ConeCertificate] = []
+        self.block_bits = 0
+
+    def emit(self, bit: str, rule: str) -> None:
+        players = self.players
+        players.step(bit)
+        self.z.append(bit)
+        self.records.append(
+            BitRecord(bit, rule, players.cap[0], tuple(players.cap[1:]))
+        )
+        if players.cap[0] <= 0:
+            raise EngineBankruptError(
+                f"engine froze at 0 after {len(self.z)} bits; the adversary "
+                f"family is too hostile for this engine's starting capital"
+            )
+
+    def checkpoint(self) -> None:
+        pos = len(self.z)
+        self.checkpoints.append(
+            Checkpoint(pos, self.block_bits, Fraction(self.block_bits, pos) if pos else Fraction(0))
+        )
+
+    def trace(self, reached: bool) -> DiagTrace:
+        return DiagTrace(
+            engine_name=self.engine_strategy.name or "engine",
+            mode=self.mode,
+            target=self.target,
+            z="".join(self.z),
+            records=tuple(self.records),
+            checkpoints=tuple(self.checkpoints),
+            certificates=tuple(self.certificates),
+            reached=reached,
+        )
+
+
+def _greedy(duel: Duel, target: int, max_bits: int) -> None:
+    players = duel.players
+    while players.cap[0] < target:
+        if len(duel.z) >= max_bits:
+            raise BettingLabError(
+                f"greedy run exceeded {max_bits} bits without reaching {target}"
+            )
+        favored = players.favored()
+        if players.lean(favored) >= 1:
+            duel.emit("0" if favored == "1" else "1", RULE_DEVIATE)
+        else:
+            duel.emit(favored, RULE_FAVORED)
+
+
+def _settle_one(duel: Duel, index: int, c: int) -> None:
+    players = duel.players
+    program = duel.programs[index]
+    me = index + 1
+
+    def prefer(position_parity: int) -> str:
+        if duel.engine_strategy.name == "D":
+            return "1" if position_parity else "0"
+        return "1"
+
+    buffer_needed = 2 * len(program.rule.states) + 4
+    fuel = (players.cap[me] + 2) * (4 * len(program.rule.states) + buffer_needed + 8) + 64
+    nav: list[str] = []
+    while True:
+        if not nav:
+            cert = _certify(index, "".join(duel.z), program, players.q[me], players.cap[me])
+            if cert is not None:
+                duel.certificates.append(cert)
+                break
+        fuel -= 1
+        if fuel < 0:
+            raise BettingLabError(
+                "settling search ran out of fuel; the adversary defied its "
+                "own capital bound, which indicates a malformed program"
+            )
+        bet = players.live_bet(me)
+        if bet is not None:
+            nav = []
+            duel.emit("0" if bet.outcome == 1 else "1", RULE_DEFEAT)
+        elif nav:
+            duel.emit(nav.pop(0), RULE_NAVIGATE)
+        elif players.cap[0] < buffer_needed:
+            duel.emit(players.favored(), RULE_PUMP)
+        else:
+            nav = _path_to_betting(program, players.q[me], len(duel.z) % 2, prefer)
+            duel.emit(nav.pop(0), RULE_NAVIGATE)
+    while players.cap[0] <= c:
+        duel.emit(players.favored(), RULE_PAD)
+
+
+def _interpolate_block(duel: Duel, pairs: int) -> None:
+    for _ in range(pairs):
+        for bit in "01":
+            duel.emit(bit, RULE_BLOCK)
+            duel.block_bits += 1
+    duel.checkpoint()
+
+
+def diagonalize(adversaries, engine, target: int, mode: str = "greedy",
+                dim0_blocks: int | None = None, max_bits: int | None = None) -> DiagTrace:
+    if target < 1:
+        raise PreconditionError("target must be a positive integer")
+    _check_tags(engine, adversaries)
+    duel = Duel(engine, adversaries, mode, target)
+    if mode == "greedy":
+        if dim0_blocks is not None:
+            raise PreconditionError("block interpolation belongs to settle mode")
+        aggregate = sum(a.initial for a in adversaries)
+        bound = max_bits if max_bits is not None else 2 * (target + aggregate) + 64
+        _greedy(duel, target, bound)
+        return duel.trace(reached=True)
+    if mode != "settle":
+        raise PreconditionError(f"unknown mode {mode!r}")
+    if engine.name not in ("N", "D"):
+        raise UnsupportedError("settle mode works with the built-in engines only")
+    if dim0_blocks is not None and dim0_blocks < 1:
+        raise PreconditionError("block interpolation needs a positive base")
+    for i in range(len(adversaries)):
+        _settle_one(duel, i, duel.players.cap[0])
+        if dim0_blocks is not None:
+            _interpolate_block(duel, dim0_blocks * 2**i)
+    while duel.players.cap[0] < target:
+        duel.emit(duel.players.favored(), RULE_PAD)
+    return duel.trace(reached=True)
+
+
+def trace_lines(trace: DiagTrace):
+    yield json.dumps(
+        {
+            "type": "trace_header",
+            "engine": trace.engine_name,
+            "mode": trace.mode,
+            "target": trace.target,
+        },
+        sort_keys=True,
+    )
+    for item in (*trace.records, *trace.checkpoints, *trace.certificates):
+        yield json.dumps(_encode(item), sort_keys=True)
+    yield json.dumps(
+        {"type": "summary", "reached": trace.reached, "z": trace.z},
+        sort_keys=True,
+    )

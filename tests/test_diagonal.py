@@ -1,11 +1,15 @@
 """Integer duels: the greedy walk, settling with cone certificates, and
 block interpolation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritybet import (
+    BettingLabError,
     BetProgram,
     EngineBankruptError,
     Fsm,
@@ -19,13 +23,18 @@ from paritybet import (
     constant_program,
     diagonalize,
     find_settling_extension,
+    parse_trace,
     replay_trace,
+    trace_lines,
     unit_bet_alternating,
     unit_bet_on_one,
     verify_cone_constancy,
 )
 
 from conftest import parity_window
+from test_programs import _INT_MACHINES
+
+import fraction_reference as ref
 
 
 def sided_constant(name, cap, outcome):
@@ -231,3 +240,138 @@ def test_duel_capitals_match_program_value(name, engine, advs, kwargs):
         for cap, adv in zip(rec.adversaries, advs, strict=True):
             assert type(cap) is int
             assert cap == adv.program.value(prefix)
+
+
+def _greedy_with_deaths():
+    """A greedy-N duel in which adversary 1 is driven to 0 by the fourth
+    bit, and adversary 0 places its last bet on the fifth, keeping
+    capital 1, and can bet no more."""
+    advs = [
+        parity_window("w", 4, 3),
+        IntStrategy(constant_program(2, IntegerBet(1, 0), Parity.BETS_ON_ODD), name="b"),
+    ]
+    return advs, diagonalize(advs, unit_bet_on_one(), 20)
+
+
+def test_the_planted_duel_has_both_deaths():
+    _, tr = _greedy_with_deaths()
+    assert [r.adversaries for r in tr.records[:5]] == [(3, 2), (3, 1), (2, 1), (2, 0), (1, 0)]
+    assert tr.records[-1].adversaries == (1, 0) and tr.records[-1].engine == 20
+
+
+def test_replay_rejects_a_record_count_off_the_bits():
+    advs, tr = _greedy_with_deaths()
+    with pytest.raises(StructuralError, match="record count differs"):
+        replay_trace(replace(tr, records=tuple(tr.records)[:-1]), unit_bet_on_one(), advs)
+    with pytest.raises(StructuralError, match="record count differs"):
+        replay_trace(replace(tr, z=tr.z + "1"), unit_bet_on_one(), advs)
+
+
+def test_replay_rejects_a_bit_off_its_record():
+    advs, tr = _greedy_with_deaths()
+    records = list(tr.records)
+    records[4] = replace(records[4], bit="1" if records[4].bit == "0" else "0")
+    with pytest.raises(StructuralError, match="bit 4: trace string and record disagree"):
+        replay_trace(replace(tr, records=tuple(records)), unit_bet_on_one(), advs)
+
+
+def test_replay_checks_a_dead_adversarys_capital():
+    # the window is dead from bit 6 on, so its capital is never stepped
+    # again; replay must still check the column of every later record
+    advs, tr = _greedy_with_deaths()
+    last = len(tr.records) - 1
+    records = list(tr.records)
+    caps = records[last].adversaries
+    records[last] = replace(records[last], adversaries=(caps[0] + 1, *caps[1:]))
+    with pytest.raises(StructuralError, match=f"bit {last}: replay computed"):
+        replay_trace(replace(tr, records=tuple(records)), unit_bet_on_one(), advs)
+
+
+def test_records_read_as_a_tuple_of_bit_records():
+    _, tr = _greedy_with_deaths()
+    as_tuple = tuple(tr.records)
+    assert len(tr.records) == len(as_tuple) == len(tr.z)
+    assert tr.records[-1] == as_tuple[-1] and tr.records[3] == as_tuple[3]
+    assert tr.records[:12] == as_tuple[:12] and tr.records[5:1:-2] == as_tuple[5:1:-2]
+    assert tr.records == as_tuple and as_tuple == tr.records
+    assert tr.records != as_tuple[:-1]
+    assert replace(tr, records=as_tuple) == tr
+    assert hash(replace(tr, records=as_tuple)) == hash(tr)
+    # consecutive records share one adversary tuple while no capital moves
+    tail = tr.records.adversaries[-5:]
+    assert all(t is tail[0] for t in tail)
+    with pytest.raises(IndexError):
+        tr.records[len(tr.z)]
+
+
+def _tagged(program, engine_name, side):
+    """program's machine made fit for the engine's argument, betting where
+    it did otherwise. For the unit engine, state 2q + p is state q at
+    position parity p, and only the parity side keeps its bets; for the
+    alternating engine, only the bets on outcome side stay."""
+    states = program.rule.states
+    if engine_name == "N":
+        sts = tuple(
+            FsmState(st.bet if p == side else None, 2 * st.on0 + 1 - p, 2 * st.on1 + 1 - p)
+            for st in states for p in (0, 1)
+        )
+        parity = Parity.BETS_ON_ODD if side else Parity.BETS_ON_EVEN
+        return BetProgram(program.initial, Fsm(sts, 2 * program.rule.start), "integer", parity)
+    sts = tuple(
+        FsmState(st.bet if st.bet is not None and st.bet.outcome == side else None, st.on0, st.on1)
+        for st in states
+    )
+    sided = Sided.ONE if side else Sided.ZERO
+    return BetProgram(program.initial, Fsm(sts, program.rule.start), "integer", Parity.NONE, sided)
+
+
+@st.composite
+def _duel_cases(draw):
+    engine = draw(st.sampled_from("ND"))
+    advs = [
+        IntStrategy(_tagged(m, engine, draw(st.integers(0, 1))), name=f"a{i}")
+        for i, m in enumerate(draw(st.lists(_INT_MACHINES, min_size=1, max_size=4)))
+    ]
+    if draw(st.booleans()):
+        kwargs = {"mode": "greedy", "max_bits": draw(st.none() | st.integers(0, 60))}
+    else:
+        kwargs = {"mode": "settle", "dim0_blocks": draw(st.none() | st.integers(1, 3))}
+    return engine, advs, draw(st.integers(1, 40)), kwargs
+
+
+def _matches_the_reference(engine_name, advs, target, kwargs):
+    """The duel, its trace bytes and its errors against the parent code's."""
+    make = unit_bet_on_one if engine_name == "N" else unit_bet_alternating
+    outcomes = []
+    for run in (diagonalize, ref.diagonalize):
+        try:
+            outcomes.append(run(advs, make(), target, **kwargs))
+        except BettingLabError as exc:
+            outcomes.append((type(exc), str(exc)))
+    new, old = outcomes
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert new.records == old.records
+    assert new.checkpoints == old.checkpoints
+    assert new.certificates == old.certificates
+    assert new == old
+    lines = list(trace_lines(new))
+    assert lines == list(ref.trace_lines(old))
+    assert parse_trace(lines) == new
+    replay_trace(new, make(), advs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_duel_cases())
+def test_duels_match_the_reference_code(case):
+    _matches_the_reference(*case)
+
+
+@pytest.mark.parametrize("name, engine, advs, kwargs", _duels(), ids=[d[0] for d in _duels()])
+def test_fixed_duels_match_the_reference_code(name, engine, advs, kwargs):
+    _matches_the_reference(engine.name, advs, 25, kwargs)
+
+
+def test_the_planted_duel_matches_the_reference_code():
+    _matches_the_reference("N", _greedy_with_deaths()[0], 20, {})

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
+    BitRecord,
     BlockSpec,
     Component,
+    DiagTrace,
     FractionBet,
     IntegerBet,
     Kind,
@@ -317,6 +319,21 @@ def test_parse_trace_skips_blank_lines():
     lines = list(trace_lines(trace))
     lines.insert(1, "")
     assert parse_trace(lines) == trace
+
+
+def test_trace_lines_spell_any_record_as_the_general_rule():
+    # the column writer against json.dumps of the record's plain-JSON form,
+    # on records built by hand: escapes, a bool, a list, no adversaries
+    records = (
+        BitRecord("1", "favored", 6, (4, 7)),
+        BitRecord("0", 'q"\u00e9', 2**70, (4, 7)),
+        BitRecord("\n", "pad", True, [1, 2]),
+        BitRecord("1", "pad", 3, ()),
+        BitRecord("1", "pad", 3, ()),
+    )
+    trace = DiagTrace("N", "greedy", 1, "1", records, (), (), False)
+    want = [json.dumps(to_jsonable(r), sort_keys=True) for r in records]
+    assert list(trace_lines(trace))[1:-1] == want
 
 
 def _retyped(line, key, value):
