@@ -24,10 +24,10 @@ block-heavy structure is the low-complexity evidence the caller wants.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from . import bits
 from .errors import (
@@ -96,9 +96,10 @@ class _Players:
     adversary's capital never moves again: only the engine and the live
     adversaries are stepped, and a dead one's machine state is walked
     over the bits it missed when it is read. adversaries is the tuple of
-    adversary capitals, rebuilt only when one of them moves."""
+    adversary capitals, rebuilt only when one of them moves. Once live is
+    empty it stays so, and alone steps the engine by itself."""
 
-    __slots__ = ("states", "steps", "ahead", "cap", "z", "live", "adversaries", "_q", "_since")
+    __slots__ = ("states", "steps", "ahead", "cap", "z", "live", "adversaries", "favors", "_q", "_since")
 
     def __init__(self, strategies):
         programs = [s.program for s in strategies]
@@ -113,6 +114,8 @@ class _Players:
         self.live = [(i, *self.steps[i], self.ahead[i]) for i in range(1, len(programs))]
         self._bury()
         self.adversaries = tuple(self.cap[1:])
+        # per engine state, its favored bit: the outcome it bets on, else 1
+        self.favors = ["0" if st.bet is not None and st.bet.outcome == 0 else "1" for st in self.states[0]]
 
     def _bury(self) -> None:
         """Move the adversaries that died at the last bit out of live."""
@@ -145,6 +148,20 @@ class _Players:
             self._bury()
         if moved:
             self.adversaries = tuple(cap[1:])
+
+    def alone(self, bits: Iterable[str] | None = None) -> Iterator[int]:
+        """Step the engine as step does once no adversary is live: over
+        bits, or, when bits is None, over its favored bit at each step.
+        Yields the engine's capital after each bit."""
+        (laws, succ), q, cap, z = self.steps[0], self._q, self.cap, self.z
+        for bit in iter(self.favored, None) if bits is None else bits:
+            b, qe, c = bit == "1", q[0], cap[0]
+            _, lean, w = laws[qe][b]
+            if lean:  # the stake clamps to capital: min(w, c), inline
+                cap[0] = c = c + lean * (w if w < c else c)
+            q[0] = succ[b][qe]
+            z.append(bit)
+            yield c
 
     def at(self, i: int) -> int:
         """Player i's machine state."""
@@ -179,9 +196,8 @@ class _Players:
         return total
 
     def favored(self) -> str:
-        """The engine's favored bit: the outcome it bets on, else 1."""
-        bet = self.states[0][self._q[0]].bet
-        return "0" if bet is not None and bet.outcome == 0 else "1"
+        """The engine's favored bit."""
+        return self.favors[self._q[0]]
 
 
 def _is_betting_config(program: BetProgram, q: int) -> bool:
@@ -408,15 +424,21 @@ def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStr
     recs = trace.records
     if len(trace.z) != len(recs):
         raise StructuralError("record count differs from emitted bits")
-    cap = players.cap
-    for i, (bit, rec_bit, engine_cap, adversary_caps) in enumerate(
-        zip(trace.z, recs.bits, recs.engine, recs.adversaries)
-    ):
+
+    def capitals():  # every live player steps until none is left, then the engine alone
+        bits = iter(trace.z)
+        for bit in bits:
+            players.step(bit)
+            yield players.cap[0]
+            if not players.live:
+                yield from players.alone(bits)
+
+    rows = zip(trace.z, recs.bits, capitals(), recs.engine, recs.adversaries)
+    for i, (bit, rec_bit, cap, engine_cap, adversary_caps) in enumerate(rows):
         if bit != rec_bit:
             raise StructuralError(f"bit {i}: trace string and record disagree")
-        players.step(bit)
-        if cap[0] != engine_cap or players.adversaries != adversary_caps:
-            got = (cap[0], players.adversaries)
+        if cap != engine_cap or players.adversaries != adversary_caps:
+            got = (cap, players.adversaries)
             want = (engine_cap, adversary_caps)
             raise StructuralError(
                 f"bit {i}: replay computed {got}, trace recorded {want}"
@@ -465,10 +487,38 @@ class _Duel:
         self.engine.append(players.cap[0])
         self.adversaries.append(players.adversaries)
         if players.cap[0] <= 0:
-            raise EngineBankruptError(
-                f"engine froze at 0 after {len(self.z)} bits; the adversary "
-                f"family is too hostile for this engine's starting capital"
-            )
+            self._bankrupt()
+
+    def alone(
+        self, rule: str, below: int = 0, end: int | None = None, bits: Iterator[str] | None = None
+    ) -> None:
+        """emit for each bit once no adversary is live: for bits, or for the
+        engine's favored bit while its capital, below `below` at the call,
+        stays so and fewer than `end` bits are out."""
+        players, z, engine = self.players, self.z, self.engine
+        start = len(z)
+        for c in players.alone(bits):
+            engine.append(c)
+            if c <= 0 or bits is None and c >= below or len(z) == end:
+                break
+        self.rules.extend(repeat(rule, len(z) - start))
+        self.adversaries.extend(repeat(players.adversaries, len(z) - start))
+        if players.cap[0] <= 0:
+            self._bankrupt()
+
+    def pad(self, below: int) -> None:
+        """Emit the engine's favored bit until its capital reaches below."""
+        players = self.players
+        while players.cap[0] < below:
+            if not players.live:
+                return self.alone(RULE_PAD, below)
+            self.emit(players.favored(), RULE_PAD)
+
+    def _bankrupt(self) -> None:
+        raise EngineBankruptError(
+            f"engine froze at 0 after {len(self.z)} bits; the adversary "
+            f"family is too hostile for this engine's starting capital"
+        )
 
     def checkpoint(self) -> None:
         pos = len(self.z)
@@ -496,6 +546,9 @@ def _greedy(duel: _Duel, target: int, max_bits: int) -> None:
             raise BettingLabError(
                 f"greedy run exceeded {max_bits} bits without reaching {target}"
             )
+        if not players.live:
+            duel.alone(RULE_FAVORED, target, max_bits)
+            continue
         favored = players.favored()
         if players.lean(favored) >= 1:
             duel.emit("0" if favored == "1" else "1", RULE_DEVIATE)
@@ -559,15 +612,16 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
             # configuration reachable, and the current one is not live
             nav = _path_to_betting(program, players.at(me), len(duel.z) % 2, prefer)
             duel.emit(nav.pop(0), RULE_NAVIGATE)
-    while players.cap[0] <= c:
-        duel.emit(players.favored(), RULE_PAD)
+    duel.pad(c + 1)
 
 
 def _interpolate_block(duel: _Duel, pairs: int) -> None:
-    for _ in range(pairs):
-        for bit in "01":
-            duel.emit(bit, RULE_BLOCK)
-            duel.block_bits += 1
+    bits = iter("01" * pairs)
+    for bit in bits:
+        duel.emit(bit, RULE_BLOCK)
+        if not duel.players.live:
+            duel.alone(RULE_BLOCK, bits=bits)
+    duel.block_bits += 2 * pairs
     duel.checkpoint()
 
 
@@ -649,6 +703,5 @@ def diagonalize(
         _settle_one(duel, i, duel.players.cap[0])
         if dim0_blocks is not None:
             _interpolate_block(duel, dim0_blocks * 2**i)
-    while duel.players.cap[0] < target:
-        duel.emit(duel.players.favored(), RULE_PAD)
+    duel.pad(target)
     return duel.trace(reached=True)

@@ -424,8 +424,9 @@ _TRACE_SUMMARY = _object_reader(dict, (("reached", bool), ("z", str)))
 
 
 def parse_trace(lines) -> DiagTrace:
-    """Rebuild a duel trace from its JSONL lines; the records, checkpoints
-    and certificates are read like every other wire object."""
+    """Rebuild a duel trace from its JSONL lines; the checkpoints and
+    certificates are read like every other wire object, and each record
+    line's fields go straight to the columns under the same rule."""
     header = summary = None
     # the records' columns; equal consecutive adversary tuples share one
     bits, rules, engine, adversaries = [], [], [], []
@@ -451,11 +452,15 @@ def parse_trace(lines) -> DiagTrace:
         elif tag == "cone_certificate":
             certificates.append(_reader(ConeCertificate)(d))
         elif tag is None and "bit" in d:
-            rec = _reader(BitRecord)(d)
-            bits.append(rec.bit)
-            rules.append(rec.rule)
-            engine.append(rec.engine)
-            caps = rec.adversaries
+            bit, rule, cap, caps = d.get("bit"), d.get("rule"), d.get("engine"), d.get("adversaries")
+            # BitRecord's reader accepts exactly these types; it names the fault
+            if not (type(bit) is str and type(rule) is str and type(cap) is int
+                    and type(caps) is list and set(map(type, caps)) <= {int}):
+                _reader(BitRecord)(d)
+            bits.append(bit)
+            rules.append(rule)
+            engine.append(cap)
+            caps = tuple(caps)
             adversaries.append(adversaries[-1] if adversaries and adversaries[-1] == caps else caps)
         else:
             raise WireError(f"unknown trace line type {tag!r}")

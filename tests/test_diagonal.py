@@ -1,11 +1,12 @@
 """Integer duels: the greedy walk, settling with cone certificates, and
 block interpolation."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
@@ -20,6 +21,7 @@ from paritybet import (
     PreconditionError,
     Sided,
     StructuralError,
+    UnsupportedError,
     constant_program,
     diagonalize,
     find_settling_extension,
@@ -362,8 +364,24 @@ def _matches_the_reference(engine_name, advs, target, kwargs):
     replay_trace(new, make(), advs)
 
 
+def _engine_alone_cases():
+    """Duels that end while the engine steps alone, no adversary being live."""
+    # both adversaries are dead by bit 6, and the engine reaches 20 at bit 21
+    deaths = _greedy_with_deaths()[0]
+    # the only adversary is defeated at bit 1, so the block of five 01
+    # pairs starts at an odd position, where the alternating engine loses
+    # 2 a pair: from 6 it freezes at bit 7
+    block = [sided_constant("s", 1, 1)]
+    return [
+        ("N", deaths, 20, {"max_bits": 20}),
+        ("D", block, 5, {"mode": "settle", "dim0_blocks": 5}),
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_duel_cases())
+@example(_engine_alone_cases()[0])
+@example(_engine_alone_cases()[1])
 def test_duels_match_the_reference_code(case):
     _matches_the_reference(*case)
 
@@ -375,3 +393,87 @@ def test_fixed_duels_match_the_reference_code(name, engine, advs, kwargs):
 
 def test_the_planted_duel_matches_the_reference_code():
     _matches_the_reference("N", _greedy_with_deaths()[0], 20, {})
+
+
+def test_greedy_stops_at_max_bits_while_the_engine_steps_alone():
+    _, advs, target, kwargs = _engine_alone_cases()[0]
+    with pytest.raises(BettingLabError, match="^greedy run exceeded 20 bits without reaching 20$"):
+        diagonalize(advs, unit_bet_on_one(), target, **kwargs)
+    assert len(_greedy_with_deaths()[1].z) == 21
+
+
+def test_the_alternating_engine_freezes_inside_an_engine_alone_block():
+    _, advs, target, kwargs = _engine_alone_cases()[1]
+    with pytest.raises(EngineBankruptError, match="^engine froze at 0 after 7 bits; "):
+        diagonalize(advs, unit_bet_alternating(), target, **kwargs)
+
+
+def test_an_engine_alone_clamps_its_stake_as_the_reference_code():
+    # capital 1 staking 3 on outcome 1: the stake clamps until capital passes 3
+    engine = IntStrategy(constant_program(1, IntegerBet(3, 1), Parity.NONE, Sided.ONE), name="x3")
+    tr = diagonalize([], engine, 50)
+    assert [r.engine for r in tr.records[:4]] == [2, 4, 7, 10]
+    assert tr == ref.diagonalize([], engine, 50)
+    replay_trace(tr, engine, [])
+
+
+def test_replay_checks_the_engine_while_it_steps_alone():
+    # both adversaries are dead from bit 6 on; bit 12 is a favored 1
+    advs, tr = _greedy_with_deaths()
+    rec = tr.records[12]
+    assert rec.bit == "1" and rec.rule == "favored"
+    tampered = [
+        (replace(rec, engine=rec.engine + 1), tr.z, "bit 12: replay computed"),
+        (replace(rec, bit="0"), tr.z, "bit 12: trace string and record disagree"),
+        # the bit flipped in both: the engine loses where it won
+        (replace(rec, bit="0"), tr.z[:12] + "0" + tr.z[13:],
+         re.escape("bit 12: replay computed (10, (1, 0)), trace recorded (12, (1, 0))")),
+    ]
+    for bad, z, message in tampered:
+        records = list(tr.records)
+        records[12] = bad
+        with pytest.raises(StructuralError, match=message):
+            replay_trace(replace(tr, z=z, records=tuple(records)), unit_bet_on_one(), advs)
+
+
+def _raises(error, message, call, *args, **kwargs):
+    """call(*args, **kwargs) raises exactly error, with exactly message."""
+    with pytest.raises(BettingLabError) as caught:
+        call(*args, **kwargs)
+    assert caught.type is error
+    assert str(caught.value) == message
+
+
+def test_diagonalize_rejects_bad_arguments():
+    advs = [parity_window("w", 3, 2)]
+    _raises(PreconditionError, "target must be a positive integer",
+            diagonalize, advs, unit_bet_on_one(), 0)
+    _raises(PreconditionError, "unknown mode 'fast'",
+            diagonalize, advs, unit_bet_on_one(), 5, mode="fast")
+    own = IntStrategy(constant_program(5, IntegerBet(1, 1), Parity.NONE, Sided.ONE), name="own")
+    _raises(UnsupportedError, "settle mode works with the built-in engines only",
+            diagonalize, advs, own, 5, mode="settle")
+    _raises(PreconditionError, "block interpolation needs a positive base",
+            diagonalize, advs, unit_bet_on_one(), 5, mode="settle", dim0_blocks=0)
+    # a parity tag is no sided tag
+    _raises(PreconditionError, "adversary 0 lacks a sided tag; the alternating engine's "
+            "argument needs single-sided opponents",
+            diagonalize, advs, unit_bet_alternating(), 5)
+
+
+def test_find_settling_extension_sided():
+    adv = sided_constant("s", 3, 0)
+    tau, cert = find_settling_extension(adv, "", 5, "sided")
+    assert tau.startswith(cert.prefix)
+    assert verify_cone_constancy(adv, cert.prefix, 16)
+    assert unit_bet_alternating().program.value(tau) > 5
+    _raises(PreconditionError, "unknown mode 'both'", find_settling_extension, adv, "", 5, "both")
+
+
+def test_verify_cone_constancy_finds_a_later_bet():
+    # the late window bets at the fifth bit, four bits on: a shorter probe
+    # sees a constant cone, a longer one the bet
+    adv = late_window("late", 3)
+    assert verify_cone_constancy(adv, "", 3)
+    assert not verify_cone_constancy(adv, "", 5)
+    assert not verify_cone_constancy(parity_window("w", 3, 2), "0", 2)

@@ -359,6 +359,28 @@ def test_parse_trace_rejects(mutate):
         parse_trace(mutate(lines))
 
 
+def test_parse_trace_reads_a_record_line_as_the_wire_rule_does():
+    # a record line is read into the columns directly; a bad one fails with
+    # the message the generic BitRecord reader gives, and other keys pass
+    lines = list(trace_lines(_tiny_trace()))
+    rec = json.loads(lines[1])
+    bad_records = [
+        ({**rec, "engine": True}, "engine: expected int, got bool"),
+        ({k: v for k, v in rec.items() if k != "rule"}, "missing key 'rule'"),
+        ({**rec, "bit": 1}, "bit: expected str, got int"),
+        ({**rec, "adversaries": 5}, "adversaries: expected an array, got int"),
+        ({**rec, "adversaries": [1, False]}, "adversaries: expected int, got bool"),
+    ]
+    for bad, message in bad_records:
+        for read in (lambda: parse_trace([lines[0], json.dumps(bad), *lines[2:]]),
+                     lambda: from_jsonable(bad, BitRecord)):
+            with pytest.raises(WireError) as caught:
+                read()
+            assert str(caught.value) == message
+    extra = [lines[0], json.dumps({**rec, "note": [1]}), *lines[2:]]
+    assert parse_trace(extra) == parse_trace(lines)
+
+
 # -- fuzz: one key of a valid wire object deleted or given a junk value ---
 
 _DELETE = "<delete>"
