@@ -17,16 +17,12 @@ from .errors import (
 from .strategy import (
     Diagnosis,
     Kind,
-    OnlineTable,
     Parity,
     Sided,
     StrategyTable,
     as_capital,
     combine,
-    from_online,
     product,
-    require_valid,
-    to_online,
     validate,
 )
 from .programs import (
@@ -39,7 +35,6 @@ from .programs import (
     ScaleBet,
     StageApprox,
     at_stage,
-    by_parity_program,
     constant_program,
     follow_program,
 )
@@ -88,7 +83,6 @@ from .dimension import (
     log2_bracket,
     strategies_from_test,
     validate_s_test,
-    weak_s_random_check,
 )
 from .builder import (
     BuilderState,

@@ -127,16 +127,6 @@ class EnumState:
     last_stage: int
     recorded: BlockSpec | None = None
 
-    def __post_init__(self):
-        if self.phase not in (WATCHING, CLOSED):
-            raise StructuralError(f"unknown phase {self.phase!r}")
-        p = self.parent
-        allowed = {p + "00", p + "10", p + "01", p + "11"}
-        if not set(self.enumerated) <= allowed or len(self.enumerated) > 3:
-            raise StructuralError("enumerated strings leave the block")
-        if self.phase == CLOSED and (len(self.enumerated) != 3 or self.recorded is None):
-            raise StructuralError("closed state needs 3 strings and a record")
-
 
 def enumerate_block(
     parent: str,

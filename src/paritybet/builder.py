@@ -346,12 +346,6 @@ class RequestLedger:
         lengths = [ln for t, ln in self.requests if t == target]
         return min(lengths) if lengths else None
 
-    def class_weights(self) -> dict[int, Fraction]:
-        """Total weight per request length."""
-        out: dict[int, Fraction] = {}
-        for _, ln in self.requests:
-            out[ln] = out.get(ln, Fraction(0)) + Fraction(1, 2**ln)
-        return out
 
 
 def greedy_leftmost_extension(evaluator, base: str, bound, length: int) -> str:

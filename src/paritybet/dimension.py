@@ -126,21 +126,6 @@ def validate_s_test(array: TestArray, s) -> list[LevelVerdict]:
     return verdicts
 
 
-def weak_s_random_check(x: str, array: TestArray) -> list[int]:
-    """Levels of the test hit by the sequence prefix x, ascending.
-
-    Level k is hit when some member of level k is a prefix of x. A
-    sequence failing weak s-randomness hits every level of some s-test;
-    on a finite prefix only finitely many levels are visible.
-    """
-    bits.check_bits(x)
-    hit = []
-    for k, members in enumerate(array.levels):
-        if any(x.startswith(m) for m in members):
-            hit.append(k)
-    return hit
-
-
 def strategies_from_test(array: TestArray) -> tuple[StageApprox, StageApprox]:
     """Compile a half-scaled test into a pair of single-parity strategies.
 
@@ -231,6 +216,8 @@ def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval of width 2^-precision containing log2(v), v > 0."""
     if v <= 0:
         raise PreconditionError("log2 needs a positive value")
+    if precision < 0:
+        raise PreconditionError(f"precision must be nonnegative, got {precision}")
     exact = _power_of_two_log(v)
     if exact is not None:
         return Fraction(exact), Fraction(exact)
@@ -304,9 +291,9 @@ class DimReport:
     def even_samples(self) -> tuple[ExponentSample, ...]:
         return tuple(s for s in self.samples if s.n % 2 == 0)
 
-    def half_log2_base(self, even_only: bool = True) -> int | None:
-        """Smallest base b in 2..8 matching every (even) sample, if any."""
-        pool = self.even_samples() if even_only else self.samples
+    def half_log2_base(self) -> int | None:
+        """Smallest base b in 2..8 matching every even sample, if any."""
+        pool = self.even_samples()
         if not pool:
             return None
         for base in range(2, 9):
@@ -328,6 +315,8 @@ def empirical_dim_bound(
     exponents; everything else is trapped in a dyadic bracket of width
     2^-precision scaled by 1/n.
     """
+    if precision < 0:
+        raise PreconditionError(f"precision must be nonnegative, got {precision}")
     if precision > _MAX_PRECISION:
         raise PreconditionError(f"precision {precision} is above {_MAX_PRECISION}")
     bits.check_bits(x)

@@ -277,14 +277,6 @@ def constant_program(
     )
 
 
-def by_parity_program(initial, even_bet: Bet | None, odd_bet: Bet | None) -> BetProgram:
-    """Bet even_bet at even-length states and odd_bet at odd-length ones."""
-    fsm = Fsm((FsmState(even_bet, 1, 1), FsmState(odd_bet, 0, 0)))
-    all_bets = [b for b in (even_bet, odd_bet) if b is not None]
-    form = "integer" if all_bets and all(isinstance(b, IntegerBet) for b in all_bets) else "fractional"
-    return BetProgram(Fraction(initial), fsm, form)
-
-
 def follow_program(target: str, parity: Parity, initial) -> BetProgram:
     """Stake everything on the next bit of target at each betting state.
 

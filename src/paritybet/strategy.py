@@ -1,6 +1,5 @@
 """Finite betting-strategy tables: the (super)martingale law, parity and
-sided restrictions, weighted combination, parity products, and the online
-(conditional) view of a single-parity strategy.
+sided restrictions, weighted combination and parity products.
 
 A table is a total map from all binary strings of length <= depth to
 nonnegative rationals. The martingale law says each interior value is the
@@ -268,18 +267,6 @@ def validate(table: StrategyTable) -> Diagnosis:
     return Diagnosis(*verdicts, witness)
 
 
-def require_valid(table: StrategyTable) -> Diagnosis:
-    """validate() and raise if the declared tags do not hold."""
-    diag = validate(table)
-    if not diag.holds(table.kind, table.parity, table.sided):
-        raise PreconditionError(
-            f"table does not satisfy its declared tags "
-            f"({table.kind.value}/{table.parity.value}/{table.sided.value}); "
-            f"witnesses: {dict(diag.witnesses)}"
-        )
-    return diag
-
-
 def _weighted(items, depth: int) -> tuple[int, list]:
     """Denominator and levels of the pointwise sum of w * t over the
     (weight, table) items, all of the given depth; the zero table when
@@ -347,93 +334,3 @@ def product(a: StrategyTable, b: StrategyTable) -> StrategyTable:
         Kind.MARTINGALE,
     )
 
-
-@dataclass(frozen=True)
-class OnlineTable:
-    """Conditional view N(tau | sigma) of a single-parity martingale.
-
-    oracle_first=True is the view of a BETS_ON_ODD table: the oracle bit
-    sigma_j is revealed, then the strategy bets on tau_j; the domain is
-    pairs with |sigma| == |tau| <= rounds. oracle_first=False is the view
-    of a BETS_ON_EVEN table: the strategy bets first, so the domain also
-    holds pairs with |tau| == |sigma| + 1.
-    """
-
-    rounds: int
-    oracle_first: bool
-    values: Mapping[tuple[str, str], Fraction]
-
-    def value(self, tau: str, sigma: str) -> Fraction:
-        try:
-            return self.values[(sigma, tau)]
-        except KeyError:
-            raise StructuralError(f"no online entry for tau={tau!r} given sigma={sigma!r}")
-
-    def check_law(self) -> bool:
-        """The conditional martingale law: the two extensions of the bet
-        string average to the value at the shorter pair."""
-        if self.oracle_first:
-            for j in range(1, self.rounds + 1):
-                for sigma in bits.level(j):
-                    for tau_h in bits.level(j - 1):
-                        lhs = self.value(tau_h + "0", sigma) + self.value(tau_h + "1", sigma)
-                        if lhs != 2 * self.value(tau_h, sigma[:-1]):
-                            return False
-        else:
-            for j in range(self.rounds):
-                for sigma in bits.level(j):
-                    for tau in bits.level(j):
-                        lhs = self.value(tau + "0", sigma) + self.value(tau + "1", sigma)
-                        if lhs != 2 * self.value(tau, sigma):
-                            return False
-        return True
-
-
-def to_online(m: StrategyTable) -> OnlineTable:
-    """Reindex a single-parity martingale as a conditional strategy.
-
-    For a BETS_ON_ODD table the bits at even positions of each state form
-    the oracle string sigma and the bits at odd positions form the bet
-    string tau; N(tau|sigma) is the table value at their interleaving.
-    The BETS_ON_EVEN case is the mirror image with the bettor leading.
-    Requires an even depth and a correct single-parity tag.
-    """
-    if m.parity is Parity.NONE:
-        raise PreconditionError("to_online needs a single-parity table")
-    if m.depth % 2 != 0:
-        raise PreconditionError("to_online needs an even-depth table")
-    require_valid(m)
-    rounds = m.depth // 2
-    vals: dict[tuple[str, str], Fraction] = {}
-    if m.parity is Parity.BETS_ON_ODD:
-        for j in range(rounds + 1):
-            for sigma in bits.level(j):
-                for tau in bits.level(j):
-                    vals[(sigma, tau)] = m.value(bits.interleave(sigma, tau))
-        return OnlineTable(rounds, True, vals)
-    for j in range(rounds + 1):
-        for sigma in bits.level(j):
-            for tau in bits.level(j):
-                vals[(sigma, tau)] = m.value(bits.interleave(tau, sigma))
-            if j < rounds:
-                for tau in bits.level(j + 1):
-                    vals[(sigma, tau)] = m.value(bits.interleave(tau, sigma))
-    return OnlineTable(rounds, False, vals)
-
-
-def from_online(o: OnlineTable, kind: Kind = Kind.MARTINGALE) -> StrategyTable:
-    """Rebuild the single-parity table a to_online() view came from."""
-    depth = 2 * o.rounds
-    vals: dict[str, Fraction] = {}
-    if o.oracle_first:
-        for state in bits.all_states(depth):
-            if len(state) % 2 == 0:
-                sigma, tau = bits.deinterleave(state)
-                vals[state] = o.value(tau, sigma)
-            else:
-                vals[state] = vals[state[:-1]]
-        return StrategyTable(depth, vals, kind, Parity.BETS_ON_ODD)
-    for state in bits.all_states(depth):
-        tau, sigma = bits.deinterleave(state)
-        vals[state] = o.value(tau, sigma)
-    return StrategyTable(depth, vals, kind, Parity.BETS_ON_EVEN)

@@ -221,7 +221,6 @@ def test_request_ledger_classes():
     led.add("0", 5)
     led.add("0", 3)
     assert led.k_v("0") == 3
-    assert led.class_weights() == {5: Fraction(1, 32), 3: Fraction(1, 8)}
 
 
 def test_greedy_leftmost_extension_walk():

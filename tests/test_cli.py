@@ -468,6 +468,17 @@ def test_dim_report(capsys, tmp_path):
     assert payload["lower"] == "1" and payload["upper"] == "1"
 
 
+def test_dim_negative_precision_is_a_domain_error(capsys, tmp_path):
+    spath = write_json(tmp_path, "odd.json", _ODD_TABLE)
+    xpath = tmp_path / "x.txt"
+    xpath.write_text("00\n")
+    code, out, err = run_cli(
+        capsys, "dim", "--strategy", spath, "--x", str(xpath), "--precision", "-1"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "PreconditionError"
+
+
 def test_dim_rejects_bad_bits(capsys, tmp_path):
     prog = constant_program(1, None, Parity.NONE)
     spath = write_json(tmp_path, "flat.json", prog)

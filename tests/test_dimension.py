@@ -20,7 +20,6 @@ from paritybet import (
     strategies_from_test,
     validate,
     validate_s_test,
-    weak_s_random_check,
 )
 from paritybet import bits, dimension
 
@@ -71,13 +70,6 @@ def test_validate_s_test_flags_heavy_level():
     assert verdicts[1].sign == 0 and not verdicts[1].ok()
 
 
-def test_weak_s_random_check():
-    arr = TestArray((("00",), ("0000", "1100")), flavor="free")
-    assert weak_s_random_check("000011", arr) == [0, 1]
-    assert weak_s_random_check("1100", arr) == [1]
-    assert weak_s_random_check("01", arr) == []
-
-
 def test_strategies_from_test_unit_value():
     arr = TestArray((("1010",),), flavor="free")
     even_side, odd_side = strategies_from_test(arr)
@@ -116,6 +108,12 @@ def test_log2_bracket_exact_powers():
     assert lo == hi == 3
     lo, hi = log2_bracket(Fraction(1, 4), 10)
     assert lo == hi == -2
+
+
+@pytest.mark.parametrize("v", [Fraction(3), Fraction(4)])
+def test_log2_bracket_rejects_negative_precision(v):
+    with pytest.raises(PreconditionError):
+        log2_bracket(v, -1)
 
 
 def test_log2_bracket_traps_irrational():

@@ -25,7 +25,6 @@ from paritybet import (
     Sided,
     StageApprox,
     StructuralError,
-    by_parity_program,
     constant_program,
     diagonalize,
     dumps,
@@ -144,13 +143,6 @@ def test_constant_program_parity_values():
     assert p.value("10") == Fraction(3, 2)  # odd-length state: no bet
     assert p.value("101") == Fraction(9, 4)
     assert validate(p.to_table(4)).holds(Kind.MARTINGALE, Parity.BETS_ON_EVEN, Sided.NONE)
-
-
-def test_by_parity_program():
-    p = by_parity_program(1, FractionBet(Fraction(1, 2)), FractionBet(Fraction(-1, 2)))
-    assert p.value("1") == Fraction(3, 2)
-    assert p.value("10") == Fraction(9, 4)
-    assert validate(p.to_table(4)).martingale
 
 
 def test_follow_program_doubles_then_freezes():

@@ -1,12 +1,8 @@
-"""Table laws: validation verdicts, combination, parity products, and the
-online (conditional) reindexing round-trip."""
+"""Table laws: validation verdicts, combination and parity products."""
 
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from paritybet import (
     Kind,
@@ -17,11 +13,8 @@ from paritybet import (
     StructuralError,
     as_capital,
     combine,
-    from_online,
     parity_factorize,
     product,
-    require_valid,
-    to_online,
     validate,
 )
 from paritybet import bits
@@ -93,11 +86,11 @@ def test_validate_witness_is_least():
     assert d.witnesses["supermartingale"] == "0"
 
 
-def test_holds_and_require_valid():
+def test_holds_checks_the_declared_tags():
     t = table(2, ODD_BETTOR, parity=Parity.BETS_ON_ODD)
-    require_valid(t)
-    with pytest.raises(PreconditionError):
-        require_valid(StrategyTable(t.depth, t.values, t.kind, Parity.BETS_ON_EVEN))
+    d = validate(t)
+    assert d.holds(t.kind, t.parity, t.sided)
+    assert not d.holds(t.kind, Parity.BETS_ON_EVEN, t.sided)
 
 
 def test_sided_verdicts():
@@ -150,32 +143,3 @@ def test_product_rejects_shared_betting_state():
     b = table(1, {"": 1, "0": 0, "1": 2}, parity=Parity.BETS_ON_ODD)
     with pytest.raises(PreconditionError):
         product(a, b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_online_round_trip_odd(seed):
-    rng = random.Random(seed)
-    m = random_positive_martingale(rng, 4)
-    odd_part, even_part = parity_factorize(m)
-    o = to_online(odd_part)
-    assert o.oracle_first and o.check_law()
-    back = from_online(o)
-    assert all(back.value(s) == odd_part.value(s) for s in bits.all_states(4))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_online_round_trip_even(seed):
-    rng = random.Random(seed)
-    m = random_positive_martingale(rng, 4)
-    _, even_part = parity_factorize(m)
-    o = to_online(even_part)
-    assert not o.oracle_first and o.check_law()
-    back = from_online(o)
-    assert all(back.value(s) == even_part.value(s) for s in bits.all_states(4))
-
-
-def test_to_online_rejects_untagged():
-    with pytest.raises(PreconditionError):
-        to_online(table(2, FAIR_COIN))
