@@ -87,19 +87,12 @@ def min_block_martingale(m00, m10) -> StrategyTable:
     the doubled root leaves over lands on the sibling of the smaller one.
     Pointwise minimal among all such strategies meeting the two targets.
     """
-    a = as_capital(m00)
-    b = as_capital(m10)
-    root = max(a, b) / 2
-    vals = {
-        "": root,
-        "0": root,
-        "1": root,
-        "00": a,
-        "10": b,
-        "01": 2 * root - a,
-        "11": 2 * root - b,
-    }
-    return StrategyTable(2, vals, Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    x, y = as_capital(m00), as_capital(m10)
+    d, [[a, b]] = _over_one_den([[x.numerator, y.numerator]], [[x.denominator, y.denominator]])
+    top = max(a, b)
+    # over 2d: the root top / 2d, and each leaf twice its numerator over d
+    levels = [[top], [top, top], [2 * a, 2 * (top - a), 2 * b, 2 * (top - b)]]
+    return StrategyTable._of_levels(2 * d, levels, Kind.MARTINGALE, Parity.BETS_ON_ODD)
 
 
 @dataclass(frozen=True)
@@ -122,18 +115,11 @@ class BlockSpec:
 def unique_first_bit_martingale(n0, n1) -> StrategyTable:
     """The only first-bit-only martingale on the block with the given
     level-1 values: root is their average and level 2 changes nothing."""
-    a = as_capital(n0)
-    b = as_capital(n1)
-    vals = {
-        "": (a + b) / 2,
-        "0": a,
-        "1": b,
-        "00": a,
-        "01": a,
-        "10": b,
-        "11": b,
-    }
-    return StrategyTable(2, vals, Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    x, y = as_capital(n0), as_capital(n1)
+    d, [[a, b]] = _over_one_den([[x.numerator, y.numerator]], [[x.denominator, y.denominator]])
+    # over 2d: the root (a + b) / 2d, and each later state twice its numerator over d
+    levels = [[a + b], [2 * a, 2 * b], [2 * a, 2 * a, 2 * b, 2 * b]]
+    return StrategyTable._of_levels(2 * d, levels, Kind.MARTINGALE, Parity.BETS_ON_EVEN)
 
 
 def block_decompose(

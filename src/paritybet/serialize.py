@@ -5,17 +5,17 @@ arrays, block specs and duel traces round-trip. Reports (diagnoses,
 level verdicts, growth verdicts, dimension reports) serialize one way,
 out. One rule, from each dataclass's fields, writes every object and
 reads back the ones that round-trip. Every rational crosses the wire as
-str(Fraction), so nothing is ever rounded. dumps writes the text itself,
-byte for byte as json.dumps(sort_keys=True, indent=2) would, and spells a
-table's values from its integer levels; a file written twice from the
-same objects is byte-identical.
+str(Fraction), so nothing is ever rounded. A table's values are read
+straight into its integer levels, with no Fraction per state. dumps
+writes the text itself, byte for byte as json.dumps(sort_keys=True,
+indent=2) would, and spells a table's values from its integer levels; a
+file written twice from the same objects is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
 from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
@@ -58,7 +58,7 @@ from .programs import (
     ScaleBet,
     StageApprox,
 )
-from .strategy import Diagnosis, StrategyTable, _Values
+from .strategy import Diagnosis, StrategyTable, _entries, _Values
 
 
 class WireError(Exception):
@@ -72,18 +72,27 @@ _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_frac(s) -> Fraction:
+    return Fraction(*_rational_ints(s))
+
+
+def _rational_ints(s) -> tuple[int, int]:
+    """The numerator and the positive denominator a wire rational is
+    written with, not reduced: a JSON integer, or a string in the grammar
+    of str(Fraction)."""
     if isinstance(s, bool):
         raise WireError(f"expected a rational, got {s!r}")
     if isinstance(s, int):
-        return Fraction(s)
+        return s, 1
     if isinstance(s, str):
-        if _RATIONAL.fullmatch(s) is None:
-            raise WireError(f"bad rational {s[:40]!r}")
-        num, _, den = s.partition("/")
-        try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise WireError(f"bad rational {s[:40]!r}") from exc
+        if _RATIONAL.fullmatch(s) is not None:
+            num, _, den = s.partition("/")
+            try:  # int() refuses a string past Python's digit limit
+                num, den = int(num), int(den or 1)
+            except ValueError:
+                den = 0
+            if den:
+                return num, den
+        raise WireError(f"bad rational {s[:40]!r}")
     raise WireError(f"expected a rational, got {type(s).__name__}")
 
 
@@ -148,53 +157,57 @@ _SHAPES = {
 _PLAIN = frozenset((str, int, bool, type(None)))
 
 
-def _encode(obj):
+def _encode(obj, text=False):
+    """The plain-JSON form of obj; with text, a table's values stay as they
+    are, for _text to spell from the levels."""
     cls = type(obj)
     if cls is Fraction:
         return str(obj)
     if cls in _PLAIN:
         return obj
     if cls is list or cls is tuple:
-        return [x if type(x) in _PLAIN else _encode(x) for x in obj]
+        return [x if type(x) in _PLAIN else _encode(x, text) for x in obj]
     if cls is dict:
-        return {k: v if type(v) in _PLAIN else _encode(v) for k, v in obj.items()}
+        return {k: v if type(v) in _PLAIN else _encode(v, text) for k, v in obj.items()}
     shape = _SHAPES.get(cls)
     if shape is not None:
         key, tag, names, derived = shape
         out = {}
         for name in names:
             v = getattr(obj, name)
-            out[name] = v if type(v) in _PLAIN else _encode(v)
+            out[name] = v if type(v) in _PLAIN else _encode(v, text)
         if tag is not None:
             out[key] = tag
         for name in derived:
-            out[name] = _encode(getattr(obj, name)())
+            out[name] = _encode(getattr(obj, name)(), text)
         return out
     if cls is _Values:
-        return _spelled(obj)
-    if isinstance(obj, Enum):
-        return obj.value
+        return obj if text else dict(zip(*_spelled(obj)))
+    if isinstance(obj, Enum) and type(value := obj.value) in _PLAIN:
+        return value
     raise WireError(f"cannot serialize {cls.__name__}")
 
 
-def _spelled(values: _Values) -> dict:
-    """A table's values as str(Fraction) spells them, from each level
-    numerator and the shared denominator with one gcd and no Fraction, in
-    preorder, which is sorted key order ("", "0", "00", ..., "1")."""
+def _spelled(values: _Values) -> tuple[list, list]:
+    """A table's states and its values as str(Fraction) spells them, both
+    in preorder, which is sorted key order ("", "0", "00", ..., "1"). Each
+    value is spelled from its level numerator and the shared denominator
+    with one gcd and no Fraction."""
     den = values.den
     levels = [[str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
                for x in lv] for lv in values.levels]
-    out = {}
-    _preorder(levels, 0, 0, "", out)
-    return out
+    states, spelled = [], []
+    _preorder(levels, 0, 0, "", states, spelled)
+    return states, spelled
 
 
-def _preorder(levels, n, i, state, out):
-    out[state] = levels[n][i]
+def _preorder(levels, n, i, state, states, spelled):
+    states.append(state)
+    spelled.append(levels[n][i])
     n += 1
     if n < len(levels):
-        _preorder(levels, n, 2 * i, state + "0", out)
-        _preorder(levels, n, 2 * i + 1, state + "1", out)
+        _preorder(levels, n, 2 * i, state + "0", states, spelled)
+        _preorder(levels, n, 2 * i + 1, state + "1", states, spelled)
 
 
 def to_jsonable(obj):
@@ -215,8 +228,33 @@ def to_jsonable(obj):
 # defaults (a table's kind and tags) are still required on the wire.
 _OPTIONAL = {IntStrategy: ("name",), TestArray: ("flavor",), Fsm: ("start",)}
 
-# declared type -> the function that checks and decodes a JSON value of it
-_READERS = {Fraction: parse_frac}
+
+def _read_values(v) -> tuple[list, list, list]:
+    """A table's values object read into its keys and the two ints each
+    rational is written with, in the object's order; no Fraction is built."""
+    if type(v) is not dict:
+        raise WireError(f"expected an object, got {type(v).__name__}")
+    nums, dens = [], []
+    for x in v.values():
+        num, den = _rational_ints(x)
+        nums.append(num)
+        dens.append(den)
+    return list(v), nums, dens
+
+
+def _wire_table(depth, values, kind, parity, sided) -> StrategyTable:
+    """The table whose values _read_values read, checked as the public
+    constructor checks and built on its integer levels, brought to the
+    least denominator with one gcd."""
+    if depth < 0:
+        raise StructuralError("depth must be >= 0")
+    return StrategyTable._of_levels(*_entries(depth, *values), kind, parity, sided)
+
+
+# declared type -> the function that checks and decodes a JSON value of it;
+# a table's values field is read as _Values, the type it is kept as, into
+# the ints its levels are built from (see _build_reader)
+_READERS = {Fraction: parse_frac, _Values: _read_values}
 
 
 def _reader(tp):
@@ -230,9 +268,11 @@ def _reader(tp):
 
 def _build_reader(tp):
     if tp in _SHAPES:
-        hints = get_type_hints(tp)
+        hints, make = get_type_hints(tp), tp
+        if tp is StrategyTable:
+            hints["values"], make = _Values, _wire_table
         spec = [(name, hints[name]) for name in _SHAPES[tp][2]]
-        return _object_reader(tp, spec, _OPTIONAL.get(tp, ()))
+        return _object_reader(make, spec, _OPTIONAL.get(tp, ()))
     if get_origin(tp) in (Union, UnionType):
         return _tagged_reader(get_args(tp))
     if tp in (int, str, bool):
@@ -258,14 +298,6 @@ def _build_reader(tp):
             if type(v) is not list:
                 raise WireError(f"expected an array, got {type(v).__name__}")
             return tuple(map(item, v))
-        return read
-    if get_origin(tp) is Mapping and args[0] is str:
-        item = _reader(args[1])
-
-        def read(v):
-            if type(v) is not dict:
-                raise WireError(f"expected an object, got {type(v).__name__}")
-            return {k: item(x) for k, x in v.items()}
         return read
     raise TypeError(f"no wire reader for {tp!r}")
 
@@ -337,7 +369,7 @@ def from_jsonable(d, cls=None):
 def dumps(obj) -> str:
     """The bytes of json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
     plus a newline, written directly; a key that is not a str is a WireError."""
-    return _text(_encode(obj), "") + "\n"
+    return _text(_encode(obj, True), "") + "\n"
 
 
 # json's own escaper, in C where built: ASCII out, \uXXXX for anything else
@@ -345,32 +377,35 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 def _text(x, pad: str) -> str:
-    """JSON text of x, a value _encode returns, on a line indented by pad.
-    Not a closure: one that calls itself sits in a reference cycle, which
-    holds every text it built until the cyclic collector runs."""
+    """JSON text of x, a value _encode(..., text=True) returns, on a line
+    indented by pad. Not a closure: one that calls itself sits in a
+    reference cycle, which holds every text it built until the cyclic
+    collector runs."""
     cls = type(x)
     if cls is str:
         return _escape(x)
-    if cls is dict or cls is list:
-        if not x:
+    if cls is dict or cls is list or cls is _Values:
+        if not x:  # a table's values are never empty
             return "{}" if cls is dict else "[]"
         inner = pad + "  "
         if cls is list:
             body = [_text(v, inner) for v in x]
             return f"[\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}]"
-        try:
-            body = [f"{_escape(k)}: {_escape(v) if type(v) is str else _text(v, inner)}"
-                    for k, v in sorted(x.items())]
-        except TypeError:  # a key that is not a str, met by sort or escape
-            raise WireError("object keys must be strings") from None
+        if cls is _Values:
+            # already in sorted key order; states and rationals need no escaping
+            body = [f'"{k}": "{v}"' for k, v in zip(*_spelled(x))]
+        else:
+            try:
+                body = [f"{_escape(k)}: {_escape(v) if type(v) is str else _text(v, inner)}"
+                        for k, v in sorted(x.items())]
+            except TypeError:  # a key that is not a str, met by sort or escape
+                raise WireError("object keys must be strings") from None
         return f"{{\n{inner}" + f",\n{inner}".join(body) + f"\n{pad}}}"
     if cls is int:
         return repr(x)
     if cls is bool:
         return "true" if x else "false"
-    if x is None:
-        return "null"
-    raise WireError(f"cannot serialize {cls.__name__}")
+    return "null"  # None, the one value left that _encode returns
 
 
 def load_json(path: str):

@@ -13,8 +13,9 @@ A table keeps its values as scaled integers: level n is the list of the
 and every level shares one denominator, the least one, so equal tables
 have equal levels. validate, combine and product run as loops over whole
 levels; the children of entry i of level n are entries 2i and 2i + 1 of
-level n + 1. The values field reads the levels as a read-only map from
-state to Fraction.
+level n + 1. The public constructor checks a whole table's keys and
+values at once and fills the levels in one pass. The values field reads
+the levels as a read-only map from state to Fraction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, and_, gt, lt, mul, ne, or_
+from operator import add, and_, attrgetter, gt, lt, mul, ne, or_
 from typing import Iterable
 
 from . import bits
@@ -84,10 +85,55 @@ def _per_child(level: list) -> list:
     return list(chain.from_iterable(zip(level, level)))
 
 
+# value types whose numerator and denominator are read as they are
+_EXACT = frozenset((int, Fraction))
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _check_key(key, depth: int) -> None:
+    """Refuse a key that is not a binary string of length at most depth."""
+    bits.check_bits(key)
+    if len(key) > depth:
+        raise StructuralError(f"state {key!r} is longer than depth {depth}")
+
+
+def _entries(depth: int, keys: list, nums: list, dens: list) -> tuple[int, tuple]:
+    """Denominator and levels of the table of the given depth that holds
+    nums[k] / dens[k] at keys[k], the keys distinct and each denominator
+    positive. The keys and numerators are checked as a whole; only when
+    that check fails are they checked one by one, so the first fault in
+    key order raises, and then a missing state. The denominator is the lcm
+    of dens, the least one when every num/den is in lowest terms."""
+    try:
+        joined = "".join(keys)
+    except TypeError:  # a key that is not a str
+        joined = None
+    # As many distinct binary keys as there are states, with as many bits
+    # in all as the states have, are the states: a key longer than depth
+    # would stand in for a shorter state and add bits.
+    if not (joined is not None and len(keys) == (2 << depth) - 1
+            and len(joined) == (depth - 1) * (2 << depth) + 2
+            and bits._BITCHARS.issuperset(joined) and min(nums) >= 0):
+        for key, x, d in zip(keys, nums, dens):
+            _check_key(key, depth)
+            if x < 0:
+                raise StructuralError(f"capital must be nonnegative, got {Fraction(x, d)}")
+        present = set(keys)
+        for state in bits.all_states(depth):
+            if state not in present:
+                raise StructuralError(f"missing table entry for state {state!r}")
+    den = math.lcm(*dens)
+    levels = tuple([0] * (1 << n) for n in range(depth + 1))
+    for key, x, d in zip(keys, nums, dens):
+        levels[len(key)][int(key or "0", 2)] = x * (den // d)
+    return den, levels
+
+
 class _Values(Mapping):
     """A table's values: the read-only map from state to Fraction over its
     integer levels. A Fraction is built the first time its state is read
-    and kept; iterating builds the ones still missing, in level order."""
+    and kept (the public constructor keeps the Fractions it was given);
+    iterating builds the ones still missing, in level order."""
 
     __slots__ = ("den", "levels", "_read")
 
@@ -143,21 +189,21 @@ class StrategyTable:
     def __post_init__(self):
         if self.depth < 0:
             raise StructuralError("depth must be >= 0")
-        vals = {}
-        for key, v in self.values.items():
-            bits.check_bits(key)
-            if len(key) > self.depth:
-                raise StructuralError(f"state {key!r} is longer than depth {self.depth}")
-            vals[key] = as_capital(v)
-        if len(vals) < (2 << self.depth) - 1:
-            for state in bits.all_states(self.depth):
-                if state not in vals:
-                    raise StructuralError(f"missing table entry for state {state!r}")
-        den = math.lcm(*(f.denominator for f in vals.values()))
-        levels = tuple([0] * (1 << n) for n in range(self.depth + 1))
-        for key, f in vals.items():
-            levels[len(key)][int(key or "0", 2)] = f.numerator * (den // f.denominator)
-        object.__setattr__(self, "values", _Values(den, levels, vals))
+        values = self.values
+        items = values.items()  # values that are not a mapping fail here, as before
+        keys, caps = list(values), list(values.values())
+        types = set(map(type, caps))
+        if not _EXACT.issuperset(types):
+            # other rationals are coerced one by one, each after its key's checks
+            caps, types = [], {Fraction}
+            for key, v in items:
+                _check_key(key, self.depth)
+                caps.append(as_capital(v))
+        den, levels = _entries(self.depth, keys, list(map(_NUMERATOR, caps)),
+                               list(map(_DENOMINATOR, caps)))
+        # Fractions given are kept, so that reading them builds none
+        read = dict(zip(keys, caps)) if types == {Fraction} else None
+        object.__setattr__(self, "values", _Values(den, levels, read))
 
     @classmethod
     def _of_levels(cls, den: int, levels, kind: Kind, parity=Parity.NONE, sided=Sided.NONE):

@@ -16,19 +16,26 @@ where a test can plant a fault with monkeypatch. Players, Duel,
 diagonalize (with its greedy, settle and block drivers) and trace_lines
 are the duels as they stepped every player at every bit, built a
 BitRecord and a fresh capital tuple per bit, certified by a search, and
-wrote each record through the generic encoder.
-The outputs are built by the public StrategyTable constructor, so they
-compare with the level-array code by value, by Diagnosis and by wire
+wrote each record through the generic encoder. min_block_martingale
+and unique_first_bit_martingale are the block cores as they were built
+from Fraction dicts through the public constructor. table is the public
+StrategyTable constructor as it checked and coerced one key at a time,
+and read_table the wire reader of a table as it read every rational into
+a Fraction (with parse_frac as it was) and then called that constructor.
+The other outputs are built by the public StrategyTable constructor, so
+they compare with the level-array code by value, by Diagnosis and by wire
 bytes. Nothing in src/ imports this module.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
 from fractions import Fraction
 
-from paritybet import bits, blocktest, builder, decompose, strategy
+from paritybet import bits, blocktest, builder, decompose, serialize, strategy
 from paritybet.builder import (
     HALF,
     BuilderState,
@@ -65,7 +72,7 @@ from paritybet.errors import (
     UnsupportedError,
 )
 from paritybet.oracles import OracleReport
-from paritybet.serialize import _encode
+from paritybet.serialize import WireError, _encode
 from paritybet.programs import FractionBet, IntegerBet, at_stage
 from paritybet.strategy import (
     Diagnosis,
@@ -73,6 +80,7 @@ from paritybet.strategy import (
     Parity,
     Sided,
     StrategyTable,
+    _Values,
     as_capital,
 )
 
@@ -871,3 +879,117 @@ def trace_lines(trace: DiagTrace):
         {"type": "summary", "reached": trace.reached, "z": trace.z},
         sort_keys=True,
     )
+
+
+def _table_post_init(self):
+    if self.depth < 0:
+        raise StructuralError("depth must be >= 0")
+    vals = {}
+    for key, v in self.values.items():
+        bits.check_bits(key)
+        if len(key) > self.depth:
+            raise StructuralError(f"state {key!r} is longer than depth {self.depth}")
+        vals[key] = as_capital(v)
+    if len(vals) < (2 << self.depth) - 1:
+        for state in bits.all_states(self.depth):
+            if state not in vals:
+                raise StructuralError(f"missing table entry for state {state!r}")
+    den = math.lcm(*(f.denominator for f in vals.values()))
+    levels = tuple([0] * (1 << n) for n in range(self.depth + 1))
+    for key, f in vals.items():
+        levels[len(key)][int(key or "0", 2)] = f.numerator * (den // f.denominator)
+    object.__setattr__(self, "values", _Values(den, levels, vals))
+
+
+def table(depth, values, kind=Kind.MARTINGALE, parity=Parity.NONE, sided=Sided.NONE):
+    """StrategyTable(depth, values, kind, parity, sided), run through the
+    constructor's checks as they were (_table_post_init)."""
+    t = object.__new__(StrategyTable)
+    t.__dict__.update(depth=depth, values=values, kind=kind, parity=parity, sided=sided)
+    _table_post_init(t)
+    return t
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_frac(s) -> Fraction:
+    if isinstance(s, bool):
+        raise WireError(f"expected a rational, got {s!r}")
+    if isinstance(s, int):
+        return Fraction(s)
+    if isinstance(s, str):
+        if _RATIONAL.fullmatch(s) is None:
+            raise WireError(f"bad rational {s[:40]!r}")
+        num, _, den = s.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise WireError(f"bad rational {s[:40]!r}") from exc
+    raise WireError(f"expected a rational, got {type(s).__name__}")
+
+
+def _read_values(v):
+    if type(v) is not dict:
+        raise WireError(f"expected an object, got {type(v).__name__}")
+    return {k: parse_frac(x) for k, x in v.items()}
+
+
+_TABLE_FIELDS = (
+    ("depth", serialize._reader(int)),
+    ("values", _read_values),
+    ("kind", serialize._reader(Kind)),
+    ("parity", serialize._reader(Parity)),
+    ("sided", serialize._reader(Sided)),
+)
+
+
+def read_table(d):
+    """from_jsonable of a table object as it was: each field read in
+    order, the values into a dict of Fractions, then the constructor."""
+    if type(d) is not dict:
+        raise WireError(f"expected an object, got {type(d).__name__}")
+    kwargs = {}
+    for name, read_value in _TABLE_FIELDS:
+        if name in d:
+            try:
+                kwargs[name] = read_value(d[name])
+            except WireError as exc:
+                raise WireError(f"{name}: {exc}") from exc
+        else:
+            raise WireError(f"missing key {name!r}")
+    try:
+        return table(**kwargs)
+    except StructuralError as exc:
+        raise WireError(str(exc)) from exc
+
+
+def min_block_martingale(m00, m10) -> StrategyTable:
+    a = as_capital(m00)
+    b = as_capital(m10)
+    root = max(a, b) / 2
+    vals = {
+        "": root,
+        "0": root,
+        "1": root,
+        "00": a,
+        "10": b,
+        "01": 2 * root - a,
+        "11": 2 * root - b,
+    }
+    return StrategyTable(2, vals, Kind.MARTINGALE, Parity.BETS_ON_ODD)
+
+
+def unique_first_bit_martingale(n0, n1) -> StrategyTable:
+    a = as_capital(n0)
+    b = as_capital(n1)
+    vals = {
+        "": (a + b) / 2,
+        "0": a,
+        "1": b,
+        "00": a,
+        "01": a,
+        "10": b,
+        "11": b,
+    }
+    return StrategyTable(2, vals, Kind.MARTINGALE, Parity.BETS_ON_EVEN)

@@ -38,8 +38,6 @@ _EXACT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "per
 # added here.
 _DIVISIONS = Counter({
     "blocktest.PackingCertificate.value": 1,
-    "decompose.min_block_martingale": 1,
-    "decompose.unique_first_bit_martingale": 1,
     "dimension.compare_scaled_weight": 1,
     "dimension.empirical_dim_bound": 2,
 })

@@ -1,6 +1,7 @@
 """Wire round-trips and the failure modes of malformed payloads."""
 
 import copy
+import enum
 import functools
 import gc
 import json
@@ -26,16 +27,20 @@ from paritybet import (
     StrategyTable,
     TestArray,
     WireError,
+    block_decompose,
     constant_program,
     diagonalize,
     dumps,
     follow_program,
     from_jsonable,
     load_json,
+    min_block_martingale,
+    parity_factorize,
     parse_frac,
     parse_trace,
     to_jsonable,
     trace_lines,
+    unique_first_bit_martingale,
     unit_bet_on_one,
     validate,
 )
@@ -195,6 +200,31 @@ def test_dumps_matches_json_module(x):
 def test_dumps_refuses_a_key_that_is_not_a_str(bad):
     with pytest.raises(WireError, match="keys must be strings"):
         dumps(bad)
+
+
+def test_dumps_of_tables_nested_in_containers_matches_json_module(rng):
+    m = random_positive_martingale(rng, 4)
+    spec = BlockSpec(Fraction(3, 4), Fraction(2, 3), Fraction(1, 2), Fraction(7, 5), Fraction(3))
+    parts = block_decompose(min_block_martingale(Fraction(3, 4), Fraction(2, 3)),
+                            unique_first_bit_martingale(Fraction(1, 2), Fraction(7, 5)), spec)
+    for x in (parity_factorize(m), list(parts), {"m": m, "rest": [parts[1], (m, None)]},
+              [[validate(m), m], {"empty": {}}]):
+        assert dumps(x) == json.dumps(to_jsonable(x), sort_keys=True, indent=2) + "\n"
+
+
+class _PairTag(enum.Enum):
+    PAIR = (0, 1)
+
+
+def test_an_enum_whose_value_is_not_plain_json_is_refused():
+    for write in (dumps, to_jsonable):
+        with pytest.raises(WireError, match="cannot serialize _PairTag"):
+            write({"tag": _PairTag.PAIR})
+
+
+def test_a_class_with_no_wire_reader_is_a_type_error():
+    with pytest.raises(TypeError, match="no wire reader for <class 'float'>"):
+        from_jsonable({}, float)
 
 
 @settings(max_examples=60, deadline=None)

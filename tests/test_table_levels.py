@@ -30,11 +30,15 @@ from paritybet import (
     combine,
     dumps,
     floor,
+    from_jsonable,
+    min_block_martingale,
     parity_factorize,
     product,
+    unique_first_bit_martingale,
     validate,
 )
 from paritybet import bits
+from paritybet.serialize import WireError
 
 from conftest import random_positive_martingale
 
@@ -221,6 +225,112 @@ def test_packing_certificate_matches_reference(seed, k):
     for depth in range(9):
         table = cert.to_table(depth)
         assert table.values == {s: want[s] for s in bits.all_states(depth)}
+
+
+# values a table's wire object may hold that are off its grammar, negative,
+# not in lowest terms, or not rationals at all
+_ODD_VALUES = ("2/4", "-1/2", "1/0", " 1", "1_0", "9" * 5000, 0, 7, -3, True, 1.5, None)
+_NOT_BINARY = ("2", "0a", " 0", "0b1", "1_0", 1)
+
+
+def random_payload(rng):
+    """A table object as a wire file could hold it: whole, or broken in
+    its keys, its values or its other fields, a few faults at a time, in
+    a key order that is sometimes shuffled."""
+    depth = rng.randint(0, 3)
+    t = random_table(rng, depth)
+    values = {s: str(f) if rng.random() < 0.8 or f.denominator > 1 else f.numerator
+              for s, f in t.values.items()}
+    payload = {"type": "table", "depth": depth, "values": values, "kind": t.kind.value,
+               "parity": "unrestricted", "sided": "unrestricted"}
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        fault = rng.choice(("not binary", "too long", "missing", "extra", "value", "value",
+                            "depth", "tag", "values", "field"))
+        long_key = "".join(rng.choice("01") for _ in range(depth + rng.randint(1, 2)))
+        if fault == "not binary":
+            values[rng.choice(_NOT_BINARY)] = "1"
+        elif fault == "too long" and values:  # as many keys as states, one too long
+            del values[rng.choice(list(values))]
+            values[long_key] = "1"
+        elif fault == "missing" and values:
+            del values[rng.choice(list(values))]
+        elif fault == "extra":
+            values[long_key] = "1"
+        elif fault == "value" and values:
+            values[rng.choice(list(values))] = rng.choice(_ODD_VALUES)
+        elif fault == "depth":
+            payload["depth"] = rng.choice((-1, "2", True, depth + 1, max(depth - 1, 0), 64))
+        elif fault == "tag":
+            name = rng.choice(("kind", "parity", "sided"))
+            payload[name] = rng.choice(("martingal", "none", None, 1))
+        elif fault == "values":
+            payload["values"] = rng.choice(([], "x", None, 3))
+        elif fault == "field":
+            payload.pop(rng.choice(("depth", "values", "kind", "parity", "sided")), None)
+    if type(payload.get("values")) is dict and rng.random() < 0.5:
+        items = list(payload["values"].items())
+        rng.shuffle(items)
+        payload["values"] = dict(items)
+    return payload
+
+
+def _as_given(rng, v):
+    """A wire value as a caller might hand it to the constructor: most
+    rationals as Fractions, the rest as they are."""
+    if type(v) is str and rng.random() < 0.8:
+        try:
+            return ref.parse_frac(v)
+        except WireError:
+            return v
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_wire_tables_match_the_reference(seed):
+    payload = random_payload(random.Random(seed))
+    same(outcome(from_jsonable, payload), outcome(ref.read_table, payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_constructor_matches_the_reference(seed):
+    rng = random.Random(seed)
+    payload = random_payload(rng)
+    values = payload.get("values")
+    if type(values) is dict:
+        values = {k: _as_given(rng, v) for k, v in values.items()}
+    args = (payload.get("depth", 2), values, Kind.SUPERMARTINGALE, Parity.BETS_ON_ODD)
+    got = outcome(StrategyTable, *args)
+    same(got, outcome(ref.table, *args))
+    if isinstance(got, StrategyTable):  # read back, every value is a Fraction
+        assert set(map(type, got.values.values())) == {Fraction}
+
+
+@pytest.mark.parametrize("odd", _ODD_VALUES)
+def test_each_odd_value_is_met_as_the_reference_meets_it(odd):
+    good = {"": "1", "0": "1/2", "1": "3/2"}
+    for key in good:
+        payload = {"type": "table", "depth": 1, "values": {**good, key: odd},
+                   "kind": "martingale", "parity": "unrestricted", "sided": "unrestricted"}
+        same(outcome(from_jsonable, payload), outcome(ref.read_table, payload))
+        caps = {k: ref.parse_frac(v) for k, v in good.items()}
+        same(outcome(StrategyTable, 1, {**caps, key: odd}),
+             outcome(ref.table, 1, {**caps, key: odd}))
+
+
+_CAPITALS = (st.fractions(min_value=-1, max_value=8, max_denominator=360)
+             | st.integers(-1, 8) | st.sampled_from(["3/4", "x"]))
+
+
+@pytest.mark.parametrize("core, reference", [
+    (min_block_martingale, ref.min_block_martingale),
+    (unique_first_bit_martingale, ref.unique_first_bit_martingale),
+])
+@settings(max_examples=100, deadline=None)
+@given(_CAPITALS, _CAPITALS)
+def test_block_cores_match_the_reference(core, reference, a, b):
+    same(outcome(core, a, b), outcome(reference, a, b))
 
 
 def test_values_are_read_only():
