@@ -22,7 +22,7 @@ from fractions import Fraction
 from .bits import all_states
 from .decompose import BlockSpec
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import BetProgram, Component, StageApprox, at_stage
+from .programs import BetProgram, Component, StageApprox, _check_sides, at_stage
 from .strategy import Kind, Parity, Sided, StrategyTable, as_capital
 
 
@@ -47,9 +47,7 @@ class BlockReport:
     quantities: tuple[tuple[str, Fraction], ...]
 
 
-def verify_block_inequality(
-    m, n, parent: str, spec: BlockSpec, stage: int | None = None
-) -> BlockReport:
+def verify_block_inequality(m, n, parent: str, spec: BlockSpec) -> BlockReport:
     """Check one instance of the two-bit-block capital inequality.
 
     m bets only on the second bit of the block (value changes when a bit is
@@ -60,15 +58,14 @@ def verify_block_inequality(
     c. Conclusion: the pair's joint capital is at most c at parent+01 when
     n0 <= n1, at parent+11 otherwise.
 
-    m and n are read through at_stage: tables as they are, mixtures at
-    stage (default: their last activation stage).
+    m and n are read through at_stage, a mixture at its last activation stage.
 
     This is a checker. A failed hypothesis yields a report naming it, not
     an exception; the caller decides what a rejection means.
     """
     if len(parent) % 2 != 0:
         raise PreconditionError("block parent must have even length")
-    m_at, n_at = at_stage(m, stage).value, at_stage(n, stage).value
+    m_at, n_at = at_stage(m).value, at_stage(n).value
     p = parent
     vals = {
         "m00": m_at(p + "00"),
@@ -266,34 +263,31 @@ def build_parity_test(
     n: StageApprox,
     depth: int,
     stages: int,
-    c=1,
 ) -> ParityTestResult:
     """Build the nested at-most-three test against the pair (m, n).
 
     Level 0 is the root alone. Above each expanded parent the block
     enumeration contributes its 2 or 3 strings as the next level. The path
     follows, at every level, the leftmost child whose joint final-stage
-    capital is at most c; the two-round inequality guarantees such a child
+    capital is at most c = 1; the two-round inequality guarantees such a child
     exists whenever the parent itself sits at or below c, which holds at
     the root by precondition and then inductively along the path. Only
     the path's parent is expanded per level, which keeps deep runs linear
     in depth.
     """
-    if m.parity is not Parity.BETS_ON_ODD:
-        raise PreconditionError("second-bit bettor must carry the odd-parity tag")
-    if n.parity is not Parity.BETS_ON_EVEN:
-        raise PreconditionError("first-bit bettor must carry the even-parity tag")
-    c = as_capital(c)
+    _check_sides(m, n)
+    c = Fraction(1)
     if depth < 0 or stages < 0:
         raise PreconditionError("depth and stage budget must be nonnegative")
-    joint_root = m.eval(stages, "") + n.eval(stages, "")
+
+    def joint(state: str) -> Fraction:
+        return m.eval(stages, state) + n.eval(stages, state)
+
+    joint_root = joint("")
     if joint_root > c:
         raise PreconditionError(
             f"joint root capital {joint_root} exceeds the threshold {c}"
         )
-
-    def joint(state: str) -> Fraction:
-        return m.eval(stages, state) + n.eval(stages, state)
 
     levels: list[tuple[str, ...]] = [("",)]
     reports: list[LevelReport] = []
@@ -401,13 +395,8 @@ def mixture(programs: list[BetProgram] | tuple[BetProgram, ...], parity: Parity)
     progs = tuple(programs)
     if not progs:
         raise PreconditionError("mixture of nothing")
-    for p in progs:
-        if p.parity is not parity:
-            raise PreconditionError(
-                f"component tagged {p.parity.value} in a {parity.value} mixture"
-            )
-        if p.initial > 1:
-            raise PreconditionError("mixture components must start with capital <= 1")
+    if any(p.initial > 1 for p in progs):
+        raise PreconditionError("mixture components must start with capital <= 1")
     comps = tuple(
         Component(stage=i, weight=Fraction(1, 2 ** (i + 2)), program=p)
         for i, p in enumerate(progs)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import StageApprox, at_stage
+from .programs import StageApprox, _check_sides, at_stage
 from .strategy import Kind, Parity, StrategyTable, _per_child, _state
 
 HALF = Fraction(1, 2)
@@ -213,13 +213,6 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
             kids += (left, 2 * x - left)
         out.append(kids)
     return StrategyTable._of_levels(den, out, Kind.MARTINGALE, parity)
-
-
-def _check_sides(n_approx: StageApprox, t_approx: StageApprox) -> None:
-    if n_approx.parity != Parity.BETS_ON_ODD:
-        raise PreconditionError("first side must bet at odd positions")
-    if t_approx.parity != Parity.BETS_ON_EVEN:
-        raise PreconditionError("second side must bet at even positions")
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,8 @@ _MAX_DEPTH = 20
 # digits, past Python's 4300-digit limit on writing an int as a string
 # (n = 5: 6240, 1879 digits)
 _MAX_NMAX = 5
+# dimhalf's time is linear in --stages: 10^5 stages took 0.5-0.9 s
+_MAX_STAGES = 10**5
 # diagonalize keeps a record of every bit it emits and writes about 86
 # bytes for it with six adversaries: this caps --target and the
 # 2*b*(2^k - 1) bits that --dim0-blocks b interpolates in settle mode for
@@ -109,6 +111,8 @@ _MAX_TEST_DEPTH = 1000
 # dim reads the strategy at every prefix of --x, and the exact capitals
 # grow with the length: a 2000-bit x takes seconds, 5000 bits a minute
 _MAX_X_BITS = 2000
+# verify --lemma growth keeps the floors of --n // 20 pairs: 10^4 took 6-9 s, 103 MB
+_MAX_N = 10_000
 
 
 def _cmd_validate(args) -> int:
@@ -226,6 +230,8 @@ def _cmd_dim(args) -> int:
 def _cmd_dimhalf(args) -> int:
     if args.nmax > _MAX_NMAX:
         raise PreconditionError(f"--nmax {args.nmax} is above {_MAX_NMAX}")
+    if args.stages > _MAX_STAGES:
+        raise PreconditionError(f"--stages {args.stages} is above {_MAX_STAGES}")
     components = []
     if args.components is not None:
         raw = load_json(args.components)
@@ -262,6 +268,8 @@ _LEMMAS = ("two-round", "minimality", "floor-parity", "growth")
 
 
 def _cmd_verify(args) -> int:
+    if not 1 <= args.n <= _MAX_N:
+        raise PreconditionError(f"--n {args.n} is outside 1..{_MAX_N}")
     rng = random.Random(args.seed)
     reports = []
     if args.lemma == "two-round":

@@ -178,9 +178,7 @@ class _Players:
         return [self.at(i) for i in range(len(self._q))]
 
     def live_bet(self, i: int) -> IntegerBet | None:
-        """Player i's current bet when its effective stake is at least 1."""
-        if i in self._since:
-            return None
+        """Live player i's current bet when its effective stake is at least 1."""
         bet = self.states[i][self._q[i]].bet
         if bet is None or self.cap[i] <= 0 or bet.wager < 1:
             return None

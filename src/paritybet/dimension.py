@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bits
 from .blocktest import TestArray
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 from .programs import Component, StageApprox, at_stage, follow_program
 from .strategy import Kind, Parity, Sided, StrategyTable
 
@@ -145,41 +145,19 @@ def strategies_from_test(array: TestArray) -> tuple[StageApprox, StageApprox]:
             raise PreconditionError(
                 f"level {verdict.level} breaks the half-scaled weight bound"
             )
-    even_parts: list[Component] = []
-    odd_parts: list[Component] = []
-    for k, members in enumerate(array.levels):
-        for sigma in members:
-            if not sigma:
-                raise StructuralError("empty string cannot anchor a component")
-            up = -((-len(sigma)) // 2)
-            down = len(sigma) // 2
-            even_parts.append(
-                Component(
-                    stage=k,
-                    weight=Fraction(1),
-                    program=follow_program(
-                        sigma, Parity.BETS_ON_EVEN, Fraction(1, 2**up)
-                    ),
-                )
-            )
-            odd_parts.append(
-                Component(
-                    stage=k,
-                    weight=Fraction(1),
-                    program=follow_program(
-                        sigma, Parity.BETS_ON_ODD, Fraction(1, 2**down)
-                    ),
-                )
-            )
-    if not even_parts:
+    members = [(k, sigma) for k, level in enumerate(array.levels) for sigma in level]
+    if not members:
         raise PreconditionError("test has no members to compile")
-    even_side = StageApprox(
-        tuple(even_parts), Kind.MARTINGALE, Parity.BETS_ON_EVEN, Sided.NONE
-    )
-    odd_side = StageApprox(
-        tuple(odd_parts), Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.NONE
-    )
-    return even_side, odd_side
+    sides = []
+    # the even side rounds |sigma|/2 up, the odd side down
+    for parity, up in ((Parity.BETS_ON_EVEN, 1), (Parity.BETS_ON_ODD, 0)):
+        parts = tuple(
+            Component(stage=k, weight=Fraction(1), program=follow_program(
+                sigma, parity, Fraction(1, 2 ** ((len(sigma) + up) // 2))))
+            for k, sigma in members
+        )
+        sides.append(StageApprox(parts, Kind.MARTINGALE, parity, Sided.NONE))
+    return sides[0], sides[1]
 
 
 def _power_of_two_log(v: Fraction) -> int | None:
@@ -335,25 +313,14 @@ def empirical_dim_bound(
                 ExponentSample(n=n, value=v, exact=None, bracket=None, infinite=True)
             )
             continue
-        exact_log = _power_of_two_log(v)
-        if exact_log is not None:
-            samples.append(
-                ExponentSample(
-                    n=n,
-                    value=v,
-                    exact=Fraction(n - exact_log, n),
-                    bracket=None,
-                    infinite=False,
-                )
-            )
-            continue
         log_lo, log_hi = log2_bracket(v, precision)
+        exact = log_lo == log_hi  # v is a power of two
         samples.append(
             ExponentSample(
                 n=n,
                 value=v,
-                exact=None,
-                bracket=(1 - log_hi / n, 1 - log_lo / n),
+                exact=Fraction(n - log_lo, n) if exact else None,
+                bracket=None if exact else (1 - log_hi / n, 1 - log_lo / n),
                 infinite=False,
             )
         )

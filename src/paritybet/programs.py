@@ -392,6 +392,14 @@ class StageApprox:
         )
 
 
+def _check_sides(odd: StageApprox, even: StageApprox) -> None:
+    """The guard of every parity pair: odd side first, even side second."""
+    if odd.parity != Parity.BETS_ON_ODD:
+        raise PreconditionError("first side must bet at odd positions")
+    if even.parity != Parity.BETS_ON_EVEN:
+        raise PreconditionError("second side must bet at even positions")
+
+
 class _StageView:
     """A mixture frozen at one stage, read like a table or a program."""
 

@@ -151,11 +151,13 @@ class _Values(Mapping):
 
     def _all(self) -> dict:
         if len(self._read) < len(self):
-            self._read = {
-                _state(n, i): Fraction(x, self.den)
-                for n, lv in enumerate(self.levels)
-                for i, x in enumerate(lv)
-            }
+            # each level's keys from the last one's, in the same order
+            read, keys = {}, [bits.EMPTY]
+            for n, lv in enumerate(self.levels):
+                if n:
+                    keys = [k + b for k in keys for b in "01"]
+                read.update(zip(keys, [Fraction(x, self.den) for x in lv]))
+            self._read = read
         return self._read
 
     def __iter__(self):

@@ -40,7 +40,6 @@ from paritybet.builder import (
     HALF,
     BuilderState,
     StageEvent,
-    _check_sides,
     capital_threshold,
     greedy_leftmost_extension,
     stage_parameters,
@@ -73,7 +72,7 @@ from paritybet.errors import (
 )
 from paritybet.oracles import OracleReport
 from paritybet.serialize import WireError, _encode
-from paritybet.programs import FractionBet, IntegerBet, at_stage
+from paritybet.programs import FractionBet, IntegerBet, _check_sides, at_stage
 from paritybet.strategy import (
     Diagnosis,
     Kind,

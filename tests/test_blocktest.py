@@ -6,22 +6,29 @@ from fractions import Fraction
 import pytest
 
 from paritybet import (
+    BettingLabError,
     BlockSpec,
+    Component,
     Kind,
     Parity,
     PreconditionError,
+    StageApprox,
     StrategyTable,
     StructuralError,
     TestArray,
+    blocktest,
     build_parity_test,
     check_block34,
+    constant_program,
     enumerate_block,
+    follow_program,
     level_measure,
     max_fanout,
     packing_certificate,
     validate,
     verify_block_inequality,
 )
+from paritybet.blocktest import EnumState
 
 
 def _checker_pair():
@@ -61,11 +68,17 @@ def test_block_inequality_names_failed_hypothesis():
     assert not r.conclusion_ok
 
 
-def test_block_inequality_odd_parent_rejected():
+def test_block_inequality_odd_parent_rejected(small_oscillating_pair):
     m, n = _checker_pair()
     spec = BlockSpec(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1))
     with pytest.raises(PreconditionError):
         verify_block_inequality(m, n, "0", spec)
+    # and the enumeration above an odd parent, or with a negative budget
+    odd, even = small_oscillating_pair
+    with pytest.raises(PreconditionError, match="even length"):
+        enumerate_block("0", 1, odd, even, 10)
+    with pytest.raises(PreconditionError, match="budget"):
+        enumerate_block("", 1, odd, even, -1)
 
 
 def test_enumerate_block_stays_watching(small_oscillating_pair):
@@ -96,11 +109,10 @@ def test_enumerate_block_closes_on_pressure():
     # third member picked by comparing the first-bit targets
     n0, n1 = st.recorded.n0, st.recorded.n1
     assert st.enumerated[2] == ("01" if n0 <= n1 else "11")
-    # without a stage each mixture is read at its last activation stage
+    # each mixture is read at its last activation stage
     assert odd.last_stage() == 3
-    by_default = verify_block_inequality(odd, even, "", st.recorded)
-    assert by_default == verify_block_inequality(odd, even, "", st.recorded, stage=3)
-    assert by_default != verify_block_inequality(odd, even, "", st.recorded, stage=0)
+    report = verify_block_inequality(odd, even, "", st.recorded)
+    assert dict(report.quantities)["m00"] == odd.eval(3, "00") != odd.eval(0, "00")
 
 
 def test_check_block34_accepts_and_rejects():
@@ -112,6 +124,12 @@ def test_check_block34_accepts_and_rejects():
         check_block34(TestArray((("",), ("00", "01", "10", "11"))))
     with pytest.raises(StructuralError):
         check_block34(TestArray((("0",),)))
+    with pytest.raises(StructuralError, match="flavor"):
+        check_block34(TestArray((("",),), flavor="free"))
+    with pytest.raises(StructuralError, match="duplicate"):
+        check_block34(TestArray((("",), ("00", "00"))))
+    with pytest.raises(StructuralError, match="extends no level-1 member"):
+        check_block34(TestArray((("",), ("00",), ("1000",))))
 
 
 def test_level_measure_and_fanout():
@@ -154,6 +172,26 @@ def test_build_parity_test_parity_guards(small_oscillating_pair):
     odd, even = small_oscillating_pair
     with pytest.raises(PreconditionError):
         build_parity_test(even, odd, 4, 100)
+    with pytest.raises(PreconditionError, match="second side"):
+        build_parity_test(odd, odd, 4, 100)
+    with pytest.raises(PreconditionError):
+        build_parity_test(odd, even, -1, 100)
+    # the pair must start at or below the threshold 1
+    full = StageApprox((Component(0, Fraction(1), constant_program(1, None, Parity.BETS_ON_ODD)),),
+                       Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    with pytest.raises(PreconditionError, match="exceeds the threshold 1"):
+        build_parity_test(full, even, 4, 100)
+
+
+def test_build_parity_test_raises_when_no_child_stays_under(monkeypatch):
+    # the two-round inequality rules this out: plant an enumeration that
+    # offers only 00, where both sides have doubled to 1
+    odd, even = (StageApprox((Component(0, Fraction(1), follow_program("00", p, Fraction(1, 2))),),
+                             Kind.MARTINGALE, p) for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN))
+    monkeypatch.setattr(blocktest, "enumerate_block",
+                        lambda parent, *_: EnumState(parent, Fraction(1), (parent + "00",), "closed", 0))
+    with pytest.raises(BettingLabError, match="^no extension of '' stays under 1 at stage 0"):
+        build_parity_test(odd, even, 1, 0)
 
 
 def test_packing_certificate_growth(small_oscillating_pair):

@@ -4,6 +4,7 @@ ledger, and the stage machine itself."""
 import gc
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from paritybet import (
     stage_parameters,
     validate,
 )
-from paritybet import bits
+from paritybet import bits, builder
 
 from conftest import random_positive_martingale
 
@@ -78,6 +79,11 @@ def test_params_stay_even_past_index_6():
 def test_stage_params_rejects_odd_length():
     with pytest.raises(StructuralError):
         StageParams(1, Fraction(3, 2), 12, 17, 26)
+    # and a negative index
+    with pytest.raises(PreconditionError):
+        stage_parameters(-1)
+    with pytest.raises(PreconditionError):
+        capital_threshold(-1)
 
 
 def test_capital_threshold_ladder():
@@ -124,9 +130,15 @@ def test_floor_parity_exact_leaf_agreement_impossible_here():
 
 def test_floor_guards():
     with pytest.raises(PreconditionError):
-        floor(SUP, 3, parity=Parity.BETS_ON_ODD)  # parity mode needs even depth
+        floor(SUP, 3, parity=Parity.BETS_ON_ODD)  # deeper than the table
     with pytest.raises(PreconditionError):
         floor(SUP, 2, prev=floor(SUP, 2))  # chaining is parity-only
+    with pytest.raises(PreconditionError, match="even depth"):
+        floor(SUP, 1, parity=Parity.BETS_ON_ODD)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        floor(SUP, -1)
+    with pytest.raises(PreconditionError, match="different shape"):
+        floor(SUP, 2, parity=Parity.BETS_ON_ODD, prev=floor(SUP, 2, parity=Parity.BETS_ON_EVEN))
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,6 +214,8 @@ def test_growth_bound_preconditions():
         check_growth_bound(n_approx, t_approx, "01", "100110", 0, 3, 4)
     with pytest.raises(PreconditionError):
         check_growth_bound(n_approx, t_approx, "01", "010110", 3, 3, 4)
+    with pytest.raises(PreconditionError, match="checking depth"):
+        check_growth_bound(n_approx, t_approx, "01", "010110", 0, 3, 4, depth=8)
 
 
 def test_request_ledger_kraft_guard():
@@ -214,6 +228,8 @@ def test_request_ledger_kraft_guard():
     # a failed add leaves the ledger unchanged
     assert led.kraft_weight() == 1
     assert led.k_v("11") is None
+    with pytest.raises(PreconditionError):
+        RequestLedger().add("0", 0)
 
 
 def test_request_ledger_classes():
@@ -251,6 +267,9 @@ def test_greedy_extension_guards():
         greedy_leftmost_extension(lambda s: Fraction(0), "00", Fraction(1), 1)
     with pytest.raises(PreconditionError):
         greedy_leftmost_extension(lambda s: Fraction(1), "", Fraction(1, 2), 1)
+    # both children above a parent under the bound: no supermartingale
+    with pytest.raises(PreconditionError, match="not a supermartingale"):
+        greedy_leftmost_extension(lambda s: Fraction(len(s)), "", Fraction(0), 1)
 
 
 ZERO_RUN_EVENTS = [(1, "define", 1, "0" * 18), (1, "describe", 1, "0" * 18)]
@@ -303,6 +322,33 @@ def test_stage_machine_parity_guards():
     n_approx, t_approx = _quiet_pair()
     with pytest.raises(PreconditionError):
         run_stage_machine(t_approx, n_approx, 10, 1)
+    with pytest.raises(PreconditionError, match="second side"):
+        run_stage_machine(n_approx, n_approx, 10, 1)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        run_stage_machine(n_approx, t_approx, -1, 1)
+
+
+def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
+    # a heavy follower of 1^18 wakes at stage 5 and pushes index 1 over its
+    # budget there. A planted greedy walk defines 1^18 at stage 1 and, after
+    # that cut, 0^18 at stage 6: a regression no real walk can produce
+    n_approx = StageApprox((
+        Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_ODD)),
+        Component(5, 1, follow_program("1" * 18, Parity.BETS_ON_ODD, Fraction(1, 512))),
+    ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    _, t_approx = _quiet_pair()
+    walks = iter(["1" * 18, "0" * 18])
+    monkeypatch.setattr(builder, "greedy_leftmost_extension", lambda *_: next(walks))
+    with pytest.raises(StructuralError, match="^prefix at index 1 regressed .* at stage 6"):
+        run_stage_machine(n_approx, t_approx, 20, 1)
+    # with a change budget of 2^0, the second definition under the stable
+    # root overruns it
+    walks = iter(["1" * 18, "1" * 18])
+    real = builder.stage_parameters
+    monkeypatch.setattr(builder, "stage_parameters",
+                        lambda n_max: tuple(replace(pr, p=0) for pr in real(n_max)))
+    with pytest.raises(BettingLabError, match="^index 1 changed more than 2\\^0 times"):
+        run_stage_machine(n_approx, t_approx, 20, 1)
 
 
 def _run_both(n_approx, t_approx, stages, n_max):

@@ -206,12 +206,15 @@ _MALFORMED = {
     "not-utf8": b"01\xff10",
     "deep": b"[" * 100000 + b"]" * 100000,
     "long-int": b"[" + b"7" * 5000 + b"]",
+    # JSON that is no object of any type and no list
+    "empty-object": b"{}",
 }
 _FILE_SLOTS = {
     "validate-in": ["validate", "--in"],
     "stest-validate": ["stest", "--s", "1/2", "--validate"],
     "dimhalf-components": ["dimhalf", "--nmax", "1", "--stages", "20", "--components"],
     "diagonalize-adversaries": ["diagonalize", "--engine", "N", "--target", "5", "--adversaries"],
+    "paritytest-mixture": ["paritytest", "--depth", "2", "--mixture"],
 }
 
 
@@ -241,6 +244,12 @@ def test_dimhalf_rejects_malformed_component(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv, path)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "WireError"
+    # a well-formed component whose program bets at both parities
+    untagged = Component(0, Fraction(1, 4), constant_program(1, None))
+    path = write_json(tmp_path, "untagged.json", [to_jsonable(untagged)])
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert "single-parity" in json.loads(err)["message"]
 
 
 _INT_PROGRAM = constant_program(5, IntegerBet(2, 0), Parity.BETS_ON_ODD)
@@ -430,6 +439,11 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("dim", "--strategy", constant_program(1, FractionBet(Fraction(1, 3))), ["--x", "{long_x}"]),
     ("dimhalf", "--components", [to_jsonable(Component(0, Fraction(1, 4), _PROGRAM))],
      ["--nmax", "6", "--stages", "8"]),
+    ("dimhalf", "--components", [], ["--nmax", "2", "--stages", "100001"]),
+    # verify reads no file, so the path goes to --out, which a refusal never writes
+    ("verify", "--out", {}, ["--lemma", "growth", "--n", "0"]),
+    ("verify", "--out", {}, ["--lemma", "growth", "--n", "-5"]),
+    ("verify", "--out", {}, ["--lemma", "growth", "--n", "10001"]),
     ("diagonalize", "--adversaries", [to_jsonable(parity_window("w", 3, 2))],
      ["--engine", "N", "--target", "1000001"]),
     # 2 * 8 * (2^30 - 1) interpolated bits
@@ -441,6 +455,7 @@ def test_stest_scale_errors(capsys, tmp_path):
       "even": to_jsonable(_quiet_mixture(Parity.BETS_ON_EVEN))},
      ["--depth", "1001"]),
 ], ids=["validate-depth", "stest-s", "dim-precision", "dim-x", "dimhalf-nmax",
+        "dimhalf-stages", "verify-n-zero", "verify-n-negative", "verify-n-cap",
         "diagonalize-target", "diagonalize-dim0-blocks", "paritytest-depth"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
     x = tmp_path / "x.txt"

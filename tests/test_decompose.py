@@ -127,6 +127,20 @@ def test_block_decompose_rejects_unreachable_targets():
     spec = BlockSpec(Fraction(2), Fraction(1, 4), Fraction(1), Fraction(1, 4), Fraction(3, 4))
     with pytest.raises(PreconditionError):
         block_decompose(m, n, spec)
+    spec = BlockSpec(Fraction(1), Fraction(1, 4), Fraction(2), Fraction(1, 4), Fraction(3, 4))
+    with pytest.raises(PreconditionError, match="level-1 targets"):
+        block_decompose(m, n, spec)
+    with pytest.raises(PreconditionError, match="depth-2"):
+        block_decompose(StrategyTable(1, {"": 1, "0": 1, "1": 1}), n, spec)
+    # a target met with room to spare lifts the core's sibling leaf: the
+    # core of 00 >= 1/2, 10 >= 2 puts 3/2 at 01, where m has 1
+    m = StrategyTable(2, {
+        "": Fraction(1), "0": Fraction(1), "1": Fraction(1),
+        "00": Fraction(1), "01": Fraction(1), "10": Fraction(2), "11": Fraction(0),
+    }, Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    spec = BlockSpec(Fraction(1, 2), Fraction(2), Fraction(1), Fraction(1, 4), Fraction(3, 4))
+    with pytest.raises(PreconditionError, match="no nonnegative remainder: m .* '01'"):
+        block_decompose(m, n, spec)
 
 
 def test_block_decompose_rejects_wrong_parity():

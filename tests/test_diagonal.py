@@ -259,6 +259,7 @@ def test_the_planted_duel_has_both_deaths():
     _, tr = _greedy_with_deaths()
     assert [r.adversaries for r in tr.records[:5]] == [(3, 2), (3, 1), (2, 1), (2, 0), (1, 0)]
     assert tr.records[-1].adversaries == (1, 0) and tr.records[-1].engine == 20
+    assert repr(tr.records) == repr(tuple(tr.records))
 
 
 def test_replay_rejects_a_record_count_off_the_bits():

@@ -53,6 +53,8 @@ def test_compare_scaled_weight_empty_and_guards():
         compare_scaled_weight([1], Fraction(0), 0)
     with pytest.raises(PreconditionError):
         compare_scaled_weight([1], Fraction(3, 2), 0)
+    with pytest.raises(PreconditionError):
+        compare_scaled_weight([-1], Fraction(1, 2), 0)
 
 
 def test_validate_s_test_levels():
@@ -95,6 +97,8 @@ def test_strategies_from_test_rejects_heavy_test():
     arr = TestArray((("00", "10"),), flavor="free")  # weight 1 at level 0
     with pytest.raises(PreconditionError):
         strategies_from_test(arr)
+    with pytest.raises(PreconditionError, match="no members"):
+        strategies_from_test(TestArray(((),), flavor="free"))
 
 
 def test_strategies_from_test_rejects_empty_member():
@@ -114,6 +118,8 @@ def test_log2_bracket_exact_powers():
 def test_log2_bracket_rejects_negative_precision(v):
     with pytest.raises(PreconditionError):
         log2_bracket(v, -1)
+    with pytest.raises(PreconditionError):
+        log2_bracket(v - v, 10)
 
 
 def test_log2_bracket_traps_irrational():
@@ -193,6 +199,14 @@ def test_empirical_dim_bound_dead_path_infinite():
     rep = empirical_dim_bound(_doubling_table("0110"), "1111")
     assert rep.upper is None
     assert any(s.infinite for s in rep.samples)
+    assert not rep.samples[-1].matches_half_log2(2)
+
+
+def test_empirical_dim_bound_guards():
+    with pytest.raises(PreconditionError):
+        empirical_dim_bound(_doubling_table("0110"), "")
+    with pytest.raises(PreconditionError):
+        empirical_dim_bound(_doubling_table("0110"), "01100")
 
 
 def test_matches_half_log2_symbolic():
@@ -204,6 +218,8 @@ def test_matches_half_log2_symbolic():
     assert sample.matches_half_log2(3)
     assert not sample.matches_half_log2(2)
     assert rep.half_log2_base() == 3
+    # exponent 0 would need base 1
+    assert empirical_dim_bound(_doubling_table("0110"), "0110").half_log2_base() is None
 
 
 def _certificate_like():

@@ -25,6 +25,7 @@ from paritybet import (
     Sided,
     StageApprox,
     StructuralError,
+    at_stage,
     constant_program,
     diagonalize,
     dumps,
@@ -100,6 +101,8 @@ def test_program_form_promises():
         BetProgram(Fraction(1), Fsm((FsmState(IntegerBet(1, 0), 0, 0),)), "fractional")
     with pytest.raises(StructuralError):
         BetProgram(Fraction(1, 2), Fsm((FsmState(IntegerBet(1, 0), 0, 0),)), "integer")
+    with pytest.raises(StructuralError):
+        BetProgram(Fraction(1), Fsm((FsmState(FractionBet(0), 0, 0),)), "integer")
 
 
 def test_structural_parity_check():
@@ -201,6 +204,14 @@ def test_stage_approx_tag_enforcement():
     with pytest.raises(PreconditionError):
         StageApprox((Component(0, Fraction(1, 2), even),), parity=Parity.BETS_ON_ODD)
     StageApprox((Component(0, Fraction(1, 2), odd),), parity=Parity.BETS_ON_ODD)
+    with pytest.raises(PreconditionError):
+        StageApprox((Component(0, Fraction(1, 2), odd),), sided=Sided.ONE)
+    leaky = BetProgram(Fraction(1), Fsm((FsmState(ScaleBet(Fraction(1, 2)), 0, 0),)))
+    with pytest.raises(PreconditionError):
+        StageApprox((Component(0, Fraction(1, 2), leaky),), Kind.MARTINGALE)
+    # and a reader of something that is no strategy
+    with pytest.raises(PreconditionError):
+        at_stage(object())
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,6 +254,10 @@ def test_mixture_rejects_mismatched_parity():
         mixture([constant_program(1, None, Parity.BETS_ON_EVEN)], Parity.BETS_ON_ODD)
     with pytest.raises(PreconditionError):
         mixture([], Parity.BETS_ON_ODD)
+    with pytest.raises(PreconditionError):
+        mixture([constant_program(1, None)], Parity.NONE)
+    with pytest.raises(PreconditionError):
+        mixture([constant_program(2, None, Parity.BETS_ON_ODD)], Parity.BETS_ON_ODD)
 
 
 # every bet shape, with the edge cases of the law drawn often: stakes of

@@ -51,6 +51,14 @@ def test_table_requires_total_map():
 def test_table_rejects_long_state():
     with pytest.raises(StructuralError):
         StrategyTable(0, {"": Fraction(1), "0": Fraction(1), "1": Fraction(1)})
+    # and a read of a state outside a built table
+    t = table(1, {"": 1, "0": 2, "1": 0})
+    for bad in ("00", "2", 0):
+        with pytest.raises(KeyError):
+            t.values[bad]
+    with pytest.raises(StructuralError):
+        t.value("00")
+    assert repr(t.values) == repr({"": Fraction(1), "0": Fraction(2), "1": Fraction(0)})
 
 
 def test_validate_constant_table():
@@ -91,6 +99,11 @@ def test_holds_checks_the_declared_tags():
     d = validate(t)
     assert d.holds(t.kind, t.parity, t.sided)
     assert not d.holds(t.kind, Parity.BETS_ON_EVEN, t.sided)
+    # ODD_BETTOR leans to 0 below "0" and to 1 below "1"
+    assert not d.holds(t.kind, t.parity, Sided.ZERO)
+    assert not d.holds(t.kind, t.parity, Sided.ONE)
+    bad = dict(FAIR_COIN, **{"01": 2, "11": 2})
+    assert not validate(table(2, bad)).holds(Kind.SUPERMARTINGALE, Parity.NONE, Sided.NONE)
 
 
 def test_sided_verdicts():
@@ -119,10 +132,23 @@ def test_combine_kind_demotion():
     assert combine([(1, a), (1, s)]).kind is Kind.SUPERMARTINGALE
 
 
+def test_combine_rejects_empty_and_mixed_depths():
+    with pytest.raises(PreconditionError):
+        combine([])
+    with pytest.raises(PreconditionError):
+        combine([(1, table(2, FAIR_COIN)), (1, table(1, {"": 1, "0": 1, "1": 1}))])
+
+
 def test_product_requires_opposite_parities():
     a = table(2, ODD_BETTOR, parity=Parity.BETS_ON_ODD)
     with pytest.raises(PreconditionError):
         product(a, a)
+    one = table(1, {"": 1, "0": 1, "1": 1}, parity=Parity.BETS_ON_EVEN)
+    with pytest.raises(PreconditionError):
+        product(a, one)
+    leaky = table(2, FAIR_COIN, kind=Kind.SUPERMARTINGALE, parity=Parity.BETS_ON_EVEN)
+    with pytest.raises(PreconditionError):
+        product(a, leaky)
 
 
 def test_product_law_preserved(rng):
