@@ -22,7 +22,7 @@ from fractions import Fraction
 from .bits import all_states
 from .decompose import BlockSpec
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import BetProgram, Component, StageApprox, _check_sides, at_stage
+from .programs import BetProgram, Component, StageApprox, _exceeds, _Joint, at_stage
 from .strategy import Kind, Parity, Sided, StrategyTable, as_capital
 
 
@@ -139,26 +139,37 @@ def enumerate_block(
     exceeds c at both of those leaves; at that moment the four reference
     values are recorded and the third string is parent+01 when n0 <= n1,
     parent+11 otherwise. Capital only changes at component activation
-    stages, so only those stages are inspected.
+    stages, so only those stages are inspected, and each leaf keeps a
+    running sum to which a stage adds only the components waking there.
     """
     if len(parent) % 2 != 0:
         raise PreconditionError("block parent must have even length")
     c = as_capital(c)
     if budget < 0:
         raise PreconditionError("stage budget must be nonnegative")
+    return _enumerate_block(_Joint(m, n), parent, c, budget)
+
+
+def _enumerate_block(joint: _Joint, parent: str, c: Fraction, budget: int) -> EnumState:
+    """enumerate_block on the pair's joint, for arguments already checked."""
     p = parent
     leaves = (p + "00", p + "10")
-    firsts = (p + "0", p + "1")
-    stages = sorted(
-        {0} | {s for s in m.activation_stages() + n.activation_stages() if s <= budget}
-    )
-    for s in stages:
-        if all(m.eval(s, leaf) + n.eval(s, leaf) > c for leaf in leaves):
+    # each leaf's running sum and the stage it was last read at; the second
+    # leaf is read only once the first exceeds c
+    sums, since = [(0, 1), (0, 1)], [-1, -1]
+    for s in sorted({0} | {s for s in joint.wakes if s <= budget}):
+        for i, leaf in enumerate(leaves):
+            sums[i] = joint.read(s, leaf, since[i], sums[i])
+            since[i] = s
+            if not _exceeds(sums[i], c):
+                break
+        else:
+            m, n = joint.odd, joint.even
             rec = BlockSpec(
                 m00=m.eval(s, leaves[0]),
                 m10=m.eval(s, leaves[1]),
-                n0=n.eval(s, firsts[0]),
-                n1=n.eval(s, firsts[1]),
+                n0=n.eval(s, p + "0"),
+                n1=n.eval(s, p + "1"),
                 c=c,
             )
             third = p + ("01" if rec.n0 <= rec.n1 else "11")
@@ -275,27 +286,23 @@ def build_parity_test(
     the path's parent is expanded per level, which keeps deep runs linear
     in depth.
     """
-    _check_sides(m, n)
+    joint = _Joint(m, n)
     c = Fraction(1)
     if depth < 0 or stages < 0:
         raise PreconditionError("depth and stage budget must be nonnegative")
-
-    def joint(state: str) -> Fraction:
-        return m.eval(stages, state) + n.eval(stages, state)
-
-    joint_root = joint("")
-    if joint_root > c:
+    if joint.over(stages, "", c):
         raise PreconditionError(
-            f"joint root capital {joint_root} exceeds the threshold {c}"
+            f"joint root capital {joint.value(stages, '')} exceeds the threshold {c}"
         )
 
     levels: list[tuple[str, ...]] = [("",)]
     reports: list[LevelReport] = []
     path = ""
     for level in range(1, depth + 1):
-        path_state = enumerate_block(path, c, m, n, stages)
-        finals = tuple((child, joint(child)) for child in sorted(path_state.enumerated))
-        survivors = tuple(child for child, v in finals if v <= c)
+        path_state = _enumerate_block(joint, path, c, stages)
+        children = tuple(sorted(path_state.enumerated))
+        reads = [joint.read(stages, child) for child in children]
+        survivors = tuple(child for child, r in zip(children, reads) if not _exceeds(r, c))
         if not survivors:
             raise BettingLabError(
                 f"no extension of {path!r} stays under {c} at stage {stages}; "
@@ -309,13 +316,13 @@ def build_parity_test(
                 expanded_parent=path,
                 phase=path_state.phase,
                 trigger_stage=path_state.last_stage if path_state.phase == CLOSED else None,
-                children=tuple(sorted(path_state.enumerated)),
-                final_values=finals,
+                children=children,
+                final_values=tuple((child, Fraction(*r)) for child, r in zip(children, reads)),
                 survivors=survivors,
                 chosen=chosen,
             )
         )
-        levels.append(tuple(sorted(set(path_state.enumerated))))
+        levels.append(children)
         path = chosen
     array = TestArray(levels=tuple(levels), flavor="block34")
     check_block34(array)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import StageApprox, _check_sides, at_stage
+from .programs import StageApprox, _check_sides, _Joint, at_stage
 from .strategy import Kind, Parity, StrategyTable, _per_child, _state
 
 HALF = Fraction(1, 2)
@@ -350,16 +350,22 @@ def greedy_leftmost_extension(evaluator, base: str, bound, length: int) -> str:
     """
     bits.check_bits(base)
     bound = Fraction(bound)
+    return _greedy_walk(lambda st: evaluator(st) > bound, base, length)
+
+
+def _greedy_walk(over, base: str, length: int) -> str:
+    """greedy_leftmost_extension on over(state), which tells whether the
+    value at state exceeds the bound."""
     if length < len(base):
         raise PreconditionError("target length shorter than the base")
-    if evaluator(base) > bound:
+    if over(base):
         raise PreconditionError("base already exceeds the bound")
     state = base
     while len(state) < length:
-        if evaluator(state + "0") <= bound:
+        if not over(state + "0"):
             state += "0"
             continue
-        if evaluator(state + "1") > bound:
+        if over(state + "1"):
             raise PreconditionError(
                 f"both children exceed the bound at {state!r}; "
                 "evaluator is not a supermartingale"
@@ -418,7 +424,7 @@ def run_stage_machine(
     a redefined prefix under a stable parent; all three are invariant
     failures, not recoverable states.
     """
-    _check_sides(n_approx, t_approx)
+    joint = _Joint(n_approx, t_approx)
     if stages < 0 or n_max < 0:
         raise PreconditionError("stages and n_max must be nonnegative")
 
@@ -430,14 +436,11 @@ def run_stage_machine(
     since_parent = [0] * (n_max + 1)
     last_in_interval: list = [None] * (n_max + 1)
 
-    def joint(u: int, st: str) -> Fraction:
-        return n_approx.eval(u, st) + t_approx.eval(u, st)
-
-    # joint(u, st) changes with u only at an activation stage of either
-    # side, so each index keeps the (prefix, joint capital) it last read
-    # until the next activation stage or until its prefix changes; index 0
-    # is the root
-    wakes = {*n_approx.activation_stages(), *t_approx.activation_stages()}
+    # the joint capital at a state changes with the stage only at an
+    # activation stage of either side, so each index keeps the (prefix,
+    # joint capital) it last read until the next activation stage or until
+    # its prefix changes; index 0 is the root
+    wakes = set(joint.wakes)
     budgets = [capital_threshold(n) for n in range(n_max + 1)]
     reads: dict[int, tuple[str, Fraction]] = {}
 
@@ -445,7 +448,7 @@ def run_stage_machine(
         sig = state.sigmas[n]
         hit = reads.get(n)
         if hit is None or hit[0] != sig:
-            hit = reads[n] = (sig, joint(u, sig))
+            hit = reads[n] = (sig, joint.value(u, sig))
         return hit[1]
 
     for u in range(stages + 1):
@@ -470,9 +473,7 @@ def run_stage_machine(
             n = acted_n
             base = state.sigmas[n - 1]
             bound = joint_at(u, n - 1)
-            tau = greedy_leftmost_extension(
-                lambda st: joint(u, st), base, bound, par[n].s
-            )
+            tau = _greedy_walk(lambda st: joint.over(u, st, bound), base, par[n].s)
             prior = last_in_interval[n]
             if prior is not None and tau < prior:
                 raise StructuralError(

@@ -20,11 +20,18 @@ step we support.
 
 One bet law serves all three: a program decodes its bets once into a step
 table that value, to_table, the tag checks and the integer duels read.
+
+The parity pair's joint capital m(x) + n(x), which the nested test and the
+stage machine compare with a fixed bound at every step, has one reader:
+_Joint sums both sides' components as integers over one running
+denominator and compares the sum with the bound by cross-multiplying, so
+no Fraction is built until a value is reported.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -206,11 +213,19 @@ class BetProgram:
         state it has read: the walk resumes from the pair stored for
         state or for state one or two bits shorter, and stores state's.
         """
-        walks = self._walks
-        hit = walks.get(state) if isinstance(state, str) else None
+        hit = self._walks.get(state) if isinstance(state, str) else None
         if hit is not None:
             return hit[1]
         bits.check_bits(state)
+        return self._walk(state)
+
+    def _walk(self, state: str) -> Fraction:
+        """value without the bits check, for a caller that has checked
+        state: every key of the walk memo is a binary string."""
+        walks = self._walks
+        hit = walks.get(state)
+        if hit is not None:
+            return hit[1]
         q, c, done = self.rule.start, self.initial, 0
         for cut in range(1, min(len(state), 2) + 1):
             hit = walks.get(state[: len(state) - cut])
@@ -357,23 +372,8 @@ class StageApprox:
                 raise PreconditionError("supermartingale component in declared martingale")
 
     def eval(self, stage: int, state: str) -> Fraction:
-        # sum the weighted values as integers over one running denominator,
-        # taking a gcd only when a term's denominator differs from it
-        num, den = 0, 1
-        for c in self.components:
-            if c.stage <= stage:
-                w, v = c.weight, c.program.value(state)
-                n, d = w.numerator * v.numerator, w.denominator * v.denominator
-                if d == den:
-                    num += n
-                else:
-                    g = math.gcd(d, den)
-                    num = num * (d // g) + n * (den // g)
-                    den = den // g * d
-        return Fraction(num, den)
-
-    def activation_stages(self) -> list[int]:
-        return sorted({c.stage for c in self.components})
+        active = [(c.weight, c.program.value) for c in self.components if c.stage <= stage]
+        return Fraction(*_weighted_sum(active, state, 0, 1))
 
     def last_stage(self) -> int:
         """The stage from which the value no longer changes: the last
@@ -398,6 +398,63 @@ def _check_sides(odd: StageApprox, even: StageApprox) -> None:
         raise PreconditionError("first side must bet at odd positions")
     if even.parity != Parity.BETS_ON_EVEN:
         raise PreconditionError("second side must bet at even positions")
+
+
+class _Joint:
+    """The joint capital m(x) + n(x) of a parity pair, odd side first.
+
+    Both sides' components form one parity-free sum, ordered by activation
+    stage. read(stage, state) gives the sum as integers (num, den); with
+    since and acc it adds only the components that wake in (since, stage]
+    to a running sum acc. over compares the sum with a bound by
+    cross-multiplying (_exceeds), so the comparison builds no Fraction.
+    Each read checks the state's bits once and walks every program
+    unchecked. value is the joint capital as a Fraction, for the values a
+    caller keeps or reports; it reads each side's eval, so those reads
+    show as eval calls and FSM bits in the bench's traced run.
+    """
+
+    __slots__ = ("odd", "even", "wakes", "_terms")
+
+    def __init__(self, odd: StageApprox, even: StageApprox):
+        _check_sides(odd, even)
+        self.odd, self.even = odd, even
+        comps = sorted(odd.components + even.components, key=lambda c: c.stage)
+        self.wakes = [c.stage for c in comps]
+        self._terms = [(c.weight, c.program._walk) for c in comps]
+
+    def read(self, stage: int, state: str, since: int = -1, acc=(0, 1)) -> tuple[int, int]:
+        bits.check_bits(state)
+        terms = self._terms[bisect_right(self.wakes, since):bisect_right(self.wakes, stage)]
+        return _weighted_sum(terms, state, *acc)
+
+    def over(self, stage: int, state: str, bound: Fraction) -> bool:
+        return _exceeds(self.read(stage, state), bound)
+
+    def value(self, stage: int, state: str) -> Fraction:
+        return self.odd.eval(stage, state) + self.even.eval(stage, state)
+
+
+def _exceeds(read: tuple[int, int], bound: Fraction) -> bool:
+    """Whether a read (num, den) is above bound, on integers."""
+    num, den = read
+    return num * bound.denominator > bound.numerator * den
+
+
+def _weighted_sum(terms, state: str, num: int, den: int) -> tuple[int, int]:
+    """Add weight * value(state) for each (weight, value) of terms to
+    num / den, as integers over one running denominator, taking a gcd only
+    when a term's denominator differs from it."""
+    for w, value in terms:
+        v = value(state)
+        n, d = w.numerator * v.numerator, w.denominator * v.denominator
+        if d == den:
+            num += n
+        else:
+            g = math.gcd(d, den)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return num, den
 
 
 class _StageView:

@@ -8,7 +8,11 @@ and apply_bet is the per-shape bet law that BetProgram.value and the
 duels stepped with before programs decoded their bets once. log2_bracket
 is the one that normalised by halving a Fraction and built each digit's
 bracket as a Fraction, and run_stage_machine the one that read every
-joint capital afresh at every stage. two_round_random (with its sampler
+joint capital afresh at every stage. enumerate_block and build_parity_test
+are the nested test as it read each joint capital as two Fraction-valued
+StageApprox.eval calls and their Fraction sum, summing every awake
+component again at every activation stage (with the activation stages
+read off the components, as StageApprox.activation_stages did). two_round_random (with its sampler
 _rand_frac), minimality_grid and floor_parity_grid are the oracle suites
 as they ran on Fractions; they call the real floor, validate,
 min_block_martingale and verify_block_inequality through their modules,
@@ -36,6 +40,15 @@ import re
 from fractions import Fraction
 
 from paritybet import bits, blocktest, builder, decompose, serialize, strategy
+from paritybet.blocktest import (
+    CLOSED,
+    WATCHING,
+    EnumState,
+    LevelReport,
+    ParityTestResult,
+    TestArray,
+    check_block34,
+)
 from paritybet.builder import (
     HALF,
     BuilderState,
@@ -450,6 +463,97 @@ def run_stage_machine(n_approx, t_approx, stages: int, n_max: int):
                 state.events.append(StageEvent(u, "describe", k, sig))
                 break
     return state, state.deepest_defined(), state.ledger
+
+
+def enumerate_block(parent: str, c, m, n, budget: int) -> EnumState:
+    """blocktest.enumerate_block."""
+    if len(parent) % 2 != 0:
+        raise PreconditionError("block parent must have even length")
+    c = as_capital(c)
+    if budget < 0:
+        raise PreconditionError("stage budget must be nonnegative")
+    p = parent
+    leaves = (p + "00", p + "10")
+    firsts = (p + "0", p + "1")
+    stages = sorted(
+        {0} | {c.stage for c in m.components + n.components if c.stage <= budget}
+    )
+    for s in stages:
+        if all(m.eval(s, leaf) + n.eval(s, leaf) > c for leaf in leaves):
+            rec = BlockSpec(
+                m00=m.eval(s, leaves[0]),
+                m10=m.eval(s, leaves[1]),
+                n0=n.eval(s, firsts[0]),
+                n1=n.eval(s, firsts[1]),
+                c=c,
+            )
+            third = p + ("01" if rec.n0 <= rec.n1 else "11")
+            return EnumState(
+                parent=p,
+                threshold=c,
+                enumerated=(leaves[0], leaves[1], third),
+                phase=CLOSED,
+                last_stage=s,
+                recorded=rec,
+            )
+    return EnumState(
+        parent=p,
+        threshold=c,
+        enumerated=leaves,
+        phase=WATCHING,
+        last_stage=budget,
+    )
+
+
+def build_parity_test(m, n, depth: int, stages: int) -> ParityTestResult:
+    """blocktest.build_parity_test, on enumerate_block above."""
+    _check_sides(m, n)
+    c = Fraction(1)
+    if depth < 0 or stages < 0:
+        raise PreconditionError("depth and stage budget must be nonnegative")
+
+    def joint(state: str) -> Fraction:
+        return m.eval(stages, state) + n.eval(stages, state)
+
+    joint_root = joint("")
+    if joint_root > c:
+        raise PreconditionError(
+            f"joint root capital {joint_root} exceeds the threshold {c}"
+        )
+
+    levels: list[tuple[str, ...]] = [("",)]
+    reports: list[LevelReport] = []
+    path = ""
+    for level in range(1, depth + 1):
+        path_state = enumerate_block(path, c, m, n, stages)
+        finals = tuple((child, joint(child)) for child in sorted(path_state.enumerated))
+        survivors = tuple(child for child, v in finals if v <= c)
+        if not survivors:
+            raise BettingLabError(
+                f"no extension of {path!r} stays under {c} at stage {stages}; "
+                f"the block argument rules this out for approximations of the "
+                f"declared shape"
+            )
+        chosen = survivors[0]
+        reports.append(
+            LevelReport(
+                level=level,
+                expanded_parent=path,
+                phase=path_state.phase,
+                trigger_stage=path_state.last_stage if path_state.phase == CLOSED else None,
+                children=tuple(sorted(path_state.enumerated)),
+                final_values=finals,
+                survivors=survivors,
+                chosen=chosen,
+            )
+        )
+        levels.append(tuple(sorted(set(path_state.enumerated))))
+        path = chosen
+    array = TestArray(levels=tuple(levels), flavor="block34")
+    check_block34(array)
+    return ParityTestResult(
+        array=array, path=path, reports=tuple(reports), threshold=c, stages=stages
+    )
 
 
 def _rand_frac(rng: random.Random, lo: Fraction, hi: Fraction, den_max: int = 8):

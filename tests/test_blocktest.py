@@ -4,6 +4,8 @@ nested test built from them."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paritybet import (
     BettingLabError,
@@ -20,8 +22,11 @@ from paritybet import (
     build_parity_test,
     check_block34,
     constant_program,
+    dumps,
     enumerate_block,
     follow_program,
+    FractionBet,
+    greedy_leftmost_extension,
     level_measure,
     max_fanout,
     packing_certificate,
@@ -29,6 +34,9 @@ from paritybet import (
     verify_block_inequality,
 )
 from paritybet.blocktest import EnumState
+from paritybet.programs import _Joint
+
+import fraction_reference as ref
 
 
 def _checker_pair():
@@ -188,8 +196,9 @@ def test_build_parity_test_raises_when_no_child_stays_under(monkeypatch):
     # offers only 00, where both sides have doubled to 1
     odd, even = (StageApprox((Component(0, Fraction(1), follow_program("00", p, Fraction(1, 2))),),
                              Kind.MARTINGALE, p) for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN))
-    monkeypatch.setattr(blocktest, "enumerate_block",
-                        lambda parent, *_: EnumState(parent, Fraction(1), (parent + "00",), "closed", 0))
+    monkeypatch.setattr(
+        blocktest, "_enumerate_block",
+        lambda joint, parent, *_: EnumState(parent, Fraction(1), (parent + "00",), "closed", 0))
     with pytest.raises(BettingLabError, match="^no extension of '' stays under 1 at stage 0"):
         build_parity_test(odd, even, 1, 0)
 
@@ -216,3 +225,115 @@ def test_packing_certificate_is_supermartingale(small_oscillating_pair):
     # beyond the materialized levels the value freezes
     deep = res.path[:6]
     assert cert.value(deep + "0101") == cert.value(deep)
+
+
+_STAKES = [Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+
+
+def _side(parity):
+    """Up to four components of one parity, waking at stages up to 8:
+    quiet, constant-bet and target-following programs, with weights that
+    put the joint root on both sides of the threshold 1."""
+    program = st.one_of(
+        st.builds(constant_program, st.sampled_from([1, Fraction(1, 3)]), st.none(), st.just(parity)),
+        st.builds(constant_program, st.just(1), st.builds(FractionBet, st.sampled_from(_STAKES)),
+                  st.just(parity)),
+        # the path goes left, so zero-led targets pump the blocks above it
+        st.builds(follow_program,
+                  st.text("01", max_size=12) | st.integers(0, 12).map(lambda k: "0" * k),
+                  st.just(parity), st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 16)])),
+    )
+    weight = st.sampled_from([0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1])
+    comps = st.lists(st.builds(Component, st.integers(0, 8), weight, program), max_size=4)
+    # an all-in bet of weight 1/2 on bit 0 at odd positions lifts both
+    # reference leaves of a block at once, which closes it
+    pump = st.builds(
+        lambda stage: Component(stage, Fraction(1, 2), constant_program(1, FractionBet(-1), parity)),
+        st.integers(0, 8),
+    )
+    pumps = st.lists(pump, max_size=1 if parity is Parity.BETS_ON_ODD else 0)
+    return st.tuples(comps, pumps).map(
+        lambda cs: StageApprox(tuple(cs[0] + cs[1]), Kind.MARTINGALE, parity))
+
+
+_PAIRS = st.tuples(_side(Parity.BETS_ON_ODD), _side(Parity.BETS_ON_EVEN))
+
+
+def _unit_pair(stage=0):
+    """Two quiet halves, waking at stage: the joint capital is exactly 1
+    at every state from stage on."""
+    return tuple(
+        StageApprox((Component(stage, Fraction(1, 2), constant_program(1, None, p)),),
+                    Kind.MARTINGALE, p)
+        for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN)
+    )
+
+
+def _outcome(run, *args):
+    """run's result, or the type and text of what it raised."""
+    try:
+        return run(*args)
+    except BettingLabError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS, st.text("01", max_size=7).map(lambda s: s[: len(s) // 2 * 2]),
+       st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(5, 4), 2]),
+       st.integers(0, 10))
+@example(_unit_pair(), "", Fraction(1), 10)  # the joint is exactly c at both leaves
+@example(_unit_pair(3), "01", Fraction(1), 10)
+def test_enumerate_block_matches_the_reference(pair, parent, c, budget):
+    got = _outcome(enumerate_block, parent, c, *pair, budget)
+    want = _outcome(ref.enumerate_block, parent, c, *pair, budget)
+    assert got == want
+    if isinstance(got, EnumState) and got.recorded is not None:
+        assert dumps(got.recorded) == dumps(want.recorded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS, st.integers(0, 6), st.integers(0, 10))
+@example(_unit_pair(), 3, 10)  # the joint is exactly 1 at the root and on every child
+@example(_unit_pair(2), 3, 1)
+def test_build_parity_test_matches_the_reference(pair, depth, stages):
+    got = _outcome(build_parity_test, *pair, depth, stages)
+    want = _outcome(ref.build_parity_test, *pair, depth, stages)
+    assert got == want
+    if not isinstance(got, tuple):
+        assert dumps(got) == dumps(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAIRS, st.integers(0, 9), st.integers(-1, 9), st.text("01", max_size=10), st.booleans(),
+       st.fractions(0, 3, max_denominator=64))
+@example(_unit_pair(), 0, -1, "0110", True, Fraction(0))  # at the greedy walk's bound
+@example(_unit_pair(), 0, -1, "0110", False, Fraction(1))
+def test_joint_over_matches_a_fraction_sum(pair, stage, since, state, exact, bound):
+    m, n = pair
+    joint = _Joint(m, n)
+    value = m.eval(stage, state) + n.eval(stage, state)
+    if exact:  # the bound the stage machine walks under: a joint capital itself
+        bound = value
+    assert joint.over(stage, state, bound) is (value > bound)
+    assert Fraction(*joint.read(stage, state)) == value == joint.value(stage, state)
+    # a running sum read at since, then brought up to stage
+    since = min(since, stage)
+    assert Fraction(*joint.read(stage, state, since, joint.read(since, state))) == value
+
+
+def test_one_bits_check_per_joint_read_covers_every_path():
+    # a pair without components walks no program, so only the joint's own
+    # check can reject these states
+    empty = tuple(StageApprox((), Kind.MARTINGALE, p)
+                  for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN))
+    for pair in (empty, _unit_pair()):
+        with pytest.raises(StructuralError):
+            enumerate_block("0a", 1, *pair, 5)
+        joint = _Joint(*pair)
+        for bad in ("01x", "2", ["0"]):
+            with pytest.raises(StructuralError):
+                joint.read(0, bad)
+            with pytest.raises(StructuralError):
+                joint.over(0, bad, Fraction(1))
+    with pytest.raises(StructuralError):
+        greedy_leftmost_extension(lambda s: Fraction(0), "0x", 1, 4)

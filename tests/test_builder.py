@@ -36,6 +36,7 @@ from paritybet import (
     validate,
 )
 from paritybet import bits, builder
+from paritybet.programs import _Joint
 
 from conftest import random_positive_martingale
 
@@ -338,7 +339,7 @@ def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
     ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
     _, t_approx = _quiet_pair()
     walks = iter(["1" * 18, "0" * 18])
-    monkeypatch.setattr(builder, "greedy_leftmost_extension", lambda *_: next(walks))
+    monkeypatch.setattr(builder, "_greedy_walk", lambda *_: next(walks))
     with pytest.raises(StructuralError, match="^prefix at index 1 regressed .* at stage 6"):
         run_stage_machine(n_approx, t_approx, 20, 1)
     # with a change budget of 2^0, the second definition under the stable
@@ -349,6 +350,14 @@ def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
                         lambda n_max: tuple(replace(pr, p=0) for pr in real(n_max)))
     with pytest.raises(BettingLabError, match="^index 1 changed more than 2\\^0 times"):
         run_stage_machine(n_approx, t_approx, 20, 1)
+
+
+def test_stage_machine_walk_raises_when_both_children_exceed_the_bound(monkeypatch):
+    # no pair of martingales does this: plant a joint under which every
+    # state but the root exceeds any bound
+    monkeypatch.setattr(_Joint, "over", lambda self, stage, state, bound: state != "")
+    with pytest.raises(PreconditionError, match="^both children exceed the bound at ''"):
+        run_stage_machine(*_quiet_pair(), 5, 1)
 
 
 def _run_both(n_approx, t_approx, stages, n_max):
@@ -444,22 +453,30 @@ def _tower_demo_pair():
 
 
 def test_stage_machine_reads_each_prefix_once_per_activation_interval(monkeypatch):
-    calls = []
-    evaluate = StageApprox.eval
+    # a joint read is one _Joint.read or _Joint.value call in the stage
+    # machine (a value call reads each side's eval once), and one pair of
+    # StageApprox.eval calls in the reference
+    reads, evals = [], []
 
-    def counted(self, stage, state):
-        calls.append(stage)
-        return evaluate(self, stage, state)
+    def counting(log, method):
+        def counted(self, stage, state, *rest):
+            log.append(stage)
+            return method(self, stage, state, *rest)
+        return counted
 
-    monkeypatch.setattr(StageApprox, "eval", counted)
+    for cls, name, log in ((_Joint, "read", reads), (_Joint, "value", reads),
+                           (StageApprox, "eval", evals)):
+        monkeypatch.setattr(cls, name, counting(log, getattr(cls, name)))
     counts = []
     for run in (run_stage_machine, ref.run_stage_machine):
-        calls.clear()
+        reads.clear()
+        evals.clear()
         state, _, _ = run(*_tower_demo_pair(), 2000, 2)
-        counts.append(len(calls))
+        counts.append((len(reads), len(evals)))
     assert state.change_counts == [0, 2, 3]
-    # the reference reads the root and every defined prefix at every stage
-    assert counts == [540, 16512]
+    # the reference reads the root and every defined prefix at every
+    # stage: 8256 joint reads, against 270 here
+    assert counts == [(270, 26), (0, 16512)]
 
 
 def test_floor_memo_returns_the_same_table():
