@@ -103,8 +103,13 @@ _MAX_STAGES = 10**5
 # diagonalize keeps a record of every bit it emits and writes about 86
 # bytes for it with six adversaries: this caps --target and the
 # 2*b*(2^k - 1) bits that --dim0-blocks b interpolates in settle mode for
-# k adversaries (at the cap: 86 MB written, 83 MB peak memory)
+# k adversaries (at the cap: 86 MB written, 85 MB peak memory)
 _MAX_BITS = 10**6
+# either mode emits more bits than --target the richer the adversaries
+# are; this caps --max-bits and every run: a target at the cap plus a
+# tenth for the bits the adversaries force (at 1.1 * 10^6 bits whose
+# adversary capitals moved at every bit: 135 MB peak memory)
+_MAX_TRACE_BITS = _MAX_BITS + _MAX_BITS // 10
 # paritytest repeats the path in each level report and keeps the walk of
 # every prefix read: depth 1000 took 3.5 s and 80 MB and wrote 15 MB
 _MAX_TEST_DEPTH = 1000
@@ -174,6 +179,8 @@ def _cmd_paritytest(args) -> int:
 def _cmd_diagonalize(args) -> int:
     if args.target > _MAX_BITS:
         raise PreconditionError(f"--target {args.target} is above {_MAX_BITS}")
+    if args.max_bits is not None and args.max_bits > _MAX_TRACE_BITS:
+        raise PreconditionError(f"--max-bits {args.max_bits} is above {_MAX_TRACE_BITS}")
     raw = load_json(args.adversaries)
     if not isinstance(raw, list):
         raise WireError("adversaries file must hold a JSON list")
@@ -192,7 +199,7 @@ def _cmd_diagonalize(args) -> int:
         args.target,
         mode=args.mode,
         dim0_blocks=blocks,
-        max_bits=args.max_bits,
+        max_bits=_MAX_TRACE_BITS if args.max_bits is None else args.max_bits,
     )
     _emit_lines(trace_lines(trace), args.out)
     return 0

@@ -19,12 +19,17 @@ adversary is literally constant on the whole cone above the prefix built
 so far. Settled adversaries stay settled, so optional long alternating
 blocks can be interpolated afterwards without disturbing anything: the
 block-heavy structure is the low-complexity evidence the caller wants.
+
+Once no adversary can bet, the engine plays alone, over its favored bits
+or over a block's, and its finite machine soon walks in a cycle. The lone
+engine is stepped one whole cycle at a time, with exact int capitals,
+both in the duel and when replay_trace recomputes a trace's tail.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import islice, repeat
@@ -86,6 +91,19 @@ def unit_bet_alternating() -> IntStrategy:
     return IntStrategy(prog, name="D")
 
 
+def _repeats(src: str, cycle: str, at: int, most: int) -> int:
+    """How many times over, at most most, src repeats cycle from position
+    at: doubling string compares, then halving ones."""
+    k, step, p = 0, 1, len(cycle)
+    while step <= most - k and src.startswith(cycle * step, at + k * p):
+        k, step = k + step, 2 * step
+    while step > 1:
+        step //= 2
+        if step <= most - k and src.startswith(cycle * step, at + k * p):
+            k += step
+    return k
+
+
 class _Players:
     """Cursor over a duel's players, engine first: each player's machine
     state and integer capital. Capital moves only through the program's
@@ -97,7 +115,8 @@ class _Players:
     adversaries are stepped, and a dead one's machine state is walked
     over the bits it missed when it is read. adversaries is the tuple of
     adversary capitals, rebuilt only when one of them moves. Once live is
-    empty it stays so, and alone steps the engine by itself."""
+    empty it stays so, and lone steps the engine by itself, a whole cycle
+    at a time where the cycle allows."""
 
     __slots__ = ("states", "steps", "ahead", "cap", "z", "live", "adversaries", "favors", "_q", "_since")
 
@@ -105,7 +124,7 @@ class _Players:
         programs = [s.program for s in strategies]
         self.states = [p.rule.states for p in programs]
         self.steps = [p._steps for p in programs]
-        self.ahead = [_bets_ahead(p) for p in programs]
+        self.ahead = [p._bets_ahead for p in programs]
         self._q = [p.rule.start for p in programs]
         self.cap = [int(p.initial) for p in programs]
         self.z: list[str] = []  # every bit stepped
@@ -149,19 +168,70 @@ class _Players:
         if moved:
             self.adversaries = tuple(cap[1:])
 
-    def alone(self, bits: Iterable[str] | None = None) -> Iterator[int]:
-        """Step the engine as step does once no adversary is live: over
-        bits, or, when bits is None, over its favored bit at each step.
-        Yields the engine's capital after each bit."""
-        (laws, succ), q, cap, z = self.steps[0], self._q, self.cap, self.z
-        for bit in iter(self.favored, None) if bits is None else bits:
-            b, qe, c = bit == "1", q[0], cap[0]
-            _, lean, w = laws[qe][b]
+    def lone(
+        self, caps: list[int], src: str | None = None, below: int | None = None, end: int | None = None
+    ) -> None:
+        """Step the engine as step does once no adversary is live: over the
+        bits of src, or, when src is None, over its favored bit at each
+        step, appending its capital after each bit to caps. Stops after the
+        bit that leaves the capital at 0 or, when below is given, at below
+        or above; and once src runs out or len(z) is end.
+
+        Whole cycles are skipped. Walking per bit, the pair (machine state,
+        bit played) repeats from step s to step t. Over favored bits the
+        walk then repeats from t on; over src it does for as long as src
+        repeats src[s:t]. If no stake clamped on the cycle (wager at most
+        capital) and the capital did not fall, each later cycle starts no
+        poorer, so no stake clamps there either and it adds the same change
+        d: the capitals of k more cycles are the cycle's own plus d, 2d, ...
+        kd, appended at once for the largest k that stays below `below`,
+        within end and within src's repeats. Capitals stay exact ints, and
+        no capital in a skipped cycle is 0 or reaches below."""
+        (laws, succ), favors, z = self.steps[0], self.favors, self.z
+        q, c = self._q[0], self.cap[0]
+        zb, cb = len(z), len(caps)  # where this run's bits and capitals start
+        room = None if end is None else end - zb  # bits this run may step
+        if src is not None:
+            room = len(src) if room is None else min(room, len(src))
+        seen: dict[int, tuple[int, int]] = {}  # 2 * state + bit -> (step, capital) last met
+        clamped, t = -1, 0  # the last step whose stake clamped; the steps taken
+        while room is None or t < room:
+            bit = favors[q] if src is None else src[t]
+            b = bit == "1"
+            key = 2 * q + b
+            hit = seen.get(key)
+            if hit is not None and clamped < hit[0] and c >= hit[1]:
+                s, d = hit[0], c - hit[1]
+                p, cycle_caps = t - s, caps[cb + s : cb + t]
+                bounds = [] if room is None else [(room - t) // p]
+                if below is not None and d:
+                    bounds.append((below - 1 - max(cycle_caps)) // d)
+                k = min(bounds, default=0)
+                if k and src is not None:
+                    k = _repeats(src, src[s:t], t, k)
+                if k:
+                    at = len(caps)
+                    caps += cycle_caps * k
+                    if d:
+                        for i, ci in enumerate(cycle_caps):
+                            caps[at + i :: p] = range(ci + d, ci + (k + 1) * d, d)
+                    z += "".join(z[zb + s : zb + t]) * k
+                    c, t = c + k * d, t + k * p
+                    seen.clear()  # every pair met is k cycles back
+                    continue
+            seen[key] = (t, c)
+            _, lean, w = laws[q][b]
             if lean:  # the stake clamps to capital: min(w, c), inline
-                cap[0] = c = c + lean * (w if w < c else c)
-            q[0] = succ[b][qe]
+                if w > c:
+                    clamped, w = t, c
+                c += lean * w
+            q = succ[b][q]
             z.append(bit)
-            yield c
+            caps.append(c)
+            t += 1
+            if c <= 0 or below is not None and c >= below:
+                break
+        self._q[0], self.cap[0] = q, c
 
     def at(self, i: int) -> int:
         """Player i's machine state."""
@@ -201,25 +271,6 @@ class _Players:
 def _is_betting_config(program: BetProgram, q: int) -> bool:
     bet = program.rule.states[q].bet
     return isinstance(bet, IntegerBet) and bet.wager >= 1
-
-
-def _bets_ahead(program: BetProgram) -> list[bool]:
-    """Per machine state: whether a betting configuration is reachable
-    from it, itself included, found backwards from the betting states.
-    Parity plays no part: every configuration steps to both successors."""
-    states = program.rule.states
-    into: list[list[int]] = [[] for _ in states]
-    for q, st in enumerate(states):
-        into[st.on0].append(q)
-        into[st.on1].append(q)
-    ahead = [_is_betting_config(program, q) for q in range(len(states))]
-    todo = [q for q, bets in enumerate(ahead) if bets]
-    while todo:
-        for q in into[todo.pop()]:
-            if not ahead[q]:
-                ahead[q] = True
-                todo.append(q)
-    return ahead
 
 
 def _path_to_betting(
@@ -414,30 +465,50 @@ class DiagTrace:
             object.__setattr__(self, "records", _Records.of(self.records))
 
 
+# replay_trace recomputes a trace this many bits at a time, so that the
+# columns it recomputes and compares stay small beside the trace's own
+_REPLAY_CHUNK = 1 << 16
+
+
 def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStrategy] | tuple[IntStrategy, ...]) -> None:
     """Recompute every capital in the trace from scratch; raise on any
     mismatch. Passing the same programs that produced the trace must
     succeed; anything else failing is the point."""
     players = _Players([engine, *adversaries])
-    recs = trace.records
-    if len(trace.z) != len(recs):
+    z, recs = trace.z, trace.records
+    if len(z) != len(recs):
         raise StructuralError("record count differs from emitted bits")
-
-    def capitals():  # every live player steps until none is left, then the engine alone
-        bits = iter(trace.z)
-        for bit in bits:
-            players.step(bit)
-            yield players.cap[0]
+    for start in range(0, len(z), _REPLAY_CHUNK):
+        bits = z[start : start + _REPLAY_CHUNK]
+        engine_caps: list[int] = []
+        adversary_caps: list[tuple[int, ...]] = []
+        for bit in bits:  # every live player steps until none is left
             if not players.live:
-                yield from players.alone(bits)
+                break
+            players.step(bit)
+            engine_caps.append(players.cap[0])
+            adversary_caps.append(players.adversaries)
+        # then the engine alone, which stops where it froze at 0 and stays there
+        players.lone(engine_caps, bits[len(adversary_caps) :])
+        engine_caps += repeat(0, len(bits) - len(engine_caps))
+        adversary_caps += repeat(players.adversaries, len(bits) - len(adversary_caps))
+        _compare(recs, start, bits, engine_caps, adversary_caps)
 
-    rows = zip(trace.z, recs.bits, capitals(), recs.engine, recs.adversaries)
-    for i, (bit, rec_bit, cap, engine_cap, adversary_caps) in enumerate(rows):
+
+def _compare(recs: _Records, start: int, bits: str, engine_caps: list, adversary_caps: list) -> None:
+    """Raise at the first of bits, which start at position start, where the
+    records disagree with the trace string or with the recomputed capitals."""
+    stop = start + len(bits)
+    recorded = (recs.bits[start:stop], recs.engine[start:stop], recs.adversaries[start:stop])
+    if recorded == (list(bits), engine_caps, adversary_caps):
+        return
+    rows = zip(bits, engine_caps, adversary_caps, *recorded)
+    for i, (bit, cap, caps, rec_bit, rec_cap, rec_caps) in enumerate(rows, start):
         if bit != rec_bit:
             raise StructuralError(f"bit {i}: trace string and record disagree")
-        if cap != engine_cap or players.adversaries != adversary_caps:
-            got = (cap, players.adversaries)
-            want = (engine_cap, adversary_caps)
+        if cap != rec_cap or caps != rec_caps:
+            got = (cap, caps)
+            want = (rec_cap, rec_caps)
             raise StructuralError(
                 f"bit {i}: replay computed {got}, trace recorded {want}"
             )
@@ -464,12 +535,13 @@ class _Duel:
     engine, player i + 1 adversary i. The records are kept as columns
     beside the players' own list of bits."""
 
-    def __init__(self, engine: IntStrategy, adversaries, mode: str, target: int):
+    def __init__(self, engine: IntStrategy, adversaries, mode: str, target: int, max_bits: int | None = None):
         self.engine_strategy = engine
         self.programs = [a.program for a in adversaries]
         self.players = _Players([engine, *adversaries])
         self.mode = mode
         self.target = target
+        self.max_bits = max_bits
         self.z = self.players.z
         self.rules: list[str] = []
         self.engine: list[int] = []
@@ -480,6 +552,8 @@ class _Duel:
 
     def emit(self, bit: str, rule: str) -> None:
         players = self.players
+        if self.max_bits is not None and len(self.z) >= self.max_bits:
+            self._overrun()
         players.step(bit)
         self.rules.append(rule)
         self.engine.append(players.cap[0])
@@ -487,22 +561,18 @@ class _Duel:
         if players.cap[0] <= 0:
             self._bankrupt()
 
-    def alone(
-        self, rule: str, below: int = 0, end: int | None = None, bits: Iterator[str] | None = None
-    ) -> None:
-        """emit for each bit once no adversary is live: for bits, or for the
-        engine's favored bit while its capital, below `below` at the call,
-        stays so and fewer than `end` bits are out."""
-        players, z, engine = self.players, self.z, self.engine
-        start = len(z)
-        for c in players.alone(bits):
-            engine.append(c)
-            if c <= 0 or bits is None and c >= below or len(z) == end:
-                break
-        self.rules.extend(repeat(rule, len(z) - start))
-        self.adversaries.extend(repeat(players.adversaries, len(z) - start))
+    def alone(self, rule: str, below: int | None = None, src: str | None = None) -> None:
+        """emit for each bit once no adversary is live: for the bits of src,
+        or for the engine's favored bit until its capital reaches below."""
+        players, start = self.players, len(self.z)
+        players.lone(self.engine, src, below, self.max_bits)
+        n = len(self.z) - start
+        self.rules.extend(repeat(rule, n))
+        self.adversaries.extend(repeat(players.adversaries, n))
         if players.cap[0] <= 0:
             self._bankrupt()
+        if below is not None and players.cap[0] < below or src is not None and n < len(src):
+            self._overrun()  # stopped at max_bits
 
     def pad(self, below: int) -> None:
         """Emit the engine's favored bit until its capital reaches below."""
@@ -511,6 +581,11 @@ class _Duel:
             if not players.live:
                 return self.alone(RULE_PAD, below)
             self.emit(players.favored(), RULE_PAD)
+
+    def _overrun(self) -> None:
+        raise BettingLabError(
+            f"{self.mode} run exceeded {self.max_bits} bits without reaching {self.target}"
+        )
 
     def _bankrupt(self) -> None:
         raise EngineBankruptError(
@@ -537,16 +612,11 @@ class _Duel:
         )
 
 
-def _greedy(duel: _Duel, target: int, max_bits: int) -> None:
+def _greedy(duel: _Duel, target: int) -> None:
     players = duel.players
     while players.cap[0] < target:
-        if len(duel.z) >= max_bits:
-            raise BettingLabError(
-                f"greedy run exceeded {max_bits} bits without reaching {target}"
-            )
         if not players.live:
-            duel.alone(RULE_FAVORED, target, max_bits)
-            continue
+            return duel.alone(RULE_FAVORED, target)
         favored = players.favored()
         if players.lean(favored) >= 1:
             duel.emit("0" if favored == "1" else "1", RULE_DEVIATE)
@@ -614,11 +684,12 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
 
 
 def _interpolate_block(duel: _Duel, pairs: int) -> None:
-    bits = iter("01" * pairs)
-    for bit in bits:
-        duel.emit(bit, RULE_BLOCK)
+    block = "01" * pairs
+    for i, bit in enumerate(block):
         if not duel.players.live:
-            duel.alone(RULE_BLOCK, bits=bits)
+            duel.alone(RULE_BLOCK, src=block[i:])
+            break
+        duel.emit(bit, RULE_BLOCK)
     duel.block_bits += 2 * pairs
     duel.checkpoint()
 
@@ -679,17 +750,22 @@ def diagonalize(
     with a checkpoint recording the cumulative block fraction. Settled
     adversaries are constant, so blocks are safe; the unit engine nets
     exactly 0 over each block.
+
+    max_bits caps the bits emitted in either mode: a run that needs more
+    raises BettingLabError. Greedy's default cap, 2 * (target + aggregate
+    adversary capital) + 64, is above what the built-in engines need;
+    settle has none by default.
     """
     if target < 1:
         raise PreconditionError("target must be a positive integer")
     _check_tags(engine, adversaries)
-    duel = _Duel(engine, adversaries, mode, target)
     if mode == "greedy":
         if dim0_blocks is not None:
             raise PreconditionError("block interpolation belongs to settle mode")
-        aggregate = sum(a.initial for a in adversaries)
-        bound = max_bits if max_bits is not None else 2 * (target + aggregate) + 64
-        _greedy(duel, target, bound)
+        if max_bits is None:
+            max_bits = 2 * (target + sum(a.initial for a in adversaries)) + 64
+        duel = _Duel(engine, adversaries, mode, target, max_bits)
+        _greedy(duel, target)
         return duel.trace(reached=True)
     if mode != "settle":
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -697,6 +773,7 @@ def diagonalize(
         raise UnsupportedError("settle mode works with the built-in engines only")
     if dim0_blocks is not None and dim0_blocks < 1:
         raise PreconditionError("block interpolation needs a positive base")
+    duel = _Duel(engine, adversaries, mode, target, max_bits)
     for i in range(len(adversaries)):
         _settle_one(duel, i, duel.players.cap[0])
         if dim0_blocks is not None:

@@ -170,6 +170,26 @@ class BetProgram:
         return _reachable_configs(self.rule)
 
     @cached_property
+    def _bets_ahead(self) -> list[bool]:
+        """Per machine state: whether a state with an integer bet of wager
+        at least 1 is reachable from it, itself included, found backwards
+        from those states. Parity plays no part: every configuration steps
+        to both successors. Kept, since every duel player reads it."""
+        states = self.rule.states
+        into: list[list[int]] = [[] for _ in states]
+        for q, st in enumerate(states):
+            into[st.on0].append(q)
+            into[st.on1].append(q)
+        ahead = [isinstance(st.bet, IntegerBet) and st.bet.wager >= 1 for st in states]
+        todo = [q for q, bets in enumerate(ahead) if bets]
+        while todo:
+            for q in into[todo.pop()]:
+                if not ahead[q]:
+                    ahead[q] = True
+                    todo.append(q)
+        return ahead
+
+    @cached_property
     def _steps(self) -> tuple[list, tuple[list, list]]:
         """The machine with its bets decoded once: each state's _law (equal
         bets share one), and the successor columns on 0 and on 1."""

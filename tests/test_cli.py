@@ -15,6 +15,7 @@ from paritybet import (
     FractionBet,
     Kind,
     Parity,
+    Sided,
     StageApprox,
     StrategyTable,
     TestArray,
@@ -404,6 +405,24 @@ def test_diagonalize_greedy_rejects_dim0(capsys, tmp_path):
     assert json.loads(err)["error"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("engine, adversary, mode", [
+    ("D", constant_program(600_000, IntegerBet(1, 1), Parity.NONE, Sided.ONE), "greedy"),
+    ("N", constant_program(200_000, IntegerBet(1, 1), Parity.BETS_ON_EVEN), "settle"),
+], ids=["greedy", "settle"])
+def test_diagonalize_stops_a_rich_adversary_at_the_bit_cap(monkeypatch, capsys, tmp_path,
+                                                           engine, adversary, mode):
+    # greedy emits about one bit per unit of the adversary's capital here
+    # and settle two (600,003 and 400,006 bits), so the trace's bit cap,
+    # not --target, bounds the run; a lower cap keeps the test short
+    monkeypatch.setattr(cli, "_MAX_TRACE_BITS", 1000)
+    path = write_json(tmp_path, "advs.json", [to_jsonable(IntStrategy(adversary, "rich"))])
+    code, out, err = run_cli(capsys, "diagonalize", "--engine", engine, "--adversaries", path,
+                             "--mode", mode, "--target", "10")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "BettingLabError",
+                               "message": f"{mode} run exceeded 1000 bits without reaching 10"}
+
+
 def test_stest_reports_levels(capsys, tmp_path):
     arr = TestArray((("000000",), ("0" * 10,), ("0" * 14,)), flavor="half")
     path = write_json(tmp_path, "arr.json", arr)
@@ -446,6 +465,8 @@ def test_stest_scale_errors(capsys, tmp_path):
     ("verify", "--out", {}, ["--lemma", "growth", "--n", "10001"]),
     ("diagonalize", "--adversaries", [to_jsonable(parity_window("w", 3, 2))],
      ["--engine", "N", "--target", "1000001"]),
+    ("diagonalize", "--adversaries", [to_jsonable(parity_window("w", 3, 2))],
+     ["--engine", "N", "--target", "10", "--max-bits", "1100001"]),
     # 2 * 8 * (2^30 - 1) interpolated bits
     ("diagonalize", "--adversaries",
      [to_jsonable(parity_window(f"w{i}", 3, 2)) for i in range(30)],
@@ -456,7 +477,8 @@ def test_stest_scale_errors(capsys, tmp_path):
      ["--depth", "1001"]),
 ], ids=["validate-depth", "stest-s", "dim-precision", "dim-x", "dimhalf-nmax",
         "dimhalf-stages", "verify-n-zero", "verify-n-negative", "verify-n-cap",
-        "diagonalize-target", "diagonalize-dim0-blocks", "paritytest-depth"])
+        "diagonalize-target", "diagonalize-max-bits", "diagonalize-dim0-blocks",
+        "paritytest-depth"])
 def test_size_limits_refuse_at_once(capsys, tmp_path, subcommand, slot, obj, limit):
     x = tmp_path / "x.txt"
     x.write_text("01\n")

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from paritybet import (
     BettingLabError,
     BetProgram,
+    BitRecord,
+    DiagTrace,
     EngineBankruptError,
     Fsm,
     FsmState,
@@ -33,6 +35,7 @@ from paritybet import (
     verify_cone_constancy,
 )
 
+from paritybet import diagonal
 from conftest import parity_window
 from test_programs import _INT_MACHINES
 
@@ -211,7 +214,7 @@ def test_engine_bankruptcy_aborts_loudly():
         IntStrategy(constant_program(9, IntegerBet(2, 1), Parity.BETS_ON_ODD), name="o0"),
         IntStrategy(constant_program(9, IntegerBet(2, 1), Parity.BETS_ON_ODD), name="o1"),
     ]
-    with pytest.raises(EngineBankruptError):
+    with pytest.raises(EngineBankruptError, match="^engine froze at 0 after 5 bits; "):
         diagonalize(advs, unit_bet_on_one(), 10**6)
 
 
@@ -328,6 +331,10 @@ def _tagged(program, engine_name, side):
     return BetProgram(program.initial, Fsm(sts, program.rule.start), "integer", Parity.NONE, sided)
 
 
+def _int_engine(program, capital):
+    return IntStrategy(BetProgram(capital, program.rule, "integer"), name="e")
+
+
 @st.composite
 def _duel_cases(draw):
     engine = draw(st.sampled_from("ND"))
@@ -336,15 +343,24 @@ def _duel_cases(draw):
         for i, m in enumerate(draw(st.lists(_INT_MACHINES, min_size=1, max_size=4)))
     ]
     if draw(st.booleans()):
-        kwargs = {"mode": "greedy", "max_bits": draw(st.none() | st.integers(0, 60))}
-    else:
-        kwargs = {"mode": "settle", "dim0_blocks": draw(st.none() | st.integers(1, 3))}
+        # any integer-form engine plays greedy; its lone tail runs several
+        # cycles at the larger targets
+        if draw(st.booleans()):
+            engine = _int_engine(draw(_INT_MACHINES), draw(st.integers(1, 40)))
+        max_bits = st.none() | st.integers(0, 60) | st.integers(61, 900)
+        kwargs = {"mode": "greedy", "max_bits": draw(max_bits)}
+        return engine, advs, draw(st.integers(1, 40) | st.integers(41, 400)), kwargs
+    kwargs = {"mode": "settle", "dim0_blocks": draw(st.none() | st.integers(1, 3))}
     return engine, advs, draw(st.integers(1, 40)), kwargs
 
 
-def _matches_the_reference(engine_name, advs, target, kwargs):
-    """The duel, its trace bytes and its errors against the parent code's."""
-    make = unit_bet_on_one if engine_name == "N" else unit_bet_alternating
+def _matches_the_reference(engine, advs, target, kwargs):
+    """The duel, its trace bytes and its errors against the parent code's.
+    engine is "N", "D" or an IntStrategy."""
+    if isinstance(engine, IntStrategy):
+        make = lambda: engine  # noqa: E731
+    else:
+        make = unit_bet_on_one if engine == "N" else unit_bet_alternating
     outcomes = []
     for run in (diagonalize, ref.diagonalize):
         try:
@@ -379,10 +395,37 @@ def _engine_alone_cases():
     ]
 
 
+def _clamping_engine(cap):
+    """Three states in a cycle, all betting on or favoring 1: wager 1, then
+    wager 4, then none. From capital 2 the wager 4 clamps in the first
+    cycle only, and each later cycle adds 5."""
+    sts = (FsmState(IntegerBet(1, 1), 1, 1), FsmState(IntegerBet(4, 1), 2, 2), FsmState(None, 0, 0))
+    return IntStrategy(BetProgram(Fraction(cap), Fsm(sts), "integer"), name="e")
+
+
+def _cycle_edge_cases():
+    """Lone runs that end at the edges of a skipped cycle."""
+    return [
+        # the capital crosses the largest wager in the first cycle's middle
+        # bit; target 200 is reached at the cycle's middle bit, 202 at its
+        # first
+        (_clamping_engine(2), [], 200, {}),
+        (_clamping_engine(2), [], 202, {}),
+        # max_bits falls on a middle bit
+        (_clamping_engine(2), [], 200, {"max_bits": 44}),
+        # the unit engine nets 0 over each 01 pair of a lone 16-pair block
+        ("N", [parity_window("w", 1, 1)], 10, {"mode": "settle", "dim0_blocks": 8}),
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_duel_cases())
 @example(_engine_alone_cases()[0])
 @example(_engine_alone_cases()[1])
+@example(_cycle_edge_cases()[0])
+@example(_cycle_edge_cases()[1])
+@example(_cycle_edge_cases()[2])
+@example(_cycle_edge_cases()[3])
 def test_duels_match_the_reference_code(case):
     _matches_the_reference(*case)
 
@@ -401,6 +444,34 @@ def test_greedy_stops_at_max_bits_while_the_engine_steps_alone():
     with pytest.raises(BettingLabError, match="^greedy run exceeded 20 bits without reaching 20$"):
         diagonalize(advs, unit_bet_on_one(), target, **kwargs)
     assert len(_greedy_with_deaths()[1].z) == 21
+
+
+def _capped_runs():
+    """(adversaries, target, kwargs, bits emitted) of duels that end in a
+    live bit, in a lone tail, in a lone block and in a lone pad."""
+    window, settle = [parity_window("w", 1, 1)], {"mode": "settle"}
+    return [
+        # the bettor on 0 is live throughout
+        ([IntStrategy(constant_program(100, IntegerBet(1, 0), Parity.BETS_ON_EVEN), name="e")], 10, {}, 5),
+        (_greedy_with_deaths()[0], 20, {}, 21),
+        # bit 0 defeats the window, the engine pads alone over bits 1-2 and
+        # plays a lone block of 8 or 6 01 pairs; for target 10 it then pads
+        # alone over the last four bits, while it has reached 5 already
+        (window, 10, {**settle, "dim0_blocks": 8}, 23),
+        (window, 5, {**settle, "dim0_blocks": 8}, 19),
+        (window, 5, {**settle, "dim0_blocks": 6}, 15),
+    ]
+
+
+@pytest.mark.parametrize("advs, target, kwargs, length", _capped_runs())
+def test_a_run_stops_at_max_bits_wherever_it_is(advs, target, kwargs, length):
+    whole = diagonalize(advs, unit_bet_on_one(), target, **kwargs)
+    assert len(whole.z) == length
+    assert diagonalize(advs, unit_bet_on_one(), target, max_bits=length, **kwargs) == whole
+    mode = kwargs.get("mode", "greedy")
+    for cap in range(length):
+        _raises(BettingLabError, f"{mode} run exceeded {cap} bits without reaching {target}",
+                diagonalize, advs, unit_bet_on_one(), target, max_bits=cap, **kwargs)
 
 
 def test_the_alternating_engine_freezes_inside_an_engine_alone_block():
@@ -435,6 +506,58 @@ def test_replay_checks_the_engine_while_it_steps_alone():
         records[12] = bad
         with pytest.raises(StructuralError, match=message):
             replay_trace(replace(tr, z=z, records=tuple(records)), unit_bet_on_one(), advs)
+
+
+@pytest.mark.parametrize("i, wager", [(35, 0), (36, 1), (37, 4)])
+def test_replay_names_a_tampered_bit_inside_a_skipped_cycle(i, wager):
+    # from bit 5 on, the replay skips whole 3-bit cycles of the clamping
+    # engine; bits 35, 36 and 37 are the first, middle and last bit of one,
+    # where the engine bets nothing, 1 and 4 on outcome 1
+    engine = _clamping_engine(2)
+    tr = diagonalize([], engine, 200)
+    rec = tr.records[i]
+
+    def replay(z, bad):
+        records = list(tr.records)
+        records[i] = bad
+        replay_trace(replace(tr, z=z, records=tuple(records)), engine, [])
+
+    _raises(StructuralError, f"bit {i}: replay computed ({rec.engine}, ()), trace recorded ({rec.engine + 1}, ())",
+            replay, tr.z, replace(rec, engine=rec.engine + 1))
+    _raises(StructuralError, f"bit {i}: trace string and record disagree",
+            replay, tr.z, replace(rec, bit="0"))
+    # the bit flipped in both: a bet loses where it won, an idle bit moves nothing
+    flipped = tr.z[:i] + "0" + tr.z[i + 1 :]
+    if wager:
+        _raises(StructuralError,
+                f"bit {i}: replay computed ({rec.engine - 2 * wager}, ()), trace recorded ({rec.engine}, ())",
+                replay, flipped, replace(rec, bit="0"))
+    else:
+        replay(flipped, replace(rec, bit="0"))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 64])
+def test_replay_checks_a_trace_chunk_by_chunk(monkeypatch, chunk):
+    # chunks of 1, 2 and 5 bits split the live bits 0-4 and the lone tail
+    monkeypatch.setattr(diagonal, "_REPLAY_CHUNK", chunk)
+    advs, tr = _greedy_with_deaths()
+    replay_trace(tr, unit_bet_on_one(), advs)
+    for i in (3, 5, 12, 20):
+        records = list(tr.records)
+        rec = records[i]
+        records[i] = replace(rec, engine=rec.engine + 1)
+        _raises(StructuralError,
+                f"bit {i}: replay computed ({rec.engine}, {rec.adversaries}), "
+                f"trace recorded ({rec.engine + 1}, {rec.adversaries})",
+                replay_trace, replace(tr, records=tuple(records)), unit_bet_on_one(), advs)
+    # an engine frozen at 0 stays there in every later chunk
+    frozen = DiagTrace("N", "greedy", 1, "0" * 12,
+                       [BitRecord("0", "deviate", max(4 - i, 0), ()) for i in range(12)], (), (), False)
+    replay_trace(frozen, unit_bet_on_one(), [])
+    records = list(frozen.records)
+    records[11] = replace(records[11], engine=1)
+    _raises(StructuralError, "bit 11: replay computed (0, ()), trace recorded (1, ())",
+            replay_trace, replace(frozen, records=tuple(records)), unit_bet_on_one(), [])
 
 
 def _raises(error, message, call, *args, **kwargs):
