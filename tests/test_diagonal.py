@@ -331,10 +331,6 @@ def _tagged(program, engine_name, side):
     return BetProgram(program.initial, Fsm(sts, program.rule.start), "integer", Parity.NONE, sided)
 
 
-def _int_engine(program, capital):
-    return IntStrategy(BetProgram(capital, program.rule, "integer"), name="e")
-
-
 @st.composite
 def _duel_cases(draw):
     engine = draw(st.sampled_from("ND"))
@@ -346,7 +342,8 @@ def _duel_cases(draw):
         # any integer-form engine plays greedy; its lone tail runs several
         # cycles at the larger targets
         if draw(st.booleans()):
-            engine = _int_engine(draw(_INT_MACHINES), draw(st.integers(1, 40)))
+            program = BetProgram(draw(st.integers(1, 40)), draw(_INT_MACHINES).rule, "integer")
+            engine = IntStrategy(program, name="e")
         max_bits = st.none() | st.integers(0, 60) | st.integers(61, 900)
         kwargs = {"mode": "greedy", "max_bits": draw(max_bits)}
         return engine, advs, draw(st.integers(1, 40) | st.integers(41, 400)), kwargs
@@ -395,12 +392,12 @@ def _engine_alone_cases():
     ]
 
 
-def _clamping_engine(cap):
+def _clamping_engine():
     """Three states in a cycle, all betting on or favoring 1: wager 1, then
     wager 4, then none. From capital 2 the wager 4 clamps in the first
     cycle only, and each later cycle adds 5."""
     sts = (FsmState(IntegerBet(1, 1), 1, 1), FsmState(IntegerBet(4, 1), 2, 2), FsmState(None, 0, 0))
-    return IntStrategy(BetProgram(Fraction(cap), Fsm(sts), "integer"), name="e")
+    return IntStrategy(BetProgram(Fraction(2), Fsm(sts), "integer"), name="e")
 
 
 def _cycle_edge_cases():
@@ -409,10 +406,10 @@ def _cycle_edge_cases():
         # the capital crosses the largest wager in the first cycle's middle
         # bit; target 200 is reached at the cycle's middle bit, 202 at its
         # first
-        (_clamping_engine(2), [], 200, {}),
-        (_clamping_engine(2), [], 202, {}),
+        (_clamping_engine(), [], 200, {}),
+        (_clamping_engine(), [], 202, {}),
         # max_bits falls on a middle bit
-        (_clamping_engine(2), [], 200, {"max_bits": 44}),
+        (_clamping_engine(), [], 200, {"max_bits": 44}),
         # the unit engine nets 0 over each 01 pair of a lone 16-pair block
         ("N", [parity_window("w", 1, 1)], 10, {"mode": "settle", "dim0_blocks": 8}),
     ]
@@ -513,7 +510,7 @@ def test_replay_names_a_tampered_bit_inside_a_skipped_cycle(i, wager):
     # from bit 5 on, the replay skips whole 3-bit cycles of the clamping
     # engine; bits 35, 36 and 37 are the first, middle and last bit of one,
     # where the engine bets nothing, 1 and 4 on outcome 1
-    engine = _clamping_engine(2)
+    engine = _clamping_engine()
     tr = diagonalize([], engine, 200)
     rec = tr.records[i]
 
