@@ -170,12 +170,13 @@ class _Players:
 
     def lone(
         self, caps: list[int], src: str | None = None, below: int | None = None, end: int | None = None
-    ) -> None:
+    ) -> bool:
         """Step the engine as step does once no adversary is live: over the
         bits of src, or, when src is None, over its favored bit at each
         step, appending its capital after each bit to caps. Stops after the
         bit that leaves the capital at 0 or, when below is given, at below
-        or above; and once src runs out or len(z) is end.
+        or above; and once src runs out or len(z) is end. Returns whether
+        it stopped at end with bits left to step.
 
         Whole cycles are skipped. Walking per bit, the pair (machine state,
         bit played) repeats from step s to step t. Over favored bits the
@@ -191,10 +192,10 @@ class _Players:
         q, c = self._q[0], self.cap[0]
         zb, cb = len(z), len(caps)  # where this run's bits and capitals start
         room = None if end is None else end - zb  # bits this run may step
-        if src is not None:
-            room = len(src) if room is None else min(room, len(src))
+        if src is not None and (room is None or len(src) <= room):
+            room, end = len(src), None  # src runs out no later than end
         seen: dict[int, tuple[int, int]] = {}  # 2 * state + bit -> (step, capital) last met
-        clamped, t = -1, 0  # the last step whose stake clamped; the steps taken
+        clamped, t, cut = -1, 0, False  # last step whose stake clamped; steps taken; end reached
         while room is None or t < room:
             bit = favors[q] if src is None else src[t]
             b = bit == "1"
@@ -231,7 +232,10 @@ class _Players:
             t += 1
             if c <= 0 or below is not None and c >= below:
                 break
+        else:
+            cut = end is not None
         self._q[0], self.cap[0] = q, c
+        return cut
 
     def at(self, i: int) -> int:
         """Player i's machine state."""
@@ -268,11 +272,6 @@ class _Players:
         return self.favors[self._q[0]]
 
 
-def _is_betting_config(program: BetProgram, q: int) -> bool:
-    bet = program.rule.states[q].bet
-    return isinstance(bet, IntegerBet) and bet.wager >= 1
-
-
 def _path_to_betting(
     program: BetProgram, q: int, parity: int, prefer=None
 ) -> list[str] | None:
@@ -282,7 +281,8 @@ def _path_to_betting(
     path: truncate at the first betting configuration en route. Ties break
     toward prefer(position_parity), so free choices follow the pattern the
     caller's engine likes."""
-    if _is_betting_config(program, q):
+    betting = program._bets
+    if betting[q]:
         return []
     start = (q, parity)
     prev: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
@@ -300,7 +300,7 @@ def _path_to_betting(
                 continue
             seen.add(nxt)
             prev[nxt] = (cfg, bit)
-            if _is_betting_config(program, nxt[0]):
+            if betting[nxt[0]]:
                 path = []
                 cur = nxt
                 while cur != start:
@@ -364,15 +364,16 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
     if player.cap[0] == 0:
         return True
     program = strategy.program
+    betting = program._bets
     frontier = {(player.at(0), len(prefix) % 2)}
     for _ in range(probe_depth):
         nxt: set[tuple[int, int]] = set()
         for cfg in frontier:
-            if _is_betting_config(program, cfg[0]):
+            if betting[cfg[0]]:
                 return False
             nxt.update(program.configs[cfg])
         frontier = nxt
-    return not any(_is_betting_config(program, q) for q, _ in frontier)
+    return not any(betting[q] for q, _ in frontier)
 
 
 RULE_FAVORED = "favored"
@@ -565,14 +566,14 @@ class _Duel:
         """emit for each bit once no adversary is live: for the bits of src,
         or for the engine's favored bit until its capital reaches below."""
         players, start = self.players, len(self.z)
-        players.lone(self.engine, src, below, self.max_bits)
+        cut = players.lone(self.engine, src, below, self.max_bits)
         n = len(self.z) - start
         self.rules.extend(repeat(rule, n))
         self.adversaries.extend(repeat(players.adversaries, n))
         if players.cap[0] <= 0:
             self._bankrupt()
-        if below is not None and players.cap[0] < below or src is not None and n < len(src):
-            self._overrun()  # stopped at max_bits
+        if cut:
+            self._overrun()
 
     def pad(self, below: int) -> None:
         """Emit the engine's favored bit until its capital reaches below."""

@@ -170,17 +170,23 @@ class BetProgram:
         return _reachable_configs(self.rule)
 
     @cached_property
+    def _bets(self) -> list[bool]:
+        """Per machine state: whether it carries an integer bet of wager
+        at least 1, the states the duels call betting."""
+        return [isinstance(st.bet, IntegerBet) and st.bet.wager >= 1 for st in self.rule.states]
+
+    @cached_property
     def _bets_ahead(self) -> list[bool]:
-        """Per machine state: whether a state with an integer bet of wager
-        at least 1 is reachable from it, itself included, found backwards
-        from those states. Parity plays no part: every configuration steps
-        to both successors. Kept, since every duel player reads it."""
+        """Per machine state: whether a betting state (see _bets) is
+        reachable from it, itself included, found backwards from those
+        states. Parity plays no part: every configuration steps to both
+        successors. Kept, since every duel player reads it."""
         states = self.rule.states
         into: list[list[int]] = [[] for _ in states]
         for q, st in enumerate(states):
             into[st.on0].append(q)
             into[st.on1].append(q)
-        ahead = [isinstance(st.bet, IntegerBet) and st.bet.wager >= 1 for st in states]
+        ahead = list(self._bets)
         todo = [q for q, bets in enumerate(ahead) if bets]
         while todo:
             for q in into[todo.pop()]:

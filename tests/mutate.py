@@ -4,10 +4,10 @@ the function's code is changed a little?
 
     python3 tests/mutate.py diagonal _Players.lone
     python3 tests/mutate.py diagonal _repeats --tests tests/test_diagonal.py
-    python3 tests/mutate.py programs BetProgram._walk --list
+    python3 tests/mutate.py programs BetProgram._walk
 
-The script copies src/, tests/ and pyproject.toml to a scratch directory
-(a fresh temporary one unless --workdir is given), and makes one mutant at
+The script copies src/, tests/ and pyproject.toml to a fresh temporary
+directory, removed at the end, and makes one mutant at
 a time of the named function in src/paritybet/<module>.py, from a fixed
 list of AST mutations:
 
@@ -20,10 +20,10 @@ list of AST mutations:
 For each mutant it runs pytest, stopping at the first failure, on the
 test files that name the function (by its last name, as a word), else on
 tests/test_<module>.py, or on the files given with --tests. A mutant is
-killed when a test fails, errors, runs past --timeout seconds or asks for
-more than --memory-mb of address space (a mutant can loop or grow a list
-without end); it survives when every test passes. The report lists every mutant with its
-line and change, then the survivors, each of which is either equivalent
+killed when a test fails, errors, runs past TIMEOUT_S seconds or asks for
+more than MEMORY_MB megabytes of address space (a mutant can loop or grow a
+list without end); it survives when every test passes. The report lists
+every mutant with its line and change, then the survivors, each of which is either equivalent
 (no input can tell it from the original) or a gap in the tests.
 Hypothesis tests draw fresh examples on each run, so a survivor can be
 killed on another run; the example database is cleared before each run.
@@ -48,6 +48,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120  # seconds one test run may take
+MEMORY_MB = 1024  # address space one test run may take
 
 _NEGATE = {
     ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
@@ -159,10 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="module of src/paritybet, e.g. diagonal")
     parser.add_argument("function", help="function or Class.method, e.g. _Players.lone")
     parser.add_argument("--tests", nargs="*", help="test files to run, relative to the checkout")
-    parser.add_argument("--timeout", type=float, default=120, help="seconds a test run may take")
-    parser.add_argument("--memory-mb", type=int, default=1024, help="address space a test run may take")
-    parser.add_argument("--workdir", default=None, help="scratch directory to use and keep")
-    parser.add_argument("--list", action="store_true", help="list the mutants and run nothing")
     args = parser.parse_args(argv)
 
     path = ROOT / "src" / "paritybet" / f"{args.module}.py"
@@ -170,16 +168,11 @@ def main(argv=None) -> int:
         parser.error(f"no module {path}")
     source = path.read_text(encoding="utf-8")
     found = list(mutants(source, args.function))
-    if args.list:
-        for n, (line, kind, text, _) in enumerate(found):
-            print(f"{n:3d}  line {line:4d}  {kind:7s}  {text}")
-        return 0
     tests = _test_files(args.module, args.function, args.tests)
 
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="paritybet-mutate-"))
+    work = Path(tempfile.mkdtemp(prefix="paritybet-mutate-"))
     try:
         for part in ("src", "tests"):
-            shutil.rmtree(work / part, ignore_errors=True)
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         target = work / "src" / "paritybet" / f"{args.module}.py"
@@ -189,7 +182,7 @@ def main(argv=None) -> int:
         if Path(where).resolve().parent != (work / "src" / "paritybet").resolve():
             raise SystemExit(f"mutate: paritybet came from {where!r}, not from the scratch copy")
         print(f"{len(found)} mutants of {args.module}.{args.function}; tests: {' '.join(tests)}")
-        limit = args.memory_mb << 20
+        limit = MEMORY_MB << 20
 
         def cap_memory():  # runs in the test process only
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -199,7 +192,7 @@ def main(argv=None) -> int:
             try:
                 done = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                    cwd=work, env=env, capture_output=True, timeout=args.timeout, preexec_fn=cap_memory,
+                    cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=cap_memory,
                 )
             except subprocess.TimeoutExpired:
                 return "killed (timeout)"
@@ -222,8 +215,7 @@ def main(argv=None) -> int:
             print(f"{n:3d}  line {line:4d}  {kind:7s}  {text}")
         return 1 if survivors else 0
     finally:
-        if args.workdir is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
 
 if __name__ == "__main__":
