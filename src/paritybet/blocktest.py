@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import all_states
+from .bits import all_states, check_bits
 from .decompose import BlockSpec
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import BetProgram, Component, StageApprox, _exceeds, _Joint, at_stage
+from .programs import BetProgram, Component, StageApprox, _exceeds, _joint, at_stage
 from .strategy import Kind, Parity, Sided, StrategyTable, as_capital
 
 
@@ -147,24 +147,25 @@ def enumerate_block(
     c = as_capital(c)
     if budget < 0:
         raise PreconditionError("stage budget must be nonnegative")
-    return _enumerate_block(_Joint(m, n), parent, c, budget)
+    return _enumerate_block(m, n, _joint(m, n), check_bits(parent), c, budget)
 
 
-def _enumerate_block(joint: _Joint, parent: str, c: Fraction, budget: int) -> EnumState:
-    """enumerate_block on the pair's joint, for arguments already checked."""
+def _enumerate_block(m: StageApprox, n: StageApprox, joint: StageApprox, parent: str, c: Fraction,
+                     budget: int) -> EnumState:
+    """enumerate_block on the pair (m, n) and its joint, for arguments
+    already checked."""
     p = parent
     leaves = (p + "00", p + "10")
     # each leaf's running sum and the stage it was last read at; the second
     # leaf is read only once the first exceeds c
     sums, since = [(0, 1), (0, 1)], [-1, -1]
-    for s in sorted({0} | {s for s in joint.wakes if s <= budget}):
+    for s in sorted({0} | {comp.stage for comp in joint.components if comp.stage <= budget}):
         for i, leaf in enumerate(leaves):
-            sums[i] = joint.read(s, leaf, since[i], sums[i])
+            sums[i] = joint._read(s, leaf, since[i], sums[i])
             since[i] = s
             if not _exceeds(sums[i], c):
                 break
         else:
-            m, n = joint.odd, joint.even
             rec = BlockSpec(
                 m00=m.eval(s, leaves[0]),
                 m10=m.eval(s, leaves[1]),
@@ -286,22 +287,22 @@ def build_parity_test(
     the path's parent is expanded per level, which keeps deep runs linear
     in depth.
     """
-    joint = _Joint(m, n)
+    joint = _joint(m, n)
     c = Fraction(1)
     if depth < 0 or stages < 0:
         raise PreconditionError("depth and stage budget must be nonnegative")
-    if joint.over(stages, "", c):
+    if _exceeds(joint._read(stages, ""), c):
         raise PreconditionError(
-            f"joint root capital {joint.value(stages, '')} exceeds the threshold {c}"
+            f"joint root capital {joint.eval(stages, '')} exceeds the threshold {c}"
         )
 
     levels: list[tuple[str, ...]] = [("",)]
     reports: list[LevelReport] = []
     path = ""
     for level in range(1, depth + 1):
-        path_state = _enumerate_block(joint, path, c, stages)
+        path_state = _enumerate_block(m, n, joint, path, c, stages)
         children = tuple(sorted(path_state.enumerated))
-        reads = [joint.read(stages, child) for child in children]
+        reads = [joint._read(stages, child) for child in children]
         survivors = tuple(child for child, r in zip(children, reads) if not _exceeds(r, c))
         if not survivors:
             raise BettingLabError(
@@ -347,6 +348,7 @@ class PackingCertificate:
         self._sets = [frozenset(lv) for lv in array.levels]
 
     def value(self, state: str) -> Fraction:
+        check_bits(state)
         top = 2 * len(self._sets) - 2
         if len(state) > top:  # past the deepest member level nothing bets
             state = state[:top]

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
-from .programs import StageApprox, _check_sides, _Joint, at_stage
+from .programs import StageApprox, _check_sides, _exceeds, _joint, at_stage
 from .strategy import Kind, Parity, StrategyTable, _per_child, _state
 
 HALF = Fraction(1, 2)
@@ -424,7 +424,7 @@ def run_stage_machine(
     a redefined prefix under a stable parent; all three are invariant
     failures, not recoverable states.
     """
-    joint = _Joint(n_approx, t_approx)
+    joint = _joint(n_approx, t_approx)
     if stages < 0 or n_max < 0:
         raise PreconditionError("stages and n_max must be nonnegative")
 
@@ -440,7 +440,7 @@ def run_stage_machine(
     # activation stage of either side, so each index keeps the (prefix,
     # joint capital) it last read until the next activation stage or until
     # its prefix changes; index 0 is the root
-    wakes = set(joint.wakes)
+    wakes = {c.stage for c in joint.components}
     budgets = [capital_threshold(n) for n in range(n_max + 1)]
     reads: dict[int, tuple[str, Fraction]] = {}
 
@@ -448,7 +448,7 @@ def run_stage_machine(
         sig = state.sigmas[n]
         hit = reads.get(n)
         if hit is None or hit[0] != sig:
-            hit = reads[n] = (sig, joint.value(u, sig))
+            hit = reads[n] = (sig, joint.eval(u, sig))
         return hit[1]
 
     for u in range(stages + 1):
@@ -473,7 +473,7 @@ def run_stage_machine(
             n = acted_n
             base = state.sigmas[n - 1]
             bound = joint_at(u, n - 1)
-            tau = _greedy_walk(lambda st: joint.over(u, st, bound), base, par[n].s)
+            tau = _greedy_walk(lambda st: _exceeds(joint._read(u, st), bound), base, par[n].s)
             prior = last_in_interval[n]
             if prior is not None and tau < prior:
                 raise StructuralError(

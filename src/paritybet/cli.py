@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # validate's and dim's --stage: no component activates below 0
+        if (getattr(args, "stage", None) or 0) < 0:
+            raise PreconditionError(f"--stage {args.stage} is negative")
         return args.func(args)
     except (WireError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}))

@@ -476,24 +476,24 @@ def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStr
     mismatch. Passing the same programs that produced the trace must
     succeed; anything else failing is the point."""
     players = _Players([engine, *adversaries])
-    z, recs = trace.z, trace.records
+    z, recs = bits.check_bits(trace.z), trace.records
     if len(z) != len(recs):
         raise StructuralError("record count differs from emitted bits")
     for start in range(0, len(z), _REPLAY_CHUNK):
-        bits = z[start : start + _REPLAY_CHUNK]
+        chunk = z[start : start + _REPLAY_CHUNK]
         engine_caps: list[int] = []
         adversary_caps: list[tuple[int, ...]] = []
-        for bit in bits:  # every live player steps until none is left
+        for bit in chunk:  # every live player steps until none is left
             if not players.live:
                 break
             players.step(bit)
             engine_caps.append(players.cap[0])
             adversary_caps.append(players.adversaries)
         # then the engine alone, which stops where it froze at 0 and stays there
-        players.lone(engine_caps, bits[len(adversary_caps) :])
-        engine_caps += repeat(0, len(bits) - len(engine_caps))
-        adversary_caps += repeat(players.adversaries, len(bits) - len(adversary_caps))
-        _compare(recs, start, bits, engine_caps, adversary_caps)
+        players.lone(engine_caps, chunk[len(adversary_caps) :])
+        engine_caps += repeat(0, len(chunk) - len(engine_caps))
+        adversary_caps += repeat(players.adversaries, len(chunk) - len(adversary_caps))
+        _compare(recs, start, chunk, engine_caps, adversary_caps)
 
 
 def _compare(recs: _Records, start: int, bits: str, engine_caps: list, adversary_caps: list) -> None:

@@ -5,10 +5,11 @@ bet, and reading a bit moves to the next automaton state. Evaluating a
 program at a string walks the machine once, so the cost is linear in the
 string length times the description size. A program keeps the (machine
 state, capital) pair of every string it has read, and a later read
-resumes from the pair stored for the string one or two bits shorter, so
-a growing path of length L costs O(L) in all, not O(L^2). The convenience
-constructors (constant, by-parity, all-in follow) compile to machines,
-which keeps a single evaluator for everything.
+resumes from the pair stored for the string one or two bits shorter and
+checks only the bits past it, so a growing path of length L costs O(L) in
+all, not O(L^2). The convenience constructors (constant, by-parity,
+all-in follow) compile to machines, which keeps a single evaluator for
+everything.
 
 Bets come in three shapes. A fraction bet stakes a signed fraction of
 current capital toward outcome 1 (negative means toward 0), so the two
@@ -21,17 +22,18 @@ step we support.
 One bet law serves all three: a program decodes its bets once into a step
 table that value, to_table, the tag checks and the integer duels read.
 
-The parity pair's joint capital m(x) + n(x), which the nested test and the
-stage machine compare with a fixed bound at every step, has one reader:
-_Joint sums both sides' components as integers over one running
-denominator and compares the sum with the bound by cross-multiplying, so
-no Fraction is built until a value is reported.
+A staged mixture has one reader: StageApprox._read sums the awake
+components' values as integers over one running denominator, and eval is
+that read as one Fraction. The parity pair's joint capital m(x) + n(x),
+which the nested test and the stage machine compare with a fixed bound at
+every step, is itself such a mixture (_joint), compared with the bound by
+cross-multiplying (_exceeds), so no Fraction is built until a value is
+reported.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -238,16 +240,11 @@ class BetProgram:
         The program keeps the (machine state, capital) pair of every
         state it has read: the walk resumes from the pair stored for
         state or for state one or two bits shorter, and stores state's.
+        Every stored key is a checked binary string, so a resumed walk
+        checks only the bits past it.
         """
-        hit = self._walks.get(state) if isinstance(state, str) else None
-        if hit is not None:
-            return hit[1]
-        bits.check_bits(state)
-        return self._walk(state)
-
-    def _walk(self, state: str) -> Fraction:
-        """value without the bits check, for a caller that has checked
-        state: every key of the walk memo is a binary string."""
+        if not isinstance(state, str):
+            bits.check_bits(state)  # raises; as a memo key a list would raise TypeError
         walks = self._walks
         hit = walks.get(state)
         if hit is not None:
@@ -260,7 +257,7 @@ class BetProgram:
                 done = len(state) - cut
                 break
         laws, succ = self._steps
-        for bit in state[done:]:
+        for bit in bits.check_bits(state[done:]):
             b = bit == "1"
             m, lean, w = laws[q][b]
             q = succ[b][q]
@@ -397,9 +394,28 @@ class StageApprox:
             if self.kind is Kind.MARTINGALE and c.program.kind is not Kind.MARTINGALE:
                 raise PreconditionError("supermartingale component in declared martingale")
 
+    def _read(self, stage: int, state: str, since: int = -1, acc=(0, 1)) -> tuple[int, int]:
+        """The value at (stage, state) as integers (num, den): the awake
+        components' weighted values summed over one running denominator,
+        taking a gcd only when a term's denominator differs from it. With
+        since and acc, only the components that wake in (since, stage] are
+        added to the running sum acc."""
+        num, den = acc
+        for c in self.components:
+            if not since < c.stage <= stage:
+                continue
+            v = c.program.value(state)
+            n, d = c.weight.numerator * v.numerator, c.weight.denominator * v.denominator
+            if d == den:
+                num += n
+            else:
+                g = math.gcd(d, den)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+        return num, den
+
     def eval(self, stage: int, state: str) -> Fraction:
-        active = [(c.weight, c.program.value) for c in self.components if c.stage <= stage]
-        return Fraction(*_weighted_sum(active, state, 0, 1))
+        return Fraction(*self._read(stage, state))
 
     def last_stage(self) -> int:
         """The stage from which the value no longer changes: the last
@@ -426,61 +442,17 @@ def _check_sides(odd: StageApprox, even: StageApprox) -> None:
         raise PreconditionError("second side must bet at even positions")
 
 
-class _Joint:
-    """The joint capital m(x) + n(x) of a parity pair, odd side first.
-
-    Both sides' components form one parity-free sum, ordered by activation
-    stage. read(stage, state) gives the sum as integers (num, den); with
-    since and acc it adds only the components that wake in (since, stage]
-    to a running sum acc. over compares the sum with a bound by
-    cross-multiplying (_exceeds), so the comparison builds no Fraction.
-    Each read checks the state's bits once and walks every program
-    unchecked. value is the joint capital as a Fraction, for the values a
-    caller keeps or reports; it reads each side's eval, so those reads
-    show as eval calls and FSM bits in the bench's traced run.
-    """
-
-    __slots__ = ("odd", "even", "wakes", "_terms")
-
-    def __init__(self, odd: StageApprox, even: StageApprox):
-        _check_sides(odd, even)
-        self.odd, self.even = odd, even
-        comps = sorted(odd.components + even.components, key=lambda c: c.stage)
-        self.wakes = [c.stage for c in comps]
-        self._terms = [(c.weight, c.program._walk) for c in comps]
-
-    def read(self, stage: int, state: str, since: int = -1, acc=(0, 1)) -> tuple[int, int]:
-        bits.check_bits(state)
-        terms = self._terms[bisect_right(self.wakes, since):bisect_right(self.wakes, stage)]
-        return _weighted_sum(terms, state, *acc)
-
-    def over(self, stage: int, state: str, bound: Fraction) -> bool:
-        return _exceeds(self.read(stage, state), bound)
-
-    def value(self, stage: int, state: str) -> Fraction:
-        return self.odd.eval(stage, state) + self.even.eval(stage, state)
+def _joint(odd: StageApprox, even: StageApprox) -> StageApprox:
+    """The joint capital m(x) + n(x) of a guarded parity pair, odd side
+    first: both sides' components as one parity-free mixture."""
+    _check_sides(odd, even)
+    return StageApprox(odd.components + even.components, Kind.of_sum((odd.kind, even.kind)))
 
 
 def _exceeds(read: tuple[int, int], bound: Fraction) -> bool:
     """Whether a read (num, den) is above bound, on integers."""
     num, den = read
     return num * bound.denominator > bound.numerator * den
-
-
-def _weighted_sum(terms, state: str, num: int, den: int) -> tuple[int, int]:
-    """Add weight * value(state) for each (weight, value) of terms to
-    num / den, as integers over one running denominator, taking a gcd only
-    when a term's denominator differs from it."""
-    for w, value in terms:
-        v = value(state)
-        n, d = w.numerator * v.numerator, w.denominator * v.denominator
-        if d == den:
-            num += n
-        else:
-            g = math.gcd(d, den)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return num, den
 
 
 class _StageView:

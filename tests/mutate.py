@@ -4,7 +4,7 @@ the function's code is changed a little?
 
     python3 tests/mutate.py diagonal _Players.lone
     python3 tests/mutate.py diagonal _repeats --tests tests/test_diagonal.py
-    python3 tests/mutate.py programs BetProgram._walk
+    python3 tests/mutate.py programs StageApprox._read
 
 The script copies src/, tests/ and pyproject.toml to a fresh temporary
 directory, removed at the end, and makes one mutant at

@@ -34,7 +34,7 @@ from paritybet import (
     verify_block_inequality,
 )
 from paritybet.blocktest import EnumState
-from paritybet.programs import _Joint
+from paritybet.programs import _exceeds, _joint
 
 import fraction_reference as ref
 
@@ -198,7 +198,7 @@ def test_build_parity_test_raises_when_no_child_stays_under(monkeypatch):
                              Kind.MARTINGALE, p) for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN))
     monkeypatch.setattr(
         blocktest, "_enumerate_block",
-        lambda joint, parent, *_: EnumState(parent, Fraction(1), (parent + "00",), "closed", 0))
+        lambda m, n, joint, parent, *_: EnumState(parent, Fraction(1), (parent + "00",), "closed", 0))
     with pytest.raises(BettingLabError, match="^no extension of '' stays under 1 at stage 0"):
         build_parity_test(odd, even, 1, 0)
 
@@ -310,30 +310,28 @@ def test_build_parity_test_matches_the_reference(pair, depth, stages):
 @example(_unit_pair(), 0, -1, "0110", False, Fraction(1))
 def test_joint_over_matches_a_fraction_sum(pair, stage, since, state, exact, bound):
     m, n = pair
-    joint = _Joint(m, n)
+    joint = _joint(m, n)
     value = m.eval(stage, state) + n.eval(stage, state)
     if exact:  # the bound the stage machine walks under: a joint capital itself
         bound = value
-    assert joint.over(stage, state, bound) is (value > bound)
-    assert Fraction(*joint.read(stage, state)) == value == joint.value(stage, state)
+    assert _exceeds(joint._read(stage, state), bound) is (value > bound)
+    assert Fraction(*joint._read(stage, state)) == value == joint.eval(stage, state)
     # a running sum read at since, then brought up to stage
     since = min(since, stage)
-    assert Fraction(*joint.read(stage, state, since, joint.read(since, state))) == value
+    assert Fraction(*joint._read(stage, state, since, joint._read(since, state))) == value
 
 
 def test_one_bits_check_per_joint_read_covers_every_path():
-    # a pair without components walks no program, so only the joint's own
-    # check can reject these states
+    # a pair without components walks no program, so only enumerate_block's
+    # own check can reject its parent
     empty = tuple(StageApprox((), Kind.MARTINGALE, p)
                   for p in (Parity.BETS_ON_ODD, Parity.BETS_ON_EVEN))
     for pair in (empty, _unit_pair()):
         with pytest.raises(StructuralError):
             enumerate_block("0a", 1, *pair, 5)
-        joint = _Joint(*pair)
-        for bad in ("01x", "2", ["0"]):
-            with pytest.raises(StructuralError):
-                joint.read(0, bad)
-            with pytest.raises(StructuralError):
-                joint.over(0, bad, Fraction(1))
+    joint = _joint(*_unit_pair())
+    for bad in ("01x", "2", ["0"]):
+        with pytest.raises(StructuralError):
+            joint._read(0, bad)
     with pytest.raises(StructuralError):
         greedy_leftmost_extension(lambda s: Fraction(0), "0x", 1, 4)

@@ -36,7 +36,6 @@ from paritybet import (
     validate,
 )
 from paritybet import bits, builder
-from paritybet.programs import _Joint
 
 from conftest import random_positive_martingale
 
@@ -355,7 +354,9 @@ def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
 def test_stage_machine_walk_raises_when_both_children_exceed_the_bound(monkeypatch):
     # no pair of martingales does this: plant a joint under which every
     # state but the root exceeds any bound
-    monkeypatch.setattr(_Joint, "over", lambda self, stage, state, bound: state != "")
+    walk = builder._greedy_walk
+    monkeypatch.setattr(builder, "_greedy_walk",
+                        lambda over, base, length: walk(lambda state: state != "", base, length))
     with pytest.raises(PreconditionError, match="^both children exceed the bound at ''"):
         run_stage_machine(*_quiet_pair(), 5, 1)
 
@@ -453,9 +454,9 @@ def _tower_demo_pair():
 
 
 def test_stage_machine_reads_each_prefix_once_per_activation_interval(monkeypatch):
-    # a joint read is one _Joint.read or _Joint.value call in the stage
-    # machine (a value call reads each side's eval once), and one pair of
-    # StageApprox.eval calls in the reference
+    # a joint read is one StageApprox._read call in the stage machine (a
+    # cached read goes through eval), and one pair of StageApprox.eval
+    # calls, each one _read, in the reference
     reads, evals = [], []
 
     def counting(log, method):
@@ -464,9 +465,8 @@ def test_stage_machine_reads_each_prefix_once_per_activation_interval(monkeypatc
             return method(self, stage, state, *rest)
         return counted
 
-    for cls, name, log in ((_Joint, "read", reads), (_Joint, "value", reads),
-                           (StageApprox, "eval", evals)):
-        monkeypatch.setattr(cls, name, counting(log, getattr(cls, name)))
+    for name, log in (("_read", reads), ("eval", evals)):
+        monkeypatch.setattr(StageApprox, name, counting(log, getattr(StageApprox, name)))
     counts = []
     for run in (run_stage_machine, ref.run_stage_machine):
         reads.clear()
@@ -476,7 +476,7 @@ def test_stage_machine_reads_each_prefix_once_per_activation_interval(monkeypatc
     assert state.change_counts == [0, 2, 3]
     # the reference reads the root and every defined prefix at every
     # stage: 8256 joint reads, against 270 here
-    assert counts == [(270, 26), (0, 16512)]
+    assert counts == [(270, 13), (16512, 16512)]
 
 
 def test_floor_memo_returns_the_same_table():

@@ -97,6 +97,22 @@ def test_validate_mixture_defaults_to_last_stage(capsys, tmp_path):
     assert json.loads(runs[None])["bets_on_odd"] is False
 
 
+@pytest.mark.parametrize("subcommand, slot", [("validate", "--in"), ("dim", "--strategy")])
+def test_a_negative_stage_is_a_domain_error(capsys, tmp_path, subcommand, slot):
+    path = write_json(tmp_path, "mix.json", _late_betting_mixture())
+    x = tmp_path / "x.txt"
+    x.write_text("0110")
+    argv = [subcommand, slot, path] + (["--x", str(x)] if subcommand == "dim" else [])
+    for stage in ("-1", "-3"):
+        code, out, err = run_cli(capsys, *argv, "--stage", stage)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "PreconditionError",
+                                   "message": f"--stage {stage} is negative"}
+    # stage 0, before the betting component joins, is a mixture stage
+    code, _, err = run_cli(capsys, *argv, "--stage", "0")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("strategy", [
     constant_program(1, FractionBet(Fraction(1, 2)), Parity.BETS_ON_EVEN),
     _late_betting_mixture(),

@@ -293,6 +293,18 @@ def test_replay_checks_a_dead_adversarys_capital():
         replay_trace(replace(tr, records=tuple(records)), unit_bet_on_one(), advs)
 
 
+def test_replay_rejects_a_trace_whose_bits_are_not_binary():
+    # the players read any bit but "1" as "0", so a trace with its 0 bits
+    # rewritten to "x" in z and in the records would otherwise replay
+    advs = [sided_constant("s0", 3, 0), sided_constant("s1", 3, 1)]
+    tr = diagonalize(advs, unit_bet_alternating(), 8)
+    records = tuple(replace(r, bit="x") if r.bit == "0" else r for r in tr.records)
+    tampered = parse_trace(list(trace_lines(replace(tr, z=tr.z.replace("0", "x"), records=records))))
+    assert "x" in tampered.z
+    with pytest.raises(StructuralError, match="^not a binary string: 'x1x'$"):
+        replay_trace(tampered, unit_bet_alternating(), advs)
+
+
 def test_records_read_as_a_tuple_of_bit_records():
     _, tr = _greedy_with_deaths()
     as_tuple = tuple(tr.records)

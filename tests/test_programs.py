@@ -19,12 +19,14 @@ from paritybet import (
     IntStrategy,
     IntegerBet,
     Kind,
+    PackingCertificate,
     Parity,
     PreconditionError,
     ScaleBet,
     Sided,
     StageApprox,
     StructuralError,
+    TestArray,
     at_stage,
     constant_program,
     diagonalize,
@@ -35,6 +37,7 @@ from paritybet import (
     unit_bet_on_one,
     validate,
 )
+from paritybet import bits
 from paritybet.diagonal import _Players
 
 import fraction_reference as ref
@@ -340,6 +343,35 @@ def test_value_rejects_a_non_binary_state_before_and_after_the_memo_fills():
         # fill the memo with the prefixes a resumed walk of "012" would use
         assert program.value("01") == Fraction(3, 4)
         assert program.value("0") == Fraction(1, 2)
+
+
+def test_a_resumed_walk_checks_only_the_bits_past_its_prefix(monkeypatch):
+    # a read resumes from the memo entry one or two bits back, else walks
+    # from the root; only the bits it walks are checked
+    program = constant_program(1, FractionBet(Fraction(1, 2)))
+    checked = []
+    check = bits.check_bits
+    monkeypatch.setattr(bits, "check_bits", lambda s: checked.append(s) or check(s))
+    for s in ["", "0", "011", "0110", "0110", "1", "1011"]:
+        assert program.value(s) == _reference_walk(program, s)
+    assert checked == ["", "0", "11", "0", "1", "1011"]
+
+
+_READERS = {
+    "table": lambda: constant_program(1, FractionBet(Fraction(1, 2))).to_table(2),
+    "program": lambda: constant_program(1, FractionBet(Fraction(1, 2))),
+    "mixture": lambda: mixture([follow_program("0110", Parity.BETS_ON_ODD, 1)], Parity.BETS_ON_ODD),
+    "certificate": lambda: PackingCertificate(TestArray((("",), ("00", "01", "10")))),
+}
+
+
+@pytest.mark.parametrize("make", _READERS.values(), ids=_READERS)
+def test_every_reader_rejects_the_same_bad_states(make):
+    read = at_stage(make()).value
+    assert read("00") >= 0
+    for bad in ("0x", "2", 5):
+        with pytest.raises(StructuralError):
+            read(bad)
 
 
 def test_a_mixture_holds_only_its_fields():
