@@ -1,9 +1,9 @@
 """Integer-stakes betting duels: one engine strategy against finitely many
 integer adversaries.
 
-The engine is one of two built-ins: a unit bettor that always stakes 1 on
-outcome 1, and an alternating unit bettor that stakes 1 on outcome 0 at
-even positions and on outcome 1 at odd positions. Wagers clamp to current
+Two engines are built in, known by their programs: a unit bettor that
+always stakes 1 on outcome 1, and an alternating unit bettor that stakes 1
+on outcome 0 at even positions and on 1 at odd ones. Wagers clamp to current
 capital, so every strategy freezes once it hits 0 and all values stay
 nonnegative integers.
 
@@ -67,14 +67,6 @@ class IntStrategy:
     def initial(self) -> int:
         return int(self.program.initial)
 
-    @property
-    def parity(self) -> Parity:
-        return self.program.parity
-
-    @property
-    def sided(self) -> Sided:
-        return self.program.sided
-
 
 def unit_bet_on_one() -> IntStrategy:
     """Capital 5; stake 1 on outcome 1, always; frozen at 0."""
@@ -106,35 +98,39 @@ def _repeats(src: str, cycle: str, at: int, most: int) -> int:
 
 class _Players:
     """Cursor over a duel's players, engine first: each player's machine
-    state and integer capital. Capital moves only through the program's
-    decoded bet law, whose integer bets keep an int capital an int.
+    state and integer capital, and the duel's record. Capital moves only
+    through the program's decoded bet law, whose integer bets keep an int
+    capital an int. After each bit, engine gets the engine's capital and
+    adversaries the tuple of adversary capitals, now, which is rebuilt
+    only when one of them moves, so that consecutive records share it.
 
     An adversary is dead once its capital is 0 or no betting state is
     reachable from its machine state. Both are absorbing, so a dead
     adversary's capital never moves again: only the engine and the live
     adversaries are stepped, and a dead one's machine state is walked
-    over the bits it missed when it is read. adversaries is the tuple of
-    adversary capitals, rebuilt only when one of them moves. Once live is
-    empty it stays so, and lone steps the engine by itself, a whole cycle
-    at a time where the cycle allows."""
+    over the bits it missed when it is read. Once live is empty it stays
+    so, and lone steps the engine by itself, a whole cycle at a time where
+    the cycle allows."""
 
-    __slots__ = ("states", "steps", "ahead", "cap", "z", "live", "adversaries", "favors", "_q", "_since")
+    __slots__ = ("steps", "ahead", "cap", "z", "engine", "adversaries", "now", "live", "favors", "_q", "_since")
 
     def __init__(self, strategies):
         programs = [s.program for s in strategies]
-        self.states = [p.rule.states for p in programs]
         self.steps = [p._steps for p in programs]
         self.ahead = [p._bets_ahead for p in programs]
         self._q = [p.rule.start for p in programs]
         self.cap = [int(p.initial) for p in programs]
         self.z: list[str] = []  # every bit stepped
+        self.engine: list[int] = []
+        self.adversaries: list[tuple[int, ...]] = []
         self._since: dict[int, int] = {}  # dead adversary -> bits its _q has walked
         # (index, bet laws, successor columns, bets ahead) per live adversary
         self.live = [(i, *self.steps[i], self.ahead[i]) for i in range(1, len(programs))]
         self._bury()
-        self.adversaries = tuple(self.cap[1:])
+        self.now = tuple(self.cap[1:])
         # per engine state, its favored bit: the outcome it bets on, else 1
-        self.favors = ["0" if st.bet is not None and st.bet.outcome == 0 else "1" for st in self.states[0]]
+        self.favors = ["0" if st.bet is not None and st.bet.outcome == 0 else "1"
+                       for st in programs[0].rule.states]
 
     def _bury(self) -> None:
         """Move the adversaries that died at the last bit out of live."""
@@ -166,17 +162,17 @@ class _Players:
         if died:
             self._bury()
         if moved:
-            self.adversaries = tuple(cap[1:])
+            self.now = tuple(cap[1:])
+        self.engine.append(cap[0])
+        self.adversaries.append(self.now)
 
-    def lone(
-        self, caps: list[int], src: str | None = None, below: int | None = None, end: int | None = None
-    ) -> bool:
-        """Step the engine as step does once no adversary is live: over the
-        bits of src, or, when src is None, over its favored bit at each
-        step, appending its capital after each bit to caps. Stops after the
-        bit that leaves the capital at 0 or, when below is given, at below
-        or above; and once src runs out or len(z) is end. Returns whether
-        it stopped at end with bits left to step.
+    def lone(self, src: str | None = None, below: int | None = None, end: int | None = None) -> bool:
+        """Step and record the engine as step does once no adversary is
+        live: over the bits of src, or, when src is None, over its favored
+        bit at each step. Stops after the bit that leaves the capital at 0
+        or, when below is given, at below or above; and once src runs out
+        or len(z) is end. Returns whether it stopped at end with bits left
+        to step.
 
         Whole cycles are skipped. Walking per bit, the pair (machine state,
         bit played) repeats from step s to step t. Over favored bits the
@@ -188,7 +184,7 @@ class _Players:
         kd, appended at once for the largest k that stays below `below`,
         within end and within src's repeats. Capitals stay exact ints, and
         no capital in a skipped cycle is 0 or reaches below."""
-        (laws, succ), favors, z = self.steps[0], self.favors, self.z
+        (laws, succ), favors, z, caps = self.steps[0], self.favors, self.z, self.engine
         q, c = self._q[0], self.cap[0]
         zb, cb = len(z), len(caps)  # where this run's bits and capitals start
         room = None if end is None else end - zb  # bits this run may step
@@ -235,6 +231,7 @@ class _Players:
         else:
             cut = end is not None
         self._q[0], self.cap[0] = q, c
+        self.adversaries += repeat(self.now, t)
         return cut
 
     def at(self, i: int) -> int:
@@ -250,13 +247,6 @@ class _Players:
     @property
     def q(self) -> list[int]:
         return [self.at(i) for i in range(len(self._q))]
-
-    def live_bet(self, i: int) -> IntegerBet | None:
-        """Live player i's current bet when its effective stake is at least 1."""
-        bet = self.states[i][self._q[i]].bet
-        if bet is None or self.cap[i] <= 0 or bet.wager < 1:
-            return None
-        return bet
 
     def lean(self, bit: str) -> int:
         """What the adversaries' live bets net, together, if bit comes."""
@@ -481,19 +471,17 @@ def replay_trace(trace: DiagTrace, engine: IntStrategy, adversaries: list[IntStr
         raise StructuralError("record count differs from emitted bits")
     for start in range(0, len(z), _REPLAY_CHUNK):
         chunk = z[start : start + _REPLAY_CHUNK]
-        engine_caps: list[int] = []
-        adversary_caps: list[tuple[int, ...]] = []
+        players.engine, players.adversaries = [], []  # this chunk's record only
         for bit in chunk:  # every live player steps until none is left
             if not players.live:
                 break
             players.step(bit)
-            engine_caps.append(players.cap[0])
-            adversary_caps.append(players.adversaries)
         # then the engine alone, which stops where it froze at 0 and stays there
-        players.lone(engine_caps, chunk[len(adversary_caps) :])
-        engine_caps += repeat(0, len(chunk) - len(engine_caps))
-        adversary_caps += repeat(players.adversaries, len(chunk) - len(adversary_caps))
-        _compare(recs, start, chunk, engine_caps, adversary_caps)
+        players.lone(chunk[len(players.engine) :])
+        left = len(chunk) - len(players.engine)
+        players.engine += repeat(0, left)
+        players.adversaries += repeat(players.now, left)
+        _compare(recs, start, chunk, players.engine, players.adversaries)
 
 
 def _compare(recs: _Records, start: int, bits: str, engine_caps: list, adversary_caps: list) -> None:
@@ -515,19 +503,28 @@ def _compare(recs: _Records, start: int, bits: str, engine_caps: list, adversary
             )
 
 
+# The built-in engines, known by their programs, each with what its
+# argument needs: the tag every opponent must carry (the unit engine's
+# single parity, the alternating engine's single side) and the bit the
+# engine likes at even and at odd positions. An engine whose program is
+# one of these is that built-in, whatever its name.
+_BUILT_INS = {
+    unit_bet_on_one().program: ("parity", Parity.NONE, "unit", "11"),
+    unit_bet_alternating().program: ("sided", Sided.NONE, "alternating", "01"),
+}
+
+
 def _check_tags(engine: IntStrategy, adversaries) -> None:
-    """The built-in engines' arguments need tagged opponents: the unit
-    engine single-parity ones, the alternating engine single-sided ones."""
+    """A built-in engine's argument needs opponents with its tag."""
+    built_in = _BUILT_INS.get(engine.program)
+    if built_in is None:
+        return
+    tag, none, who, _ = built_in
     for i, a in enumerate(adversaries):
-        if engine.name == "N" and a.parity is Parity.NONE:
+        if getattr(a.program, tag) is none:
             raise PreconditionError(
-                f"adversary {i} lacks a parity tag; the unit engine's "
-                f"argument needs single-parity opponents"
-            )
-        if engine.name == "D" and a.sided is Sided.NONE:
-            raise PreconditionError(
-                f"adversary {i} lacks a sided tag; the alternating engine's "
-                f"argument needs single-sided opponents"
+                f"adversary {i} lacks a {tag} tag; the {who} engine's "
+                f"argument needs single-{tag} opponents"
             )
 
 
@@ -545,8 +542,6 @@ class _Duel:
         self.max_bits = max_bits
         self.z = self.players.z
         self.rules: list[str] = []
-        self.engine: list[int] = []
-        self.adversaries: list[tuple[int, ...]] = []
         self.checkpoints: list[Checkpoint] = []
         self.certificates: list[ConeCertificate] = []
         self.block_bits = 0
@@ -557,8 +552,6 @@ class _Duel:
             self._overrun()
         players.step(bit)
         self.rules.append(rule)
-        self.engine.append(players.cap[0])
-        self.adversaries.append(players.adversaries)
         if players.cap[0] <= 0:
             self._bankrupt()
 
@@ -566,10 +559,8 @@ class _Duel:
         """emit for each bit once no adversary is live: for the bits of src,
         or for the engine's favored bit until its capital reaches below."""
         players, start = self.players, len(self.z)
-        cut = players.lone(self.engine, src, below, self.max_bits)
-        n = len(self.z) - start
-        self.rules.extend(repeat(rule, n))
-        self.adversaries.extend(repeat(players.adversaries, n))
+        cut = players.lone(src, below, self.max_bits)
+        self.rules.extend(repeat(rule, len(self.z) - start))
         if players.cap[0] <= 0:
             self._bankrupt()
         if cut:
@@ -606,7 +597,7 @@ class _Duel:
             mode=self.mode,
             target=self.target,
             z="".join(self.z),
-            records=_Records(self.z, self.rules, self.engine, self.adversaries),
+            records=_Records(self.z, self.rules, self.players.engine, self.players.adversaries),
             checkpoints=tuple(self.checkpoints),
             certificates=tuple(self.certificates),
             reached=reached,
@@ -623,6 +614,14 @@ def _greedy(duel: _Duel, target: int) -> None:
             duel.emit("0" if favored == "1" else "1", RULE_DEVIATE)
         else:
             duel.emit(favored, RULE_FAVORED)
+
+
+def _losing_bit(program: BetProgram, q: int) -> str | None:
+    """The bit on which machine state q's bet loses, if q is a betting
+    state: the one whose edge of the decoded law leans down."""
+    if not program._bets[q]:
+        return None
+    return "0" if program._steps[0][q][0][1] < 0 else "1"
 
 
 def _settle_one(duel: _Duel, index: int, c: int) -> None:
@@ -642,14 +641,7 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
     players = duel.players
     program = duel.programs[index]
     me = index + 1
-
-    def prefer(position_parity: int) -> str:
-        # the alternating engine likes 0 at even positions, 1 at odd;
-        # the unit engine likes 1 everywhere
-        if duel.engine_strategy.name == "D":
-            return "1" if position_parity else "0"
-        return "1"
-
+    prefer = _BUILT_INS[duel.engine_strategy.program][3].__getitem__
     buffer_needed = 2 * len(program.rule.states) + 4
     fuel = (players.cap[me] + 2) * (4 * len(program.rule.states) + buffer_needed + 8) + 64
     nav: list[str] = []
@@ -665,10 +657,10 @@ def _settle_one(duel: _Duel, index: int, c: int) -> None:
                 "settling search ran out of fuel; the adversary defied its "
                 "own capital bound, which indicates a malformed program"
             )
-        bet = players.live_bet(me)
-        if bet is not None:
+        lost = _losing_bit(program, players.at(me)) if players.cap[me] else None
+        if lost is not None:
             nav = []
-            duel.emit("0" if bet.outcome == 1 else "1", RULE_DEFEAT)
+            duel.emit(lost, RULE_DEFEAT)
         elif nav:
             # committed legs run to the end: they are short enough for the
             # buffer checked at planning time, and abandoning them midway
@@ -770,7 +762,7 @@ def diagonalize(
         return duel.trace(reached=True)
     if mode != "settle":
         raise PreconditionError(f"unknown mode {mode!r}")
-    if engine.name not in ("N", "D"):
+    if engine.program not in _BUILT_INS:
         raise UnsupportedError("settle mode works with the built-in engines only")
     if dim0_blocks is not None and dim0_blocks < 1:
         raise PreconditionError("block interpolation needs a positive base")

@@ -225,7 +225,7 @@ class BetProgram:
                 raise StructuralError(
                     f"declared {self.sided.value} but a bet leans to {int(tilt > 0)}")
 
-    @property
+    @cached_property
     def kind(self) -> Kind:
         leaky = any(e0[0] + e1[0] != 2 for e0, e1 in self._steps[0])
         return Kind.SUPERMARTINGALE if leaky else Kind.MARTINGALE

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import fields
 from enum import Enum
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .diagonal import (
     _Records,
 )
 from .dimension import DimReport, ExponentSample, LevelVerdict
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 from .programs import (
     BetProgram,
     Component,
@@ -368,8 +369,13 @@ def from_jsonable(d, cls=None):
 
 def dumps(obj) -> str:
     """The bytes of json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
-    plus a newline, written directly; a key that is not a str is a WireError."""
-    return _text(_encode(obj, True), "") + "\n"
+    plus a newline, written directly; a key that is not a str is a WireError,
+    and an int past Python's digit limit, which the reader refuses, a PreconditionError."""
+    try:
+        return _text(_encode(obj, True), "") + "\n"
+    except ValueError as exc:  # raised only by int-to-str conversions
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"a number to write has more digits than Python's limit of {limit}") from exc
 
 
 # json's own escaper, in C where built: ASCII out, \uXXXX for anything else

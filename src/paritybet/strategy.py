@@ -110,9 +110,10 @@ def _entries(depth: int, keys: list, nums: list, dens: list) -> tuple[int, tuple
         joined = None
     # As many distinct binary keys as there are states, with as many bits
     # in all as the states have, are the states: a key longer than depth
-    # would stand in for a shorter state and add bits.
-    if not (joined is not None and len(keys) == (2 << depth) - 1
-            and len(joined) == (depth - 1) * (2 << depth) + 2
+    # would stand in for a shorter state and add bits. A depth whose states
+    # outnumber the keys is not counted: its counts have 2^depth bits.
+    if not (joined is not None and depth < len(keys).bit_length()
+            and len(keys) == (2 << depth) - 1 and len(joined) == (depth - 1) * (2 << depth) + 2
             and bits._BITCHARS.issuperset(joined) and min(nums) >= 0):
         for key, x, d in zip(keys, nums, dens):
             _check_key(key, depth)

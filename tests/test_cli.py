@@ -288,6 +288,31 @@ def test_validate_rejects_malformed_object(capsys, tmp_path, bad, where):
     assert error["message"].startswith("--in: " + where)
 
 
+def test_validate_refuses_a_table_too_deep_for_its_keys_at_once(capsys, tmp_path):
+    # one key claims a depth of 10^9, whose states are counted by
+    # integers of 10^9 bits: the missing state is named without them
+    bad = edited_wire(_ODD_TABLE, ("values",), {"": "1"})
+    bad["depth"] = 10**9
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", "--in", write_json(tmp_path, "deep.json", bad))
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "WireError", "message": "--in: missing table entry for state '0'"}
+
+
+def test_dim_refuses_a_report_past_the_digit_limit(capsys, tmp_path):
+    # a stake of 1/200 along 2000 bits: the capitals' denominators pass
+    # Python's 4300-digit limit on writing an int, which the writer names
+    strategy = write_json(tmp_path, "p.json", constant_program(1, FractionBet(Fraction(1, 200))))
+    x, out_path = tmp_path / "x.txt", tmp_path / "report.json"
+    x.write_text("1" * 2000)
+    code, out, err = run_cli(capsys, "dim", "--strategy", strategy, "--x", str(x), "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "PreconditionError",
+                               "message": "a number to write has more digits than Python's limit of 4300"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "x.txt"]  # no --out, no temp file
+
+
 def test_validate_writes_out_file(capsys, odd_bettor, tmp_path):
     out_path = tmp_path / "diag.json"
     code, out, _ = run_cli(capsys, "validate", "--in", odd_bettor,

@@ -583,7 +583,7 @@ def test_diagonalize_rejects_bad_arguments():
             diagonalize, advs, unit_bet_on_one(), 0)
     _raises(PreconditionError, "unknown mode 'fast'",
             diagonalize, advs, unit_bet_on_one(), 5, mode="fast")
-    own = IntStrategy(constant_program(5, IntegerBet(1, 1), Parity.NONE, Sided.ONE), name="own")
+    own = IntStrategy(constant_program(6, IntegerBet(1, 1), Parity.NONE, Sided.ONE), name="own")
     _raises(UnsupportedError, "settle mode works with the built-in engines only",
             diagonalize, advs, own, 5, mode="settle")
     _raises(PreconditionError, "block interpolation needs a positive base",
@@ -592,6 +592,35 @@ def test_diagonalize_rejects_bad_arguments():
     _raises(PreconditionError, "adversary 0 lacks a sided tag; the alternating engine's "
             "argument needs single-sided opponents",
             diagonalize, advs, unit_bet_alternating(), 5)
+
+
+# an engine's name is only its trace's label: one whose program is no
+# built-in's is no built-in engine, whatever it is called
+_UNTAGGED = [IntStrategy(constant_program(3, IntegerBet(1, 1)), name="u")]
+_MINE = constant_program(6, IntegerBet(1, 1))
+
+
+def test_an_engine_named_d_plays_greedy_against_untagged_adversaries():
+    trace = diagonalize(_UNTAGGED, IntStrategy(_MINE, name="D"), 8)
+    assert trace.reached and trace.engine_name == "D"
+    assert trace.z == "00011111"
+
+
+def test_settle_refuses_an_engine_named_n_that_is_no_built_in():
+    _raises(UnsupportedError, "settle mode works with the built-in engines only",
+            diagonalize, [parity_window("w", 3, 2)], IntStrategy(_MINE, name="N"), 5, mode="settle")
+
+
+def test_an_engine_with_a_built_in_program_is_that_built_in():
+    own = IntStrategy(unit_bet_alternating().program, name="own")
+    _raises(PreconditionError, "adversary 0 lacks a sided tag; the alternating engine's "
+            "argument needs single-sided opponents",
+            diagonalize, _UNTAGGED, own, 8)
+    advs = [sided_constant("s0", 3, 0), late_window("late", 3)]
+    settled = diagonalize(advs, own, 12, mode="settle", dim0_blocks=1)
+    assert settled.engine_name == "own"
+    assert replace(settled, engine_name="D") == diagonalize(
+        advs, unit_bet_alternating(), 12, mode="settle", dim0_blocks=1)
 
 
 def test_find_settling_extension_sided():

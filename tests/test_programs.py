@@ -192,6 +192,8 @@ def test_program_kind_property():
     leaky = BetProgram(Fraction(1), Fsm((FsmState(ScaleBet(Fraction(1, 2)), 0, 0),)))
     assert leaky.kind is Kind.SUPERMARTINGALE
     assert constant_program(1, None).kind is Kind.MARTINGALE
+    # read once and kept, as a mixture reads it of every component
+    assert "kind" in vars(leaky)
 
 
 def test_component_guards():

@@ -1,5 +1,6 @@
 """Table laws: validation verdicts, combination and parity products."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,19 @@ def test_as_capital_rejects_negative():
 def test_table_requires_total_map():
     with pytest.raises(StructuralError):
         StrategyTable(1, {"": Fraction(1), "0": Fraction(1)})
+
+
+def test_a_claimed_depth_past_the_keys_builds_nothing_of_its_size():
+    # a depth of 10^9 has 2^(10^9 + 1) - 1 states: counting them takes an
+    # integer of 10^9 bits, 125 MB, and one key cannot fill them anyway
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError, match="^missing table entry for state '0'$"):
+            StrategyTable(10**9, {"": Fraction(1)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_table_rejects_long_state():
