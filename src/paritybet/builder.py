@@ -341,21 +341,15 @@ class RequestLedger:
 
 
 
-def greedy_leftmost_extension(evaluator, base: str, bound, length: int) -> str:
+def greedy_leftmost_extension(over, base: str, length: int) -> str:
     """Extend base to the given length, leftmost child under the bound.
 
-    evaluator must be a supermartingale on states, so whenever the current
+    over(state) tells whether the value at state exceeds the bound. The
+    value must be a supermartingale on states, so whenever the current
     value is under the bound some child is too: take 0 when it stays
     under, else 1. The whole walk is linear in the target length.
     """
     bits.check_bits(base)
-    bound = Fraction(bound)
-    return _greedy_walk(lambda st: evaluator(st) > bound, base, length)
-
-
-def _greedy_walk(over, base: str, length: int) -> str:
-    """greedy_leftmost_extension on over(state), which tells whether the
-    value at state exceeds the bound."""
     if length < len(base):
         raise PreconditionError("target length shorter than the base")
     if over(base):
@@ -473,7 +467,8 @@ def run_stage_machine(
             n = acted_n
             base = state.sigmas[n - 1]
             bound = joint_at(u, n - 1)
-            tau = _greedy_walk(lambda st: _exceeds(joint._read(u, st), bound), base, par[n].s)
+            tau = greedy_leftmost_extension(
+                lambda st: _exceeds(joint._read(u, st), bound), base, par[n].s)
             prior = last_in_interval[n]
             if prior is not None and tau < prior:
                 raise StructuralError(

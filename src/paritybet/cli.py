@@ -111,7 +111,9 @@ _MAX_BITS = 10**6
 # adversary capitals moved at every bit: 135 MB peak memory)
 _MAX_TRACE_BITS = _MAX_BITS + _MAX_BITS // 10
 # paritytest repeats the path in each level report and keeps the walk of
-# every prefix read: depth 1000 took 3.5 s and 80 MB and wrote 15 MB
+# every prefix read: depth 1000 took 3.5 s and 80 MB and wrote 15 MB.
+# stest, whose level k compares with 2^-k, reads no deeper array: its time
+# grows with the square of the level count (10^5 empty levels: 17.6 s)
 _MAX_TEST_DEPTH = 1000
 # dim reads the strategy at every prefix of --x, and the exact capitals
 # grow with the length: a 2000-bit x takes seconds, 5000 bits a minute
@@ -207,6 +209,8 @@ def _cmd_diagonalize(args) -> int:
 
 def _cmd_stest(args) -> int:
     array = _decode(load_json(args.test_path), "--validate", TestArray)
+    if array.depth() > _MAX_TEST_DEPTH:
+        raise PreconditionError(f"--validate depth {array.depth()} is above {_MAX_TEST_DEPTH}")
     s = parse_frac(args.s)
     verdicts = validate_s_test(array, s)
     payload = {

@@ -28,7 +28,6 @@ both in the duel and when replay_trace recomputes a trace's tail.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -128,9 +127,8 @@ class _Players:
         self.live = [(i, *self.steps[i], self.ahead[i]) for i in range(1, len(programs))]
         self._bury()
         self.now = tuple(self.cap[1:])
-        # per engine state, its favored bit: the outcome it bets on, else 1
-        self.favors = ["0" if st.bet is not None and st.bet.outcome == 0 else "1"
-                       for st in programs[0].rule.states]
+        # per engine state, its favored bit: the outcome its law leans to, else 1
+        self.favors = ["0" if law[1][1] < 0 else "1" for law in self.steps[0][0]]
 
     def _bury(self) -> None:
         """Move the adversaries that died at the last bit out of live."""
@@ -244,10 +242,6 @@ class _Players:
             self._q[i], self._since[i] = qi, len(self.z)
         return self._q[i]
 
-    @property
-    def q(self) -> list[int]:
-        return [self.at(i) for i in range(len(self._q))]
-
     def lean(self, bit: str) -> int:
         """What the adversaries' live bets net, together, if bit comes."""
         b, q, cap, total = bit == "1", self._q, self.cap, 0
@@ -265,39 +259,42 @@ class _Players:
 def _path_to_betting(
     program: BetProgram, q: int, parity: int, prefer=None
 ) -> list[str] | None:
-    """Shortest bit path from (q, parity) whose intermediate configurations
-    never bet and whose endpoint does; None when no betting configuration
-    is reachable at all. Any reachable betting configuration has such a
-    path: truncate at the first betting configuration en route. Ties break
+    """Shortest bit path from machine state q, at position parity, whose
+    intermediate states never bet and whose endpoint does; None when no
+    betting state is reachable at all. Any reachable betting state has
+    such a path: truncate at the first betting state en route. Ties break
     toward prefer(position_parity), so free choices follow the pattern the
-    caller's engine likes."""
-    betting = program._bets
+    caller's engine likes.
+
+    The search runs over machine states alone, a level at a time: k bits
+    on, every state has position parity (parity + k) % 2, so a state met
+    again, at either parity, leads nowhere new."""
+    betting, (on0, on1) = program._bets, program._steps[1]
     if betting[q]:
         return []
-    start = (q, parity)
-    prev: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
-        on0, on1 = program.configs[cfg]
-        if prefer is not None and prefer(cfg[1]) == "1":
+    prev: dict[int, tuple[int, str]] = {}  # state -> (state before, bit)
+    seen, level = {q}, [q]
+    while level:
+        if prefer is not None and prefer(parity) == "1":
             hops = (("1", on1), ("0", on0))
         else:
             hops = (("0", on0), ("1", on1))
-        for bit, nxt in hops:
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            prev[nxt] = (cfg, bit)
-            if betting[nxt[0]]:
-                path = []
-                cur = nxt
-                while cur != start:
-                    cur, b = prev[cur]
-                    path.append(b)
-                return path[::-1]
-            queue.append(nxt)
+        parity, nxt_level = 1 - parity, []
+        for cur in level:
+            for bit, on in hops:
+                nxt = on[cur]
+                if nxt in seen:
+                    continue
+                seen.add(nxt)
+                prev[nxt] = (cur, bit)
+                if betting[nxt]:
+                    path = []
+                    while nxt != q:
+                        nxt, b = prev[nxt]
+                        path.append(b)
+                    return path[::-1]
+                nxt_level.append(nxt)
+        level = nxt_level
     return None
 
 
@@ -342,10 +339,10 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
     """Probe that the strategy's value is constant on the cone above
     prefix, out to the given depth.
 
-    The full binary tree of extensions collapses to configuration sets
+    The full binary tree of extensions collapses to machine-state sets
     level by level, so the probe costs O(depth * machine size) while still
-    inspecting every extension: if some configuration at some level bets
-    with live capital, a concrete extension witnesses a value change.
+    inspecting every extension: if some state at some level bets with live
+    capital, a concrete extension witnesses a value change.
     """
     bits.check_bits(prefix)
     player = _Players([strategy])
@@ -353,17 +350,13 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
         player.step(b)
     if player.cap[0] == 0:
         return True
-    program = strategy.program
-    betting = program._bets
-    frontier = {(player.at(0), len(prefix) % 2)}
-    for _ in range(probe_depth):
-        nxt: set[tuple[int, int]] = set()
-        for cfg in frontier:
-            if betting[cfg[0]]:
-                return False
-            nxt.update(program.configs[cfg])
-        frontier = nxt
-    return not any(betting[q] for q, _ in frontier)
+    betting, succ = strategy.program._bets, strategy.program._steps[1]
+    frontier = {player.at(0)}
+    for _ in range(probe_depth + 1):
+        if any(betting[q] for q in frontier):
+            return False
+        frontier = {on[q] for on in succ for q in frontier}
+    return True
 
 
 RULE_FAVORED = "favored"

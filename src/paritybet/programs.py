@@ -165,29 +165,23 @@ class BetProgram:
         self._check_structural_tags()
 
     @cached_property
-    def configs(self) -> dict:
-        """The reachable (machine state, position parity) configurations,
-        each mapped to its successors on 0 and on 1. Built on first use and
-        kept, since duels search it once per planning step."""
-        return _reachable_configs(self.rule)
-
-    @cached_property
     def _bets(self) -> list[bool]:
-        """Per machine state: whether it carries an integer bet of wager
-        at least 1, the states the duels call betting."""
-        return [isinstance(st.bet, IntegerBet) and st.bet.wager >= 1 for st in self.rule.states]
+        """Per machine state: whether its decoded edge leans with a wager
+        of at least 1, as only an integer bet's does: the states the duels
+        call betting."""
+        return [lean != 0 and w >= 1 for _, (_, lean, w) in self._steps[0]]
 
     @cached_property
     def _bets_ahead(self) -> list[bool]:
         """Per machine state: whether a betting state (see _bets) is
         reachable from it, itself included, found backwards from those
-        states. Parity plays no part: every configuration steps to both
-        successors. Kept, since every duel player reads it."""
-        states = self.rule.states
-        into: list[list[int]] = [[] for _ in states]
-        for q, st in enumerate(states):
-            into[st.on0].append(q)
-            into[st.on1].append(q)
+        states over the successor columns. Kept, since every duel player
+        reads it."""
+        on0, on1 = self._steps[1]
+        into: list[list[int]] = [[] for _ in on0]
+        for q, (a, b) in enumerate(zip(on0, on1)):
+            into[a].append(q)
+            into[b].append(q)
         ahead = list(self._bets)
         todo = [q for q, bets in enumerate(ahead) if bets]
         while todo:
@@ -206,8 +200,6 @@ class BetProgram:
         return laws, ([st.on0 for st in states], [st.on1 for st in states])
 
     def _check_structural_tags(self):
-        # walked afresh, not through configs: most programs never need the
-        # graph again, and keeping it would cost memory per program
         for q, p in _reachable_configs(self.rule):
             if self.rule.states[q].bet is None:
                 continue

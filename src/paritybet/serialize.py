@@ -485,8 +485,12 @@ def parse_trace(lines) -> DiagTrace:
             raise WireError("trace line must be a JSON object")
         tag = d.get("type")
         if tag == "trace_header":
+            if header is not None:
+                raise WireError("trace has a second trace_header line")
             header = _TRACE_HEADER(d)
         elif tag == "summary":
+            if summary is not None:
+                raise WireError("trace has a second summary line")
             summary = _TRACE_SUMMARY(d)
         elif tag == "checkpoint":
             checkpoints.append(_reader(Checkpoint)(d))

@@ -20,7 +20,10 @@ where a test can plant a fault with monkeypatch. Players, Duel,
 diagonalize (with its greedy, settle and block drivers) and trace_lines
 are the duels as they stepped every player at every bit, built a
 BitRecord and a fresh capital tuple per bit, certified by a search, and
-wrote each record through the generic encoder. min_block_martingale
+wrote each record through the generic encoder; their settling search
+_path_to_betting and the cone probe verify_cone_constancy walk configs,
+the graph of (machine state, position parity) configurations that
+programs kept before the duels read only the decoded step table. min_block_martingale
 and unique_first_bit_martingale are the block cores as they were built
 from Fraction dicts through the public constructor. table is the public
 StrategyTable constructor as it checked and coerced one key at a time,
@@ -37,6 +40,7 @@ import json
 import math
 import random
 import re
+from collections import deque
 from fractions import Fraction
 
 from paritybet import bits, blocktest, builder, decompose, serialize, strategy
@@ -73,7 +77,6 @@ from paritybet.diagonal import (
     ConeCertificate,
     DiagTrace,
     _check_tags,
-    _path_to_betting,
 )
 from paritybet.dimension import _power_of_two_log
 from paritybet.errors import (
@@ -423,7 +426,7 @@ def run_stage_machine(n_approx, t_approx, stages: int, n_max: int):
             base = state.sigmas[n - 1]
             bound = joint(u, base)
             tau = greedy_leftmost_extension(
-                lambda st: joint(u, st), base, bound, par[n].s
+                lambda st: joint(u, st) > bound, base, par[n].s
             )
             prior = last_in_interval[n]
             if prior is not None and tau < prior:
@@ -820,6 +823,81 @@ class Players:
     def favored(self) -> str:
         bet = self.states[0][self.q[0]].bet
         return "1" if bet is None else str(bet.outcome)
+
+
+def configs(program) -> dict:
+    """The reachable (machine state, position parity) configurations of
+    program's machine, each mapped to its successors on 0 and on 1."""
+    fsm = program.rule
+    graph: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+    frontier = [(fsm.start, 0)]
+    while frontier:
+        cfg = frontier.pop()
+        if cfg in graph:
+            continue
+        st = fsm.states[cfg[0]]
+        p = 1 - cfg[1]
+        graph[cfg] = ((st.on0, p), (st.on1, p))
+        frontier.extend(graph[cfg])
+    return graph
+
+
+def betting(program) -> list[bool]:
+    """Per machine state: whether it carries an integer bet of wager at
+    least 1."""
+    return [isinstance(st.bet, IntegerBet) and st.bet.wager >= 1 for st in program.rule.states]
+
+
+def _path_to_betting(program, q: int, parity: int, prefer=None):
+    """The settling search as it ran over the configuration graph."""
+    bets, graph = betting(program), configs(program)
+    if bets[q]:
+        return []
+    start = (q, parity)
+    prev: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cfg = queue.popleft()
+        on0, on1 = graph[cfg]
+        if prefer is not None and prefer(cfg[1]) == "1":
+            hops = (("1", on1), ("0", on0))
+        else:
+            hops = (("0", on0), ("1", on1))
+        for bit, nxt in hops:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            prev[nxt] = (cfg, bit)
+            if bets[nxt[0]]:
+                path = []
+                cur = nxt
+                while cur != start:
+                    cur, b = prev[cur]
+                    path.append(b)
+                return path[::-1]
+            queue.append(nxt)
+    return None
+
+
+def verify_cone_constancy(strategy, prefix: str, probe_depth: int) -> bool:
+    """The cone probe as it collapsed the extensions to configuration sets."""
+    bits.check_bits(prefix)
+    player = Players([strategy])
+    for b in prefix:
+        player.step(b)
+    if player.cap[0] == 0:
+        return True
+    bets, graph = betting(strategy.program), configs(strategy.program)
+    frontier = {(player.q[0], len(prefix) % 2)}
+    for _ in range(probe_depth):
+        nxt: set[tuple[int, int]] = set()
+        for cfg in frontier:
+            if bets[cfg[0]]:
+                return False
+            nxt.update(graph[cfg])
+        frontier = nxt
+    return not any(bets[q] for q, _ in frontier)
 
 
 def _certify(adversary_index, prefix, program, q, cap):

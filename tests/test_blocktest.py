@@ -334,4 +334,4 @@ def test_one_bits_check_per_joint_read_covers_every_path():
         with pytest.raises(StructuralError):
             joint._read(0, bad)
     with pytest.raises(StructuralError):
-        greedy_leftmost_extension(lambda s: Fraction(0), "0x", 1, 4)
+        greedy_leftmost_extension(lambda s: False, "0x", 4)

@@ -245,7 +245,7 @@ def test_greedy_leftmost_extension_walk():
         "00": Fraction(1), "01": Fraction(0), "10": Fraction(0), "11": Fraction(0),
     }, Kind.MARTINGALE)
     # bound 1/4 forces a right turn at the root, then 10 vs 11 both fine
-    tau = greedy_leftmost_extension(m.value, "", Fraction(1, 4), 2)
+    tau = greedy_leftmost_extension(lambda s: m.value(s) > Fraction(1, 4), "", 2)
     assert tau == "10"
 
 
@@ -255,7 +255,7 @@ def test_greedy_extension_postconditions(seed, length):
     rng = random.Random(seed)
     m = random_positive_martingale(rng, length)
     bound = m.value("")
-    tau = greedy_leftmost_extension(m.value, "", bound, length)
+    tau = greedy_leftmost_extension(lambda s: m.value(s) > bound, "", length)
     assert len(tau) == length
     # every visited prefix obeys the bound: a martingale's lesser child
     # never exceeds the parent
@@ -263,13 +263,15 @@ def test_greedy_extension_postconditions(seed, length):
 
 
 def test_greedy_extension_guards():
+    # a base already at the length is its own extension; a shorter length is refused
+    assert greedy_leftmost_extension(lambda s: False, "00", 2) == "00"
     with pytest.raises(PreconditionError):
-        greedy_leftmost_extension(lambda s: Fraction(0), "00", Fraction(1), 1)
+        greedy_leftmost_extension(lambda s: False, "00", 1)
     with pytest.raises(PreconditionError):
-        greedy_leftmost_extension(lambda s: Fraction(1), "", Fraction(1, 2), 1)
+        greedy_leftmost_extension(lambda s: True, "", 1)
     # both children above a parent under the bound: no supermartingale
     with pytest.raises(PreconditionError, match="not a supermartingale"):
-        greedy_leftmost_extension(lambda s: Fraction(len(s)), "", Fraction(0), 1)
+        greedy_leftmost_extension(lambda s: len(s) > 0, "", 1)
 
 
 ZERO_RUN_EVENTS = [(1, "define", 1, "0" * 18), (1, "describe", 1, "0" * 18)]
@@ -338,7 +340,7 @@ def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
     ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
     _, t_approx = _quiet_pair()
     walks = iter(["1" * 18, "0" * 18])
-    monkeypatch.setattr(builder, "_greedy_walk", lambda *_: next(walks))
+    monkeypatch.setattr(builder, "greedy_leftmost_extension", lambda *_: next(walks))
     with pytest.raises(StructuralError, match="^prefix at index 1 regressed .* at stage 6"):
         run_stage_machine(n_approx, t_approx, 20, 1)
     # with a change budget of 2^0, the second definition under the stable
@@ -354,8 +356,8 @@ def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
 def test_stage_machine_walk_raises_when_both_children_exceed_the_bound(monkeypatch):
     # no pair of martingales does this: plant a joint under which every
     # state but the root exceeds any bound
-    walk = builder._greedy_walk
-    monkeypatch.setattr(builder, "_greedy_walk",
+    walk = builder.greedy_leftmost_extension
+    monkeypatch.setattr(builder, "greedy_leftmost_extension",
                         lambda over, base, length: walk(lambda state: state != "", base, length))
     with pytest.raises(PreconditionError, match="^both children exceed the bound at ''"):
         run_stage_machine(*_quiet_pair(), 5, 1)

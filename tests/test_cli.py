@@ -495,6 +495,7 @@ def test_stest_scale_errors(capsys, tmp_path):
 @pytest.mark.parametrize("subcommand, slot, obj, limit", [
     ("validate", "--in", _PROGRAM, ["--depth", "21"]),
     ("stest", "--validate", _ARRAY, ["--s", "1/100000000"]),
+    ("stest", "--validate", TestArray((("",),) + ((),) * 1001), ["--s", "1/2"]),
     ("dim", "--strategy", _ODD_TABLE, ["--x", "{x}", "--precision", "1001"]),
     ("dim", "--strategy", constant_program(1, FractionBet(Fraction(1, 3))), ["--x", "{long_x}"]),
     ("dimhalf", "--components", [to_jsonable(Component(0, Fraction(1, 4), _PROGRAM))],
@@ -516,7 +517,7 @@ def test_stest_scale_errors(capsys, tmp_path):
      {"odd": to_jsonable(_quiet_mixture(Parity.BETS_ON_ODD)),
       "even": to_jsonable(_quiet_mixture(Parity.BETS_ON_EVEN))},
      ["--depth", "1001"]),
-], ids=["validate-depth", "stest-s", "dim-precision", "dim-x", "dimhalf-nmax",
+], ids=["validate-depth", "stest-s", "stest-depth", "dim-precision", "dim-x", "dimhalf-nmax",
         "dimhalf-stages", "verify-n-zero", "verify-n-negative", "verify-n-cap",
         "diagonalize-target", "diagonalize-max-bits", "diagonalize-dim0-blocks",
         "paritytest-depth"])

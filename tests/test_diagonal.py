@@ -639,3 +639,38 @@ def test_verify_cone_constancy_finds_a_later_bet():
     assert verify_cone_constancy(adv, "", 3)
     assert not verify_cone_constancy(adv, "", 5)
     assert not verify_cone_constancy(parity_window("w", 3, 2), "0", 2)
+
+
+def _reached_at(program):
+    """Every (machine state, position parity) configuration reachable from
+    the start, each with the shortest bits that reach it."""
+    graph, paths = ref.configs(program), {(program.rule.start, 0): ""}
+    queue = list(paths)
+    for cfg in queue:  # grows as it is read: a breadth-first walk
+        for bit, nxt in zip("01", graph[cfg]):
+            if nxt not in paths:
+                paths[nxt] = paths[cfg] + bit
+                queue.append(nxt)
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INT_MACHINES)
+def test_the_state_search_matches_the_configuration_search(machine):
+    program = BetProgram(machine.initial, machine.rule, "integer")
+    assert program._bets == ref.betting(program)
+    for q, parity in _reached_at(program):
+        for prefer in (None, "11", "01", "10"):
+            pick = None if prefer is None else prefer.__getitem__
+            assert (diagonal._path_to_betting(program, q, parity, pick)
+                    == ref._path_to_betting(program, q, parity, pick))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INT_MACHINES)
+def test_the_state_probe_matches_the_configuration_probe(machine):
+    strategy = IntStrategy(BetProgram(machine.initial, machine.rule, "integer"))
+    for prefix in _reached_at(strategy.program).values():
+        for depth in range(13):
+            assert (verify_cone_constancy(strategy, prefix, depth)
+                    == ref.verify_cone_constancy(strategy, prefix, depth))

@@ -425,5 +425,5 @@ def test_duel_capitals_match_the_fraction_reference(programs, z):
         players.step(bit)
         qs = [p.rule.states[q].on1 if bit == "1" else p.rule.states[q].on0 for p, q in zip(programs, qs)]
         caps = moved
-        assert players.cap == caps and players.q == qs
+        assert players.cap == caps and [players.at(i) for i in range(len(qs))] == qs
         assert all(type(c) is int for c in players.cap)

@@ -382,11 +382,21 @@ def _retyped(line, key, value):
     lambda lines: lines[:1] + [_retyped(lines[1], "adversaries", 5)] + lines[2:],
     lambda lines: lines[:1] + [_retyped(lines[1], "engine", "x")] + lines[2:],
     lambda lines: lines[:-1] + [_retyped(lines[-1], "z", 5)],
+    # a second header or summary, each well formed on its own
+    lambda lines: lines[:1] + [_retyped(_retyped(lines[0], "engine", "X"), "target", 9)] + lines[1:],
+    lambda lines: lines + [_retyped(_retyped(lines[-1], "z", "0"), "reached", False)],
 ])
 def test_parse_trace_rejects(mutate):
     lines = list(trace_lines(_tiny_trace()))
     with pytest.raises(WireError):
         parse_trace(mutate(lines))
+
+
+def test_parse_trace_names_a_repeated_header_or_summary():
+    lines = list(trace_lines(_tiny_trace()))
+    for doubled, name in ((lines[:1] + lines, "trace_header"), (lines + lines[-1:], "summary")):
+        with pytest.raises(WireError, match=f"^trace has a second {name} line$"):
+            parse_trace(doubled)
 
 
 def test_parse_trace_reads_a_record_line_as_the_wire_rule_does():
