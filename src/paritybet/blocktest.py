@@ -242,6 +242,8 @@ def max_fanout(array: TestArray, level: int) -> int:
 
 def level_measure(array: TestArray, level: int) -> Fraction:
     """Total measure of the cones rooted at the level's members."""
+    if level < 0 or level > array.depth():
+        raise PreconditionError("measure is defined for levels 0..depth")
     return len(array.levels[level]) * Fraction(1, 4**level)
 
 

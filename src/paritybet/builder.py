@@ -317,7 +317,10 @@ class RequestLedger:
     requests: list[tuple[str, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        self._weight = sum((Fraction(1, 2**ln) for _, ln in self.requests), Fraction(0))
+        # the given requests are checked as add checks each one
+        given, self.requests, self._weight = self.requests, [], Fraction(0)
+        for target, length in given:
+            self.add(target, length)
 
     def kraft_weight(self) -> Fraction:
         return self._weight

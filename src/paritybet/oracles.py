@@ -1,8 +1,8 @@
 """Randomized and exhaustive checking suites for the block inequality,
-block minimality, parity factorization, parity floors, and the growth
-bound. Everything runs on exact rationals; a suite reports counted
-failures with reproducible witnesses instead of raising, so a red run
-shows exactly which instance broke.
+block minimality, parity floors, and the growth bound. Everything runs
+on exact rationals; a suite reports counted failures with reproducible
+witnesses instead of raising, so a red run shows exactly which instance
+broke.
 
 Scaled-integer grids: two_round_grid, minimality_grid and
 floor_parity_grid run their inner loops on integers. two_round_grid
@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import gt
 
-from . import bits
 from .blocktest import verify_block_inequality
 from .builder import check_growth_bound, floor
-from .decompose import BlockSpec, min_block_martingale, parity_factorize
+from .decompose import BlockSpec, min_block_martingale
 from .errors import PreconditionError
 from .programs import (
     Component,
@@ -268,45 +267,6 @@ def minimality_grid(den: int = 4, max_value: int = 4) -> OracleReport:
             note="dominating leaves never dipped below the base table; "
             "the sound-subset restriction would be unnecessary",
         )
-    return report
-
-
-def factorize_roundtrip(
-    rng: random.Random, count: int = 200, depth: int = 8
-) -> OracleReport:
-    """Random positive martingales split into parity factors and rebuilt.
-
-    Checks the exact product identity at every state and that each factor
-    revalidates as a martingale of its parity.
-    """
-    report = OracleReport("factorize-roundtrip")
-    for _ in range(count):
-        root = _rand_frac(rng, Fraction(1, 4), Fraction(4))
-        vals = {"": root}
-        for state in bits.all_states(depth - 1):
-            v = vals[state]
-            den = rng.randint(2, 6)
-            x = Fraction(rng.randint(1, 2 * den - 1), den)
-            vals[state + "0"] = v * x
-            vals[state + "1"] = v * (2 - x)
-        table = StrategyTable(
-            depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE
-        )
-        e, o = parity_factorize(table)
-        report.total += 1
-        bad = None
-        for state in vals:
-            if root * e.value(state) * o.value(state) != vals[state]:
-                bad = state
-                break
-        if bad is not None:
-            report.fail(kind="product", state=bad)
-            continue
-        de, do = validate(e), validate(o)
-        if not de.holds(Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.NONE):
-            report.fail(kind="factor-tags", which="second-bit")
-        if not do.holds(Kind.MARTINGALE, Parity.BETS_ON_EVEN, Sided.NONE):
-            report.fail(kind="factor-tags", which="first-bit")
     return report
 
 

@@ -15,7 +15,11 @@ list of AST mutations:
   not in) or its boundary moved (< to <=, > to >=, and back);
 - bound: a range() start or stop, or a slice bound, shifted by +1 or -1;
 - clamp: a min() or max() call replaced by one of its arguments;
-- shift: // swapped for >> and >> for //.
+- shift: // swapped for >> and >> for //;
+- delete: a statement replaced by pass (the docstring is kept);
+- constant: an int constant shifted by +1 or -1;
+- swap: the operands of a non-commutative operator swapped (a - b to
+  b - a, and so for /, //, %, **, <<, >>, and a single <, <=, > or >=).
 
 For each mutant it runs pytest, stopping at the first failure, on the
 test files that name the function (by its last name, as a word), else on
@@ -61,8 +65,12 @@ _SHIFT = {ast.FloorDiv: ast.RShift, ast.RShift: ast.FloorDiv}
 _SYMBOL = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
-    ast.FloorDiv: "//", ast.RShift: ">>",
+    ast.FloorDiv: "//", ast.RShift: ">>", ast.Sub: "-", ast.Div: "/", ast.Mod: "%",
+    ast.Pow: "**", ast.LShift: "<<",
 }
+# operators whose operands do not commute
+_SWAP_BIN = (ast.Sub, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.LShift, ast.RShift)
+_SWAP_COMPARE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
 
 def _shifted(node: ast.expr, by: int) -> ast.expr:
@@ -70,9 +78,32 @@ def _shifted(node: ast.expr, by: int) -> ast.expr:
     return ast.BinOp(left=node, op=op, right=ast.Constant(abs(by)))
 
 
+def _statements(node: ast.AST):
+    """Each mutation that deletes a statement of one of node's blocks, as
+    (statement, kind, description, apply): apply puts a pass in its place."""
+    for field in ("body", "orelse", "finalbody"):
+        block = getattr(node, field, None)
+        if not isinstance(block, list):
+            continue
+        for j, stmt in enumerate(block):
+            docstring = j == 0 and field == "body" and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            if docstring or isinstance(stmt, ast.Pass):
+                continue
+
+            def apply(block=block, j=j):
+                block[j] = ast.Pass()
+            yield stmt, "delete", f"{type(stmt).__name__.lower()} to pass", apply
+
+
 def _mutations(node: ast.AST):
     """Each mutation of node itself, as (kind, description, apply): apply
     changes node in place."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _SWAP_BIN:
+        def apply(node=node):
+            node.left, node.right = node.right, node.left
+        yield "swap", f"operands of {_SYMBOL[type(node.op)]}", apply
     if isinstance(node, ast.Compare):
         for j, op in enumerate(node.ops):
             for kind, table in (("compare", _NEGATE), ("compare", _BOUNDARY)):
@@ -81,12 +112,21 @@ def _mutations(node: ast.AST):
                     def apply(node=node, j=j, new=new):
                         node.ops[j] = new()
                     yield kind, f"{_SYMBOL[type(op)]} to {_SYMBOL[new]}", apply
+        if len(node.ops) == 1 and type(node.ops[0]) in _SWAP_COMPARE:
+            def apply(node=node):
+                node.left, node.comparators[0] = node.comparators[0], node.left
+            yield "swap", f"operands of {_SYMBOL[type(node.ops[0])]}", apply
     elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SHIFT:
         new = _SHIFT[type(node.op)]
 
         def apply(node=node, new=new):
             node.op = new()
         yield "shift", f"{_SYMBOL[type(node.op)]} to {_SYMBOL[new]}", apply
+    elif isinstance(node, ast.Constant) and type(node.value) is int:
+        for by in (1, -1):
+            def apply(node=node, by=by):
+                node.value += by
+            yield "constant", f"{node.value} to {node.value + by}", apply
     elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         name, args = node.func.id, node.args
         if name == "range" and args and not node.keywords:
@@ -130,6 +170,7 @@ def _sites(function: ast.AST):
     for node in ast.walk(function):
         for kind, text, apply in _mutations(node):
             out.append((node, kind, text, apply))
+        out.extend(_statements(node))
     return sorted(out, key=lambda s: (getattr(s[0], "lineno", 0), getattr(s[0], "col_offset", 0)))
 
 

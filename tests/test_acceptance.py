@@ -24,8 +24,10 @@ from paritybet import (
     Parity,
     Sided,
     StageApprox,
+    StrategyTable,
     build_parity_test,
     capital_threshold,
+    combine,
     constant_program,
     diagonalize,
     empirical_dim_bound,
@@ -34,6 +36,8 @@ from paritybet import (
     mixture,
     packing_certificate,
     params,
+    parity_factorize,
+    product,
     replay_trace,
     run_stage_machine,
     strategies_from_test,
@@ -44,9 +48,10 @@ from paritybet import (
     TestArray,
     validate_s_test,
 )
+from paritybet.bits import all_states
 from paritybet.oracles import (
+    _rand_frac,
     all_in_growth_fixture,
-    factorize_roundtrip,
     growth_random,
     minimality_grid,
     two_round_grid,
@@ -87,9 +92,22 @@ def test_criterion_2_block_minimality():
 
 def test_criterion_3_factorization_roundtrip():
     done = _timed(10)
-    rep = factorize_roundtrip(random.Random(20260815), count=200, depth=8)
-    assert rep.passed, rep.failures[:3]
-    assert rep.total == 200
+    rng, depth = random.Random(20260815), 8
+    for _ in range(200):
+        # a positive martingale: each state splits its value v into v * x
+        # and v * (2 - x), with x drawn strictly between 0 and 2
+        vals = {"": _rand_frac(rng, Fraction(1, 4), Fraction(4))}
+        for state in all_states(depth - 1):
+            den = rng.randint(2, 6)
+            x = Fraction(rng.randint(1, 2 * den - 1), den)
+            vals[state + "0"] = vals[state] * x
+            vals[state + "1"] = vals[state] * (2 - x)
+        t = StrategyTable(depth, vals, Kind.MARTINGALE, Parity.NONE, Sided.NONE)
+        odd, even = parity_factorize(t)
+        # product refuses factors that bet at a common state
+        assert combine([(t.value(""), product(odd, even))]) == t
+        assert validate(odd).holds(Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.NONE)
+        assert validate(even).holds(Kind.MARTINGALE, Parity.BETS_ON_EVEN, Sided.NONE)
     done("parity factorization round-trip, 200 depth-8 martingales")
 
 

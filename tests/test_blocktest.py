@@ -148,6 +148,14 @@ def test_level_measure_and_fanout():
     assert max_fanout(arr, 2) == 2
     with pytest.raises(PreconditionError):
         max_fanout(arr, 0)
+    assert level_measure(arr, 0) == 1
+
+
+@pytest.mark.parametrize("level", [-1, 3])
+def test_level_measure_refuses_a_level_outside_the_array(level):
+    arr = TestArray((("",), ("00", "10"), ("0000", "0010", "1000")))
+    with pytest.raises(PreconditionError, match="levels 0..depth"):
+        level_measure(arr, level)
 
 
 def test_build_parity_test_frozen_small(small_oscillating_pair):

@@ -232,6 +232,25 @@ def test_request_ledger_kraft_guard():
         RequestLedger().add("0", 0)
 
 
+@pytest.mark.parametrize("requests,error,message", [
+    # over the Kraft budget: 1/2 + 1/2 + 1/2
+    ([("0", 1), ("1", 1), ("", 1)], BettingLabError, "Kraft weight to 3/2 > 1"),
+    ([("x", 1)], StructuralError, "not a binary string"),
+    ([("0", 0)], PreconditionError, "length must be positive"),
+    ([("0", -3)], PreconditionError, "length must be positive"),
+], ids=["over-budget", "not-bits", "zero-length", "negative-length"])
+def test_request_ledger_checks_the_requests_it_is_built_with(requests, error, message):
+    with pytest.raises(error, match=message):
+        RequestLedger(requests)
+
+
+def test_request_ledger_built_with_requests_keeps_them():
+    led = RequestLedger([("0", 1), ("0", 3), ("10", 2)])
+    assert led.requests == [("0", 1), ("0", 3), ("10", 2)]
+    assert led.kraft_weight() == Fraction(7, 8)
+    assert led.k_v("0") == 1 and led.k_v("10") == 2
+
+
 def test_request_ledger_classes():
     led = RequestLedger()
     led.add("0", 5)

@@ -641,6 +641,12 @@ def test_verify_cone_constancy_finds_a_later_bet():
     assert not verify_cone_constancy(parity_window("w", 3, 2), "0", 2)
 
 
+def test_verify_cone_constancy_refuses_a_prefix_that_is_not_bits():
+    # the players' step reads any bit but "1" as "0"
+    _raises(StructuralError, "not a binary string: '0x'",
+            verify_cone_constancy, late_window("late", 3), "0x", 3)
+
+
 def _reached_at(program):
     """Every (machine state, position parity) configuration reachable from
     the start, each with the shortest bits that reach it."""

@@ -13,10 +13,10 @@ import pytest
 
 import fraction_reference as ref
 from paritybet import blocktest, builder, cli, decompose, oracles
+from paritybet.errors import PreconditionError
 from paritybet.oracles import (
     OracleReport,
     all_in_growth_fixture,
-    factorize_roundtrip,
     floor_parity_grid,
     growth_random,
     minimality_grid,
@@ -45,11 +45,6 @@ def test_minimality_grid_coarse():
     assert rep.stats["dominating_pointwise_violations"] > 0
 
 
-def test_factorize_roundtrip_small():
-    rep = factorize_roundtrip(random.Random(9), count=30, depth=6)
-    assert rep.passed and rep.total == 30
-
-
 def test_growth_random_small():
     rep = growth_random(random.Random(5), 60)
     assert rep.passed and rep.total == 60
@@ -67,6 +62,11 @@ def test_all_in_growth_fixture_is_tight():
 def test_floor_parity_grid_coarse():
     rep = floor_parity_grid(den=2, max_value=1)
     assert rep.passed and rep.total > 100
+
+
+def test_draw_refuses_an_empty_interval():
+    with pytest.raises(PreconditionError, match="empty interval"):
+        oracles._draw(random.Random(0), 5, 4)
 
 
 def test_report_failure_cap():
@@ -203,3 +203,33 @@ def test_two_round_random_reports_a_planted_fault(monkeypatch, kind, field):
     _same_report(new, ref.two_round_random(ref_rng, 40))
     # the grid replays every 4,999th of its 10,668 points through the checker
     assert _kinds(two_round_grid(den=6)) == {"replay-disagreement"}
+
+
+_REAL_GROWTH = builder.check_growth_bound
+# fault -> (the verdict's fields it changes, the kinds growth_random and
+# all_in_growth_fixture then report)
+_GROWTH_FAULTS = {
+    "hypothesis": (lambda v: {"hypothesis_holds": False},
+                   {"hypothesis-derivation"}, {"hypothesis"}),
+    "conclusion": (lambda v: {"conclusion_holds": False}, {"conclusion"}, {"conclusion"}),
+    # a bound over twice the rise, which the fixture comes within
+    "loose-bound": (lambda v: {"bound": 4 * v.bound}, set(), {"not-tight"}),
+}
+
+
+@pytest.mark.parametrize("fault", list(_GROWTH_FAULTS))
+def test_growth_suites_report_a_planted_fault(monkeypatch, capsys, fault):
+    change, random_kinds, fixture_kinds = _GROWTH_FAULTS[fault]
+
+    def fake(*args, **kwargs):
+        verdict = _REAL_GROWTH(*args, **kwargs)
+        return dataclasses.replace(verdict, **change(verdict))
+
+    monkeypatch.setattr(oracles, "check_growth_bound", fake)
+    assert _kinds(growth_random(random.Random(5), 60)) == random_kinds
+    assert _kinds(all_in_growth_fixture()) == fixture_kinds
+    assert cli.main(["verify", "--lemma", "growth", "--n", "60"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    kinds = [{f["kind"] for f in r["failures"]} for r in payload["reports"]]
+    assert kinds == [random_kinds, fixture_kinds]
