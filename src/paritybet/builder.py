@@ -305,20 +305,23 @@ def check_growth_bound(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequestLedger:
     """Multiset of description requests with a hard Kraft budget.
 
     Each request is a (target, length) pair weighing 2^-length; the total
     weight may never exceed 1. k_v reports the shortest requested length
-    for a target, the ledger's stand-in for description complexity.
+    for a target, the ledger's stand-in for description complexity. add
+    is the one way to change the requests: it replaces their tuple.
     """
 
-    requests: list[tuple[str, int]] = field(default_factory=list)
+    requests: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         # the given requests are checked as add checks each one
-        given, self.requests, self._weight = self.requests, [], Fraction(0)
+        given = self.requests
+        object.__setattr__(self, "requests", ())
+        object.__setattr__(self, "_weight", Fraction(0))
         for target, length in given:
             self.add(target, length)
 
@@ -335,8 +338,8 @@ class RequestLedger:
                 f"description request for {target!r} would push Kraft "
                 f"weight to {w} > 1"
             )
-        self.requests.append((target, length))
-        self._weight = w
+        object.__setattr__(self, "requests", (*self.requests, (target, length)))
+        object.__setattr__(self, "_weight", w)
 
     def k_v(self, target: str) -> int | None:
         lengths = [ln for t, ln in self.requests if t == target]

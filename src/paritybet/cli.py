@@ -248,13 +248,14 @@ def _cmd_dimhalf(args) -> int:
         raw = load_json(args.components)
         if not isinstance(raw, list):
             raise WireError("components file must hold a JSON list")
-        components = [from_jsonable(c, Component) for c in raw]
+        try:
+            components = [from_jsonable(c, Component) for c in raw]
+        except WireError as exc:
+            raise WireError(f"--components: {exc}") from exc
     by_parity = {Parity.BETS_ON_ODD: [], Parity.BETS_ON_EVEN: []}
     for c in components:
         if c.program.parity not in by_parity:
-            raise WireError(
-                "every builder component needs a single-parity program"
-            )
+            raise WireError("--components: every builder component needs a single-parity program")
         by_parity[c.program.parity].append(c)
     n_approx, t_approx = (
         StageApprox(tuple(parts), Kind.of_sum(c.program.kind for c in parts), parity)

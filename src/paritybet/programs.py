@@ -22,9 +22,12 @@ step we support.
 One bet law serves all three: a program decodes its bets once into a step
 table that value, to_table, the tag checks and the integer duels read.
 
-A staged mixture has one reader: StageApprox._read sums the awake
-components' values as integers over one running denominator, and eval is
-that read as one Fraction. The parity pair's joint capital m(x) + n(x),
+Every strategy answers value(state) and to_table(depth); a mixture reads
+both with every component awake, and at_stage applies a stage to it by
+keeping the components awake by then. A staged mixture has one reader:
+StageApprox._read sums the awake components' values as integers over one
+running denominator, and eval is that read as one Fraction at a stage.
+The parity pair's joint capital m(x) + n(x),
 which the nested test and the stage machine compare with a fixed bound at
 every step, is itself such a mixture (_joint), compared with the bound by
 cross-multiplying (_exceeds), so no Fraction is built until a value is
@@ -118,21 +121,6 @@ def _law(bet: Bet | None) -> tuple:
     return tuple((m.numerator if m.denominator == 1 else m, 0, 0) for m in (m0, m1))
 
 
-def _reachable_configs(fsm: Fsm) -> dict:
-    """Walk the (machine state, position parity) graph from the start."""
-    configs: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
-    frontier = [(fsm.start, 0)]
-    while frontier:
-        cfg = frontier.pop()
-        if cfg in configs:
-            continue
-        st = fsm.states[cfg[0]]
-        p = 1 - cfg[1]
-        configs[cfg] = ((st.on0, p), (st.on1, p))
-        frontier.extend(configs[cfg])
-    return configs
-
-
 @dataclass(frozen=True)
 class BetProgram:
     """A betting strategy given by initial capital plus a machine.
@@ -200,7 +188,15 @@ class BetProgram:
         return laws, ([st.on0 for st in states], [st.on1 for st in states])
 
     def _check_structural_tags(self):
-        for q, p in _reachable_configs(self.rule):
+        """Check the tags at each (machine state, position parity) pair reachable from the start."""
+        on0, on1 = self._steps[1]
+        seen, todo = set(), [(self.rule.start, 0)]
+        while todo:
+            q, p = cfg = todo.pop()
+            if cfg in seen:
+                continue
+            seen.add(cfg)
+            todo += ((on0[q], 1 - p), (on1[q], 1 - p))
             if self.rule.states[q].bet is None:
                 continue
             if not self.parity.bets_at(p):
@@ -409,21 +405,24 @@ class StageApprox:
     def eval(self, stage: int, state: str) -> Fraction:
         return Fraction(*self._read(stage, state))
 
+    def value(self, state: str) -> Fraction:
+        """The value at state with every component awake."""
+        return self.eval(self.last_stage(), state)
+
+    def to_table(self, depth: int) -> StrategyTable:
+        """The table to depth with every component awake."""
+        if depth < 0:
+            raise PreconditionError("table depth must be nonnegative")
+        parts = [(c.weight, c.program.to_table(depth)) for c in self.components]
+        return StrategyTable._of_levels(*_weighted(parts, depth), self.kind, self.parity, self.sided)
+
     def last_stage(self) -> int:
         """The stage from which the value no longer changes: the last
         activation stage, or 0 for an empty mixture."""
         return max((c.stage for c in self.components), default=0)
 
-    def final(self, state: str) -> Fraction:
-        return self.eval(self.last_stage(), state)
-
     def table(self, stage: int, depth: int) -> StrategyTable:
-        if depth < 0:
-            raise PreconditionError("table depth must be nonnegative")
-        active = [(c.weight, c.program.to_table(depth)) for c in self.components if c.stage <= stage]
-        return StrategyTable._of_levels(
-            *_weighted(active, depth), self.kind, self.parity, self.sided
-        )
+        return at_stage(self, stage).to_table(depth)
 
 
 def _check_sides(odd: StageApprox, even: StageApprox) -> None:
@@ -447,33 +446,19 @@ def _exceeds(read: tuple[int, int], bound: Fraction) -> bool:
     return num * bound.denominator > bound.numerator * den
 
 
-class _StageView:
-    """A mixture frozen at one stage, read like a table or a program."""
-
-    __slots__ = ("approx", "stage")
-
-    def __init__(self, approx: StageApprox, stage: int):
-        self.approx = approx
-        self.stage = stage
-
-    def value(self, state: str) -> Fraction:
-        return self.approx.eval(self.stage, state)
-
-    def to_table(self, depth: int) -> StrategyTable:
-        return self.approx.table(self.stage, depth)
-
-
 def at_stage(strategy, stage: int | None = None):
     """The one way to read a strategy: an object with value(state) and,
     for tables, programs and mixtures, to_table(depth).
 
-    A StageApprox is read at stage, or at its last activation stage when
-    stage is None. Anything that already has a value(state) method
-    (tables, programs, lazy evaluators such as packing certificates)
-    comes back unchanged, and stage does not apply to it.
+    A StageApprox at stage is the mixture of its components awake by
+    then: those whose activation stage is at most stage (all of them when
+    stage is None). Anything else that has a value(state) method (tables,
+    programs, lazy evaluators such as packing certificates) comes back
+    unchanged, and stage does not apply to it.
     """
-    if isinstance(strategy, StageApprox):
-        return _StageView(strategy, strategy.last_stage() if stage is None else stage)
+    if isinstance(strategy, StageApprox) and stage is not None:
+        awake = tuple(c for c in strategy.components if c.stage <= stage)
+        return StageApprox(awake, strategy.kind, strategy.parity, strategy.sided)
     if callable(getattr(strategy, "value", None)):
         return strategy
     raise PreconditionError(f"cannot evaluate {type(strategy).__name__}")

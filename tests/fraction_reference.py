@@ -23,7 +23,9 @@ BitRecord and a fresh capital tuple per bit, certified by a search, and
 wrote each record through the generic encoder; their settling search
 _path_to_betting and the cone probe verify_cone_constancy walk configs,
 the graph of (machine state, position parity) configurations that
-programs kept before the duels read only the decoded step table. min_block_martingale
+programs kept before the duels read only the decoded step table, and so
+does structural_tags, the tag check as it ran before it walked the
+step table's successor columns. min_block_martingale
 and unique_first_bit_martingale are the block cores as they were built
 from Fraction dicts through the public constructor. table is the public
 StrategyTable constructor as it checked and coerced one key at a time,
@@ -840,6 +842,30 @@ def configs(program) -> dict:
         graph[cfg] = ((st.on0, p), (st.on1, p))
         frontier.extend(graph[cfg])
     return graph
+
+
+def structural_tags(program, parity: Parity, sided: Sided) -> str | None:
+    """The tag check of BetProgram as it ran over configs, with each bet's
+    lean read off its shape: the message of the first (machine state,
+    position parity) pair in the walk that breaks parity or sided, or None
+    when the tags hold."""
+    for q, p in configs(program):
+        bet = program.rule.states[q].bet
+        if bet is None:
+            continue
+        if not parity.bets_at(p):
+            return f"declared {parity.value} but machine state {q} bets at position parity {p}"
+        if sided is Sided.NONE:
+            continue
+        if isinstance(bet, FractionBet):
+            lean = (bet.stake > 0) - (bet.stake < 0)
+        elif isinstance(bet, IntegerBet) and bet.wager:
+            lean = 1 if bet.outcome else -1
+        else:  # a scale bet, or a wager of 0, leans to neither outcome
+            lean = 0
+        if lean and (lean > 0) is (sided is Sided.ZERO):
+            return f"declared {sided.value} but a bet leans to {int(lean > 0)}"
+    return None
 
 
 def betting(program) -> list[bool]:

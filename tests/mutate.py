@@ -24,17 +24,20 @@ list of AST mutations:
 For each mutant it runs pytest, stopping at the first failure, on the
 test files that name the function (by its last name, as a word), else on
 tests/test_<module>.py, or on the files given with --tests. A mutant is
-killed when a test fails, errors, runs past TIMEOUT_S seconds or asks for
-more than MEMORY_MB megabytes of address space (a mutant can loop or grow a
-list without end); it survives when every test passes. The report lists
+killed when a test fails or errors, when its run asks for more than
+MEMORY_MB megabytes of address space, or when it runs longer than
+TIMEOUT_FACTOR times the unmutated run, and at least TIMEOUT_MIN_S seconds
+(a mutant can loop or grow a list without end; such a kill is shown as
+"killed (timeout)"); it survives when every test passes. The report lists
 every mutant with its line and change, then the survivors, each of which is either equivalent
 (no input can tell it from the original) or a gap in the tests.
 Hypothesis tests draw fresh examples on each run, so a survivor can be
 killed on another run; the example database is cleared before each run.
 
 Only the standard library is used, and nothing under the checkout is
-written. pytest does not collect this file and CI does not run it. Exit
-status: 0 when every mutant is killed, 1 when one survives, 2 on bad use.
+written. pytest does not collect this file; CI runs it once, on
+bits.check_bits, so that it keeps working. Exit status: 0 when every
+mutant is killed, 1 when one survives, 2 on bad use.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 120  # seconds one test run may take
+TIMEOUT_FACTOR = 3  # a mutant's run may take this many times the unmutated run
+TIMEOUT_MIN_S = 10  # and at least this many seconds
 MEMORY_MB = 1024  # address space one test run may take
 
 _NEGATE = {
@@ -228,24 +232,28 @@ def main(argv=None) -> int:
         def cap_memory():  # runs in the test process only
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        def run_tests() -> str:
+        def run_tests(timeout: float | None) -> str:
             shutil.rmtree(work / ".hypothesis", ignore_errors=True)
             try:
                 done = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                    cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=cap_memory,
+                    cwd=work, env=env, capture_output=True, timeout=timeout, preexec_fn=cap_memory,
                 )
             except subprocess.TimeoutExpired:
                 return "killed (timeout)"
             return "survived" if done.returncode == 0 else "killed"
 
-        if run_tests() != "survived":
+        start = time.perf_counter()
+        if run_tests(None) != "survived":
             raise SystemExit("mutate: the tests fail on the unmutated code")
+        unmutated_s = time.perf_counter() - start
+        timeout = max(TIMEOUT_MIN_S, TIMEOUT_FACTOR * unmutated_s)
+        print(f"unmutated run: {unmutated_s:.1f} s; each mutant stops at {timeout:.0f} s")
         survivors = []
         for n, (line, kind, text, mutated) in enumerate(found):
             target.write_text(mutated, encoding="utf-8")
             start = time.perf_counter()
-            verdict = run_tests()
+            verdict = run_tests(timeout)
             print(f"{n:3d}  line {line:4d}  {kind:7s}  {text:28s}  {verdict}  "
                   f"{time.perf_counter() - start:.1f} s", flush=True)
             if verdict == "survived":

@@ -131,7 +131,7 @@ def _witness_mixtures():
 def test_criterion_4_nested_test_witness():
     done = _timed(120)
     odd, even = _witness_mixtures()
-    assert odd.final("") + even.final("") <= 1  # joint root mass within budget
+    assert odd.value("") + even.value("") <= 1  # joint root mass within budget
     res = build_parity_test(odd, even, 64, 10**4)
     assert len(res.path) == 128 and len(res.array.levels) == 65
 
@@ -375,9 +375,9 @@ def test_criterion_8_half_test_strategies():
     # so each side holds exactly 3
     x = "0" * 14
     for mix_side in (even_side, odd_side):
-        root = mix_side.final("")
+        root = mix_side.value("")
         assert root < 2
-        assert mix_side.final(x) >= 3 - root
-        assert mix_side.final(x) == 3
+        assert mix_side.value(x) >= 3 - root
+        assert mix_side.value(x) == 3
     done("half-test strategies: unit values, parity tags, capital 3 on a "
          "sequence through all levels")

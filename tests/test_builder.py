@@ -246,9 +246,25 @@ def test_request_ledger_checks_the_requests_it_is_built_with(requests, error, me
 
 def test_request_ledger_built_with_requests_keeps_them():
     led = RequestLedger([("0", 1), ("0", 3), ("10", 2)])
-    assert led.requests == [("0", 1), ("0", 3), ("10", 2)]
+    assert led.requests == (("0", 1), ("0", 3), ("10", 2))
     assert led.kraft_weight() == Fraction(7, 8)
     assert led.k_v("0") == 1 and led.k_v("10") == 2
+
+
+def test_request_ledger_changes_only_through_add():
+    # appending or assigning past add would skip its checks and leave the
+    # Kraft weight stale
+    led = RequestLedger([("0", 1)])
+    with pytest.raises(AttributeError):
+        led.requests.append(("", 1))
+    with pytest.raises(TypeError):
+        led.requests += [("1", 1), ("", 1)]
+    with pytest.raises(AttributeError):
+        led.requests += (("1", 1), ("", 1))
+    with pytest.raises(AttributeError):
+        led.requests = (("1", 1), ("", 1))
+    assert led.requests == (("0", 1),) and led.kraft_weight() == Fraction(1, 2)
+    assert led.k_v("") is None
 
 
 def test_request_ledger_classes():

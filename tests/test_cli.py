@@ -269,6 +269,20 @@ def test_dimhalf_rejects_malformed_component(capsys, tmp_path):
     assert "single-parity" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("component, message", [
+    pytest.param(edited_wire(Component(0, Fraction(1, 4), constant_program(1, None, Parity.BETS_ON_ODD)),
+                             ("weight",), "x"),
+                 "--components: weight: bad rational 'x'", id="bad-weight"),
+    pytest.param(to_jsonable(Component(0, Fraction(1, 4), constant_program(1, None))),
+                 "--components: every builder component needs a single-parity program", id="no-parity"),
+])
+def test_dimhalf_component_errors_name_their_slot(capsys, tmp_path, component, message):
+    path = write_json(tmp_path, "components.json", [component])
+    code, out, err = run_cli(capsys, "dimhalf", "--nmax", "1", "--stages", "20", "--components", path)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "WireError", "message": message}
+
+
 _INT_PROGRAM = constant_program(5, IntegerBet(2, 0), Parity.BETS_ON_ODD)
 
 

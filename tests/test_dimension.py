@@ -89,8 +89,8 @@ def test_strategies_from_test_tags_and_mass():
     even_side, odd_side = strategies_from_test(arr)
     assert validate(even_side.table(2, 4)).holds(Kind.MARTINGALE, Parity.BETS_ON_EVEN, None or even_side.sided)
     assert validate(odd_side.table(2, 4)).holds(Kind.MARTINGALE, Parity.BETS_ON_ODD, odd_side.sided)
-    assert even_side.final("") < 2
-    assert odd_side.final("") < 2
+    assert even_side.value("") < 2
+    assert odd_side.value("") < 2
 
 
 def test_strategies_from_test_rejects_heavy_test():

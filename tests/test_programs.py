@@ -6,7 +6,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
@@ -240,7 +240,7 @@ def test_stage_approx_final_and_table():
     approx = StageApprox((Component(3, Fraction(1, 4), odd),), parity=Parity.BETS_ON_ODD)
     assert approx.eval(2, "") == 0
     assert approx.eval(3, "") == Fraction(1, 4)
-    assert approx.final("") == Fraction(1, 4)
+    assert approx.value("") == Fraction(1, 4)
     t = approx.table(3, 4)
     assert validate(t).holds(Kind.MARTINGALE, Parity.BETS_ON_ODD, Sided.NONE)
 
@@ -249,8 +249,8 @@ def test_mixture_weights_and_root_bound():
     progs = [constant_program(1, None, Parity.BETS_ON_ODD) for _ in range(5)]
     mix = mixture(progs, Parity.BETS_ON_ODD)
     # weights 2^-(i+2) keep the root strictly below 1/2
-    assert mix.final("") == sum(Fraction(1, 2 ** (i + 2)) for i in range(5))
-    assert mix.final("") < Fraction(1, 2)
+    assert mix.value("") == sum(Fraction(1, 2 ** (i + 2)) for i in range(5))
+    assert mix.value("") < Fraction(1, 2)
     assert [c.stage for c in mix.components] == [0, 1, 2, 3, 4]
 
 
@@ -282,6 +282,21 @@ def _machines(draw, bets=_BETS, initial=st.just(0) | st.fractions(0, 4, max_deno
     target = st.integers(0, n - 1)
     states = tuple(FsmState(draw(bets), draw(target), draw(target)) for _ in range(n))
     return BetProgram(draw(initial), Fsm(states, draw(target)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_machines(bets=st.none() | _BETS), st.sampled_from(Parity), st.sampled_from(Sided))
+@example(one_state(1, FractionBet(Fraction(-1, 4))), Parity.NONE, Sided.ONE)  # it leans to 0 by 1/2
+def test_tag_check_matches_the_configuration_walk(program, parity, sided):
+    # the same accept or refuse, and the same first violation, as the walk
+    # of the (machine state, position parity) graph
+    want = ref.structural_tags(program, parity, sided)
+    try:
+        BetProgram(program.initial, program.rule, program.form, parity, sided)
+    except StructuralError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
 
 
 @st.composite
@@ -331,9 +346,44 @@ def test_mixture_eval_matches_a_fraction_sum(mixture_and_stages, strings):
             assert got == want and type(got) is Fraction
 
 
+# a stake-1/2 component awake from stage 0 and a quiet one from stage 2,
+# at depths 0 and 2: explicit examples run first and are not shrunk, so a fault fails fast
+_TWO_WAKES = StageApprox((Component(0, Fraction(1, 2), constant_program(1, FractionBet(Fraction(1, 2)))),
+                          Component(2, Fraction(1, 4), constant_program(2, None))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixtures(), _prefix_closed_strings(), st.integers(0, 4))
+@example((_TWO_WAKES, []), ["", "1"], 0)
+@example((_TWO_WAKES, []), ["", "1", "10"], 2)
+def test_a_mixture_at_a_stage_is_the_mixture_of_its_awake_components(mixture_and_stages, strings, depth):
+    m = mixture_and_stages[0]
+    wakes = {c.stage for c in m.components}
+    last = m.last_stage()
+    stages = {-1, 0, last + 1, last + 5} | {w + d for w in wakes for d in (-1, 0, 1)}
+    for stage in [*sorted(stages), None]:
+        awake = [c for c in m.components if stage is None or c.stage <= stage]
+        read = last if stage is None else stage
+        at = at_stage(m, stage)
+        table = at.to_table(depth)
+        assert table == m.table(stage, depth) == m.table(read, depth)
+        for s in [*strings, *bits.all_states(depth)]:
+            want = sum((c.weight * c.program.value(s) for c in awake), Fraction(0))
+            assert at.value(s) == m.eval(read, s) == want
+            if len(s) <= depth:
+                assert table.value(s) == want
+
+
 def test_an_empty_mixture_evaluates_to_zero():
     assert StageApprox(()).eval(3, "01") == Fraction(0)
     assert type(StageApprox(()).eval(0, "")) is Fraction
+
+
+def test_a_mixture_table_refuses_a_negative_depth():
+    # even with no component, whose own to_table would refuse it
+    for m in (StageApprox(()), _TWO_WAKES):
+        with pytest.raises(PreconditionError, match="^table depth must be nonnegative$"):
+            m.to_table(-1)
 
 
 def test_value_rejects_a_non_binary_state_before_and_after_the_memo_fills():

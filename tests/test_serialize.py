@@ -130,7 +130,7 @@ def test_mixture_roundtrip(small_oscillating_pair):
     for mix in (odd, even):
         back = from_jsonable(to_jsonable(mix))
         assert back == mix
-        assert back.final("0101") == mix.final("0101")
+        assert back.value("0101") == mix.value("0101")
 
 
 def test_int_strategy_roundtrip():
