@@ -9,8 +9,9 @@ is cut at the offending index and regrown further to the right.
 Every stable prefix gets a description request of a prescribed length in
 a shared ledger whose Kraft weight must never exceed 1; the parameter
 recurrences are sized exactly so the per-index request classes stay
-affordable. Martingale floors (plain and parity-restricted) and a growth
-bound checker for floor increments round out the toolkit.
+affordable. Martingale floors, one algorithm with or without a parity
+restriction, and a growth bound checker for floor increments round out
+the toolkit.
 """
 
 from __future__ import annotations
@@ -89,19 +90,10 @@ def capital_threshold(n: int) -> Fraction:
     return HALF + sum(Fraction(1, 2 ** (i + 2)) for i in range(n))
 
 
-# mixture -> {(depth, parity, normalised stage, id(prev)): (prev, floor)};
+# mixture -> {(depth, parity, awake components, id(prev)): (prev, floor)};
 # an entry lives exactly as long as its mixture and keeps its prev alive,
 # so the id in its key is never reused while the key is there
 _FLOORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _normalised_stage(m: StageApprox, stage: int | None) -> int:
-    """The largest activation stage at or below stage (the last one when
-    stage is None, -1 when nothing is active): the mixture is the same
-    at every stage that normalises alike."""
-    if stage is None:
-        return m.last_stage()
-    return max((c.stage for c in m.components if c.stage <= stage), default=-1)
 
 
 def floor(
@@ -111,20 +103,19 @@ def floor(
     stage: int | None = None,
     prev: StrategyTable | None = None,
 ) -> StrategyTable:
-    """Largest martingale below a supermartingale, to a given depth.
+    """Largest martingale below a strategy, to a given depth, that bets
+    only at the lengths parity allows (Parity.NONE bets at every length).
 
-    Plain mode copies the input on the bottom level and backward-averages
-    upward; the result agrees with the input on the bottom level exactly
-    and is automatically stage-monotone for staged inputs.
-
-    Parity mode produces a parity-restricted martingale below the input
-    with the largest possible root: a bottom-up pass computes the cap each
-    state can support (minimum with the child average at betting levels,
-    with both children at copying levels), then a top-down pass splits
-    each betting node, preferring to keep children equal and pushing
-    toward the cheaper cap only when forced. Bottom-level agreement is
-    not guaranteed in parity mode; it is impossible in general. Both
-    modes read the input through its to_table(depth), as integer levels.
+    One algorithm floors every input, read through its to_table(depth)
+    as integer levels: a bottom-up pass computes the cap each state can
+    support (the minimum of its own value and its children's average at
+    betting lengths, of its value and both children at copying lengths),
+    then a top-down pass splits each betting state, keeping its children
+    equal when the caps allow and leaning toward the cheaper cap only
+    when forced. The root is the largest any such martingale below the
+    input can have. On a supermartingale without parity this is the
+    backward average of the bottom level, which it keeps exactly; with
+    a parity, bottom-level agreement is impossible in general.
 
     prev chains parity floors across stages: the new floor is forced to
     dominate prev pointwise, which keeps floor sequences monotone when
@@ -132,15 +123,16 @@ def floor(
     of the same input at the same depth and parity.
 
     Floors of a mixture are memoised for the mixture's lifetime on
-    (depth, parity, normalised stage, prev object): every stage between
-    two activation stages gets the same table, and a chained floor is
-    returned again for the same prev, while an equal copy of prev is a
-    different key. Tables are never memoised.
+    (depth, parity, the components awake at the stage, prev object):
+    every stage that wakes the same components gets the same table, and
+    a chained floor is returned again for the same prev, while an equal
+    copy of prev is a different key. Tables are never memoised.
     """
     if not isinstance(m, StageApprox):
         return _floor(m, depth, parity, stage, prev)
     memo = _FLOORS.setdefault(m, {})
-    key = (depth, parity, _normalised_stage(m, stage), id(prev))
+    awake = m.components if stage is None else tuple(c for c in m.components if c.stage <= stage)
+    key = (depth, parity, awake, id(prev))
     hit = memo.get(key)
     if hit is None:
         hit = memo[key] = (prev, _floor(m, depth, parity, stage, prev))
@@ -151,9 +143,10 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
     """floor without the memo."""
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    if isinstance(m, StrategyTable) and depth > m.depth:
-        raise PreconditionError(f"floor depth {depth} exceeds table depth {m.depth}")
-    view = at_stage(m, stage)
+    # a table answers at its own depth, which may be short of the one asked for
+    t = at_stage(m, stage).to_table(depth)
+    if t.depth < depth:
+        raise PreconditionError(f"floor depth {depth} exceeds table depth {t.depth}")
     if parity == Parity.NONE:
         if prev is not None:
             raise PreconditionError("chaining applies to parity mode only")
@@ -164,17 +157,10 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
             raise PreconditionError("prev floor has a different shape")
     # the input (and prev) as integers over one denominator times 2^depth,
     # so that each level's halving below stays exact
-    t = view.to_table(depth)
     den = t.values.den if prev is None else math.lcm(t.values.den, prev.values.den)
     up = (den // t.values.den) << depth
     den <<= depth
     bottom = [x * up for x in t.values.levels[depth]]
-    if parity == Parity.NONE:
-        levels = [bottom]
-        for _ in range(depth):
-            kids = levels[0]
-            levels.insert(0, [(a + b) >> 1 for a, b in zip(kids[0::2], kids[1::2])])
-        return StrategyTable._of_levels(den, levels, Kind.MARTINGALE)
 
     # caps: bottom-up, the most each state can support
     caps = [bottom]

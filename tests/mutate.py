@@ -33,6 +33,10 @@ every mutant with its line and change, then the survivors, each of which is eith
 (no input can tell it from the original) or a gap in the tests.
 Hypothesis tests draw fresh examples on each run, so a survivor can be
 killed on another run; the example database is cleared before each run.
+In the copy, a conftest.py at the root loads a hypothesis profile without
+the shrink phase before any test module is imported, so a mutant that a
+property test catches is killed at its first failing example, not stopped
+by the time cap while hypothesis shrinks that example.
 
 Only the standard library is used, and nothing under the checkout is
 written. pytest does not collect this file; CI runs it once, on
@@ -75,6 +79,13 @@ _SYMBOL = {
 # operators whose operands do not commute
 _SWAP_BIN = (ast.Sub, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow, ast.LShift, ast.RShift)
 _SWAP_COMPARE = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+# the copy's root conftest.py: pytest imports it before tests/conftest.py
+# and the test modules, so every @settings there inherits these phases
+_NO_SHRINK = '''from hypothesis import Phase, settings
+
+settings.register_profile("mutate", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("mutate")
+'''
 
 
 def _shifted(node: ast.expr, by: int) -> ast.expr:
@@ -220,6 +231,7 @@ def main(argv=None) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
+        (work / "conftest.py").write_text(_NO_SHRINK, encoding="utf-8")
         target = work / "src" / "paritybet" / f"{args.module}.py"
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         where = subprocess.run([sys.executable, "-c", "import paritybet; print(paritybet.__file__)"],

@@ -141,6 +141,17 @@ def test_floor_guards():
         floor(SUP, 2, parity=Parity.BETS_ON_ODD, prev=floor(SUP, 2, parity=Parity.BETS_ON_EVEN))
 
 
+def test_floor_guards_run_in_order():
+    # the depth, then the table's depth, then the parity and prev guards
+    plain = floor(SUP, 2)
+    for parity in Parity:
+        with pytest.raises(PreconditionError, match="depth must be nonnegative"):
+            floor(SUP, -1, parity=parity, prev=plain)
+        for depth in (3, 4):
+            with pytest.raises(PreconditionError, match=f"^floor depth {depth} exceeds table depth 2$"):
+                floor(SUP, depth, parity=parity, prev=plain)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_floor_plain_below_and_martingale(seed):
@@ -153,6 +164,14 @@ def test_floor_plain_below_and_martingale(seed):
     assert validate(f).martingale
     assert all(f.value(s) <= sup.value(s) for s in bits.all_states(4))
     assert all(f.value(s) == sup.value(s) for s in bits.level(4))
+
+
+def test_floor_plain_of_a_table_that_is_no_supermartingale_sits_below_it():
+    # backward averaging would put 1 at the root, above the input's 0
+    t = StrategyTable(1, {"": Fraction(0), "0": Fraction(1), "1": Fraction(1)}, Kind.SUPERMARTINGALE)
+    f = floor(t, 1)
+    assert {s: f.value(s) for s in bits.all_states(1)} == {"": 0, "0": 0, "1": 0}
+    assert validate(f).martingale
 
 
 def _two_stage_odd():
@@ -521,6 +540,20 @@ def test_floor_memo_returns_the_same_table():
     for parity in (Parity.NONE, Parity.BETS_ON_ODD):
         first = floor(odd, 4, parity=parity, stage=5)
         assert floor(odd, 4, parity=parity, stage=5) is first
+
+
+def test_floor_memo_keys_on_the_awake_components():
+    odd = _two_stage_odd()
+    for parity in (Parity.NONE, Parity.BETS_ON_ODD):
+        # stages 0 to 4 wake the first component only, 5 and later both
+        early = floor(odd, 4, parity=parity, stage=0)
+        assert floor(odd, 4, parity=parity, stage=4) is early
+        late = floor(odd, 4, parity=parity, stage=5)
+        assert late is not early and late != early
+        assert floor(odd, 4, parity=parity) is late
+        assert floor(odd, 4, parity=parity, stage=9) is late
+        nothing = floor(odd, 4, parity=parity, stage=-1)
+        assert nothing is not early and nothing.value("") == 0
 
 
 def test_floor_memo_keys_on_the_prev_object():

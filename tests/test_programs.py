@@ -99,6 +99,13 @@ def test_fsm_guards():
         Fsm((FsmState(None, 0, 2),))
 
 
+def test_fsm_refuses_a_start_state_out_of_range():
+    # the wire fuzz reaches this guard on some draws only
+    for start in (-1, 1):
+        with pytest.raises(StructuralError, match="^start state out of range$"):
+            Fsm((FsmState(None, 0, 0),), start)
+
+
 def test_program_form_promises():
     with pytest.raises(StructuralError):
         BetProgram(Fraction(1), Fsm((FsmState(IntegerBet(1, 0), 0, 0),)), "fractional")

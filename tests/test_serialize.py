@@ -351,6 +351,15 @@ def test_parse_trace_skips_blank_lines():
     assert parse_trace(lines) == trace
 
 
+def test_parse_trace_skips_lines_of_whitespace():
+    # lines as a file gives them, each ending in a newline, with lines of
+    # whitespace only among them
+    trace = _tiny_trace()
+    lines = [line + "\n" for line in trace_lines(trace)]
+    lines[1:1] = ["\n", " \t\r\n"]
+    assert parse_trace(lines) == trace
+
+
 def test_trace_lines_spell_any_record_as_the_general_rule():
     # the column writer against json.dumps of the record's plain-JSON form,
     # on records built by hand: escapes, a bool, a list, no adversaries
@@ -397,6 +406,13 @@ def test_parse_trace_names_a_repeated_header_or_summary():
     for doubled, name in ((lines[:1] + lines, "trace_header"), (lines + lines[-1:], "summary")):
         with pytest.raises(WireError, match=f"^trace has a second {name} line$"):
             parse_trace(doubled)
+
+
+def test_parse_trace_names_a_line_that_is_not_json():
+    lines = list(trace_lines(_tiny_trace()))
+    for at in (0, 1, 2, len(lines)):
+        with pytest.raises(WireError, match="^bad trace line: "):
+            parse_trace(lines[:at] + ["{bad json"] + lines[at:])
 
 
 def test_parse_trace_reads_a_record_line_as_the_wire_rule_does():

@@ -172,10 +172,31 @@ def test_stage_table_matches_reference(seed, depth):
 def test_plain_floor_matches_reference(seed, depth):
     rng = random.Random(seed)
     t = random_table(rng, depth + rng.randint(0, 1))
-    same(outcome(floor, t, depth), outcome(ref.floor, t, depth))
+    # the reference backward-averages, which floors a supermartingale only;
+    # test_plain_floor_is_the_largest_martingale_below covers the rest
+    if validate(t).supermartingale:
+        same(outcome(floor, t, depth), outcome(ref.floor, t, depth))
     m = random_mixture(rng)
     for stage in (None, 0, 2, 5):
         same(floor(m, depth, stage=stage), ref.floor(m, depth, stage=stage))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(0, 6))
+@example(1, 4)  # a martingale
+@example(9, 4)  # a strict supermartingale
+@example(5, 4)  # a table that is no supermartingale
+def test_plain_floor_is_the_largest_martingale_below(seed, depth):
+    t = random_table(random.Random(seed), depth)
+    f = floor(t, depth)
+    assert validate(f).martingale
+    assert all(f.value(s) <= t.value(s) for s in bits.all_states(depth))
+    # no martingale below t has a root above this cap
+    caps = {s: t.value(s) for s in bits.level(depth)}
+    for length in range(depth - 1, -1, -1):
+        for s in bits.level(length):
+            caps[s] = min(t.value(s), (caps[s + "0"] + caps[s + "1"]) / 2)
+    assert f.value("") == caps[""]
 
 
 @settings(max_examples=100, deadline=None)
