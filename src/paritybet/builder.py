@@ -20,6 +20,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import gt
 
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
@@ -186,6 +187,10 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
         level = out[length]
         if not parity.bets_at(length):
             out.append(_per_child(level))
+            # prev must not bet where the floor copies, or the floor falls below it
+            if prev is not None and True in (over := list(map(gt, base[length + 1], out[-1]))):
+                at = _state(length, over.index(True) // 2)
+                raise PreconditionError(f"prev bets at {at!r}; prev is not a chained floor")
             continue
         cap, low, kids = caps[length + 1], base[length + 1], []
         for i, x in enumerate(level):

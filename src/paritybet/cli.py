@@ -216,7 +216,7 @@ def _cmd_stest(args) -> int:
     payload = {
         "s": s,
         "levels": verdicts,
-        "ok": all(v.ok() for v in verdicts),
+        "ok": all(v.strict for v in verdicts),
     }
     _emit(dumps(payload), args.out)
     return 0
@@ -297,7 +297,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "lemma": args.lemma,
         "seed": args.seed,
-        "reports": [r.as_jsonable() for r in reports],
+        "reports": reports,
         "passed": all(r.passed for r in reports),
     }
     _emit(dumps(payload), args.out)

@@ -339,10 +339,10 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
     """Probe that the strategy's value is constant on the cone above
     prefix, out to the given depth.
 
-    The full binary tree of extensions collapses to machine-state sets
-    level by level, so the probe costs O(depth * machine size) while still
-    inspecting every extension: if some state at some level bets with live
-    capital, a concrete extension witnesses a value change.
+    The settling search answers it: the shortest path to a betting state
+    is as long as the least level of extensions at which some extension
+    meets one, so the value stays put out to probe_depth exactly when no
+    such path is that short. The probe costs O(machine size) at any depth.
     """
     bits.check_bits(prefix)
     player = _Players([strategy])
@@ -350,13 +350,8 @@ def verify_cone_constancy(strategy: IntStrategy, prefix: str, probe_depth: int) 
         player.step(b)
     if player.cap[0] == 0:
         return True
-    betting, succ = strategy.program._bets, strategy.program._steps[1]
-    frontier = {player.at(0)}
-    for _ in range(probe_depth + 1):
-        if any(betting[q] for q in frontier):
-            return False
-        frontier = {on[q] for on in succ for q in frontier}
-    return True
+    path = _path_to_betting(strategy.program, player.at(0), len(prefix) % 2)
+    return path is None or len(path) > probe_depth
 
 
 RULE_FAVORED = "favored"

@@ -98,9 +98,6 @@ class LevelVerdict:
     strict: bool
     min_length: int
 
-    def ok(self) -> bool:
-        return self.strict
-
 
 def validate_s_test(array: TestArray, s) -> list[LevelVerdict]:
     """Check the strict level-weight bounds of a scaled test.

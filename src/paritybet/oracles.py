@@ -60,15 +60,6 @@ class OracleReport:
         else:
             self.stats["failures_truncated"] = True
 
-    def as_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "total": self.total,
-            "passed": self.passed,
-            "failures": self.failures,
-            "stats": dict(sorted(self.stats.items())),
-        }
-
 
 _GRID = 840  # lcm(1..8): the sampler's values are multiples of 1/_GRID
 

@@ -2,14 +2,15 @@
 
 Strategy tables, bet programs, mixtures, adversary strategies, test
 arrays, block specs and duel traces round-trip. Reports (diagnoses,
-level verdicts, growth verdicts, dimension reports) serialize one way,
-out. One rule, from each dataclass's fields, writes every object and
-reads back the ones that round-trip. Every rational crosses the wire as
-str(Fraction), so nothing is ever rounded. A table's values are read
-straight into its integer levels, with no Fraction per state. dumps
-writes the text itself, byte for byte as json.dumps(sort_keys=True,
-indent=2) would, and spells a table's values from its integer levels; a
-file written twice from the same objects is byte-identical.
+level verdicts, growth verdicts, dimension reports, oracle reports)
+serialize one way, out. One rule, from each dataclass's fields, writes
+every object and reads back the ones that round-trip. Every rational
+crosses the wire as str(Fraction), so nothing is ever rounded. A table's
+values are read straight into its integer levels, with no Fraction per
+state. dumps writes the text itself, byte for byte as
+json.dumps(sort_keys=True, indent=2) would, and spells a table's values
+from its integer levels; a file written twice from the same objects is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .diagonal import (
 )
 from .dimension import DimReport, ExponentSample, LevelVerdict
 from .errors import PreconditionError, StructuralError
+from .oracles import OracleReport
 from .programs import (
     BetProgram,
     Component,
@@ -99,7 +101,7 @@ def _rational_ints(s) -> tuple[int, int]:
 
 # Every dataclass the wire writes, with its tag. Such an object becomes
 # its fields plus its tag under "type" (under "bet" for bets); machines,
-# their states, components and duel bit records carry no tag.
+# their states, components, duel bit records and oracle reports carry no tag.
 _TAGS = {
     StrategyTable: "table",
     BetProgram: "program",
@@ -129,17 +131,19 @@ _TAGS = {
     StageEvent: "stage_event",
     BuilderState: "builder_state",
     RequestLedger: "ledger",
+    OracleReport: None,
 }
 
 # the key a tag is written under, where it is not "type"
 _TAG_KEYS = dict.fromkeys((FractionBet, IntegerBet, ScaleBet), "bet")
 
 # Keys a report derives rather than stores; each names a method without
-# arguments whose result is written under that key.
+# arguments, or a property, whose value is written under that key.
 _DERIVED = {
     DimReport: ("half_log2_base",),
     GrowthVerdict: ("ok",),
     RequestLedger: ("kraft_weight",),
+    OracleReport: ("passed",),
 }
 
 # class -> (tag key, tag, field names, derived keys), fixed at import
@@ -180,7 +184,8 @@ def _encode(obj, text=False):
         if tag is not None:
             out[key] = tag
         for name in derived:
-            out[name] = _encode(getattr(obj, name)(), text)
+            v = getattr(obj, name)
+            out[name] = _encode(v() if callable(v) else v, text)
         return out
     if cls is _Values:
         return obj if text else dict(zip(*_spelled(obj)))

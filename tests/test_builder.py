@@ -205,6 +205,19 @@ def test_floor_chaining_rejects_backwards():
         floor(odd, 4, parity=Parity.BETS_ON_ODD, stage=0, prev=f5)
 
 
+@pytest.mark.parametrize("parent,low,high", [("0", "00", "01"), ("1", "11", "10")])
+def test_floor_chaining_rejects_a_prev_that_bets_where_the_floor_copies(parent, low, high):
+    # the even floor copies at length 1, so it would put 1 at high, below
+    # this prev's 3/2
+    t = StrategyTable(2, dict.fromkeys(bits.all_states(2), Fraction(1)))
+    prev = StrategyTable(
+        2, {**dict.fromkeys(bits.all_states(2), Fraction(1)), low: Fraction(1, 2), high: Fraction(3, 2)},
+        Kind.MARTINGALE, Parity.BETS_ON_EVEN,
+    )
+    with pytest.raises(PreconditionError, match=f"^prev bets at '{parent}'; prev is not a chained floor$"):
+        floor(t, 2, Parity.BETS_ON_EVEN, prev=prev)
+
+
 def _quiet_pair():
     n_approx = StageApprox(
         (Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_ODD)),),

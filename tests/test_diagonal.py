@@ -2,6 +2,7 @@
 block interpolation."""
 
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -641,6 +642,15 @@ def test_verify_cone_constancy_finds_a_later_bet():
     assert not verify_cone_constancy(parity_window("w", 3, 2), "0", 2)
 
 
+def test_verify_cone_constancy_costs_nothing_more_at_a_deeper_probe():
+    # the probe asks the settling search once, however deep it looks
+    idle = Fsm((FsmState(None, 1, 1), FsmState(None, 0, 0)))
+    never = IntStrategy(BetProgram(Fraction(3), idle, "integer"))
+    start = time.perf_counter()
+    assert verify_cone_constancy(never, "0110", 10**7)
+    assert time.perf_counter() - start < 1
+
+
 def test_verify_cone_constancy_refuses_a_prefix_that_is_not_bits():
     # the players' step reads any bit but "1" as "0"
     _raises(StructuralError, "not a binary string: '0x'",
@@ -677,6 +687,9 @@ def test_the_state_search_matches_the_configuration_search(machine):
 def test_the_state_probe_matches_the_configuration_probe(machine):
     strategy = IntStrategy(BetProgram(machine.initial, machine.rule, "integer"))
     for prefix in _reached_at(strategy.program).values():
+        # a negative depth probes no level, so the cone is constant out to
+        # it; the reference read it as depth 0
+        assert verify_cone_constancy(strategy, prefix, -1)
         for depth in range(13):
             assert (verify_cone_constancy(strategy, prefix, depth)
                     == ref.verify_cone_constancy(strategy, prefix, depth))

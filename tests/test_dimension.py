@@ -69,7 +69,7 @@ def test_validate_s_test_flags_heavy_level():
     # weight 2^-1 at level 1 is equality, not strict
     arr = TestArray((("00",), ("0000", "0010")), flavor="free")
     verdicts = validate_s_test(arr, Fraction(1, 2))
-    assert verdicts[1].sign == 0 and not verdicts[1].ok()
+    assert verdicts[1].sign == 0 and not verdicts[1].strict
 
 
 def test_strategies_from_test_unit_value():

@@ -23,6 +23,7 @@ from paritybet.oracles import (
     two_round_grid,
     two_round_random,
 )
+from paritybet.serialize import dumps, to_jsonable
 from paritybet.strategy import StrategyTable
 
 
@@ -76,7 +77,7 @@ def test_report_failure_cap():
     assert len(rep.failures) == 32
     assert rep.stats["failures_truncated"] is True
     assert not rep.passed
-    payload = rep.as_jsonable()
+    payload = to_jsonable(rep)
     assert payload["passed"] is False and payload["name"] == "cap"
 
 
@@ -88,7 +89,7 @@ _SMALL = [(d, v) for d in range(1, 5) for v in range(1, 4)]
 
 
 def _same_report(new, old):
-    assert json.dumps(new.as_jsonable()) == json.dumps(old.as_jsonable())
+    assert dumps(new) == dumps(old)
 
 
 @pytest.mark.parametrize("den,max_value", [s for s in _SMALL if s[0] * s[1] <= 4])

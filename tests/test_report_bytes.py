@@ -26,6 +26,18 @@ from paritybet import (
     params,
     trace_lines,
 )
+from paritybet.oracles import OracleReport
+
+
+def _oracle_report():
+    # stats inserted out of key order, and one failure past the cap of 32
+    report = OracleReport("floor-parity-grid", total=40)
+    report.stats["rise"] = "1/2"
+    report.stats["bound"] = "1/4"
+    report.fail(kind="not-below", m=[3, "01"], delta=Fraction(-1, 8))
+    for _ in range(32):
+        report.fail()
+    return report
 
 
 def _ledger():
@@ -105,6 +117,7 @@ CASES = {
         position_parity=1, constant_value=4,
     ),
     "checkpoint": Checkpoint(position=12, block_bits=8, fraction=Fraction(2, 3)),
+    "oracle_report": _oracle_report(),
 }
 
 EXPECTED = {
@@ -416,6 +429,30 @@ EXPECTED = {
   "fraction": "2/3",
   "position": 12,
   "type": "checkpoint"
+}
+""",
+    "oracle_report": """\
+{
+  "failures": [
+    {
+      "delta": "-1/8",
+      "kind": "not-below",
+      "m": [
+        3,
+        "01"
+      ]
+    },
+""" + "    {},\n" * 30 + """\
+    {}
+  ],
+  "name": "floor-parity-grid",
+  "passed": false,
+  "stats": {
+    "bound": "1/4",
+    "failures_truncated": true,
+    "rise": "1/2"
+  },
+  "total": 40
 }
 """,
 }

@@ -14,11 +14,13 @@ from paritybet import (
     StructuralError,
     as_capital,
     combine,
+    from_jsonable,
     parity_factorize,
     product,
+    to_jsonable,
     validate,
 )
-from paritybet import bits
+from paritybet import bits, strategy
 
 from conftest import random_positive_martingale
 
@@ -60,6 +62,19 @@ def test_a_claimed_depth_past_the_keys_builds_nothing_of_its_size():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5])
+def test_a_valid_table_is_checked_as_a_whole(monkeypatch, depth):
+    # the whole-table check passes every valid table, zeros included, so
+    # no key is checked one by one
+    def refuse(key, depth):
+        raise AssertionError(f"key {key!r} checked on its own")
+    monkeypatch.setattr(strategy, "_check_key", refuse)
+    values = {s: Fraction(len(s) % 3, 2) for s in bits.all_states(depth)}
+    t = StrategyTable(depth, values)
+    assert dict(t.values) == values
+    assert from_jsonable(to_jsonable(t)) == t
 
 
 def test_table_rejects_long_state():
@@ -163,6 +178,13 @@ def test_product_requires_opposite_parities():
     leaky = table(2, FAIR_COIN, kind=Kind.SUPERMARTINGALE, parity=Parity.BETS_ON_EVEN)
     with pytest.raises(PreconditionError):
         product(a, leaky)
+
+
+def test_product_refuses_like_parities_before_it_reads_a_state():
+    # two odd bettors also bet at one state; the parity check names the fault
+    a = table(2, ODD_BETTOR, parity=Parity.BETS_ON_ODD)
+    with pytest.raises(PreconditionError, match="^product needs one BETS_ON_EVEN and one BETS_ON_ODD"):
+        product(a, a)
 
 
 def test_product_law_preserved(rng):

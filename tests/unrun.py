@@ -20,12 +20,18 @@ reason, in tests/unrun_allowed.json.
 
 The trace functions are module-level functions and keep no frame: a
 tracer that made a closure per frame left garbage behind, which a test
-that counts gc.collect() saw.
+that counts gc.collect() saw. CPython drops a trace function that
+raises, and hypothesis's explain phase on Python before 3.12 calls
+sys.settrace(None) after a failing example; either would leave every
+later statement looking unrun. So the script checks after the run that
+its tracer is still installed, and when it is not it lists nothing and
+fails.
 
 Besides the test runner, only the standard library is used. pytest does
 not collect this file. Exit status: 0 when the tests pass and exactly
-the allow-listed statements go unrun; 1 when a test fails, a statement
-outside the list goes unrun, or a listed statement ran or is gone.
+the allow-listed statements go unrun; 1 when a test fails, the tracer
+was dropped or replaced, a statement outside the list goes unrun, or a
+listed statement ran or is gone.
 """
 
 from __future__ import annotations
@@ -117,9 +123,14 @@ def main(argv=None) -> int:
     sys.settrace(_global)  # the tests start no thread
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *(args or ["tests"])])
+        traced = sys.gettrace() is _global
     finally:
         sys.settrace(None)
     seconds = time.perf_counter() - start
+    if not traced:
+        print("\nunrun: the tracer was dropped or replaced during the run, "
+              "so which statements ran is unknown")
+        return 1
     import paritybet
 
     where = Path(paritybet.__file__).resolve().parent
