@@ -340,8 +340,9 @@ class PackingCertificate:
     On-array states of length 2i carry (4/3)^i. A state of odd length 2i+1
     carries the average of its two children's values, an on-array state of
     length 2i with no materialized level above it stays constant, and
-    anything off the array carries 0. Values are computed on demand; a
-    total table is only materialized through to_table at small depths.
+    anything off the array carries 0. Values are computed on demand, each
+    one Fraction over powers of 3 and 4; a total table is only
+    materialized through to_table at small depths.
     """
 
     def __init__(self, array: TestArray):
@@ -356,11 +357,10 @@ class PackingCertificate:
             state = state[:top]
         i, odd = divmod(len(state), 2)
         if not odd:
-            return Fraction(4, 3) ** i if state in self._sets[i] else Fraction(0)
-        if state[:-1] not in self._sets[i]:
-            return Fraction(0)
+            return Fraction(4**i, 3**i) if state in self._sets[i] else Fraction(0)
+        # each member extends one of the level below, so off the array cnt is 0
         cnt = sum(1 for b in "01" if state + b in self._sets[i + 1])
-        return cnt * Fraction(4, 3) ** (i + 1) / 2
+        return Fraction(cnt * 4 ** (i + 1), 2 * 3 ** (i + 1))
 
     def to_table(self, depth: int) -> StrategyTable:
         values = {s: self.value(s) for s in all_states(depth)}
@@ -380,16 +380,18 @@ def packing_certificate(
 ) -> tuple[PackingCertificate, tuple[GrowthLine, ...]]:
     """Certificate plus its per-level growth report. Along any path through
     the array the certificate's value at level i is exactly (4/3)^i, which
-    pins the path's dimension at half the log of 3."""
+    pins the path's dimension at half the log of 3. Level i's measure bound
+    is its measure, members / 4^i, which is at most (3/4)^i because the
+    block34 shape gives level i at most 3^i members."""
     cert = PackingCertificate(array)
     lines = tuple(
         GrowthLine(
             level=i,
-            members=len(array.levels[i]),
-            on_path_value=Fraction(4, 3) ** i,
-            measure_bound=min(level_measure(array, i), Fraction(3, 4) ** i),
+            members=len(level),
+            on_path_value=Fraction(4**i, 3**i),
+            measure_bound=Fraction(len(level), 4**i),
         )
-        for i in range(len(array.levels))
+        for i, level in enumerate(array.levels)
     )
     return cert, lines
 

@@ -408,7 +408,12 @@ def run_stage_machine(
     walk bounded by the parent's current capital, or cut the tower there;
     then record one ledger description for the least index whose current
     prefix lacks one. Index 0 is the empty prefix, always defined, never
-    described.
+    described. Each joint capital read is judged against its budget once,
+    when it is read. Every other defined prefix was described at the
+    stage that defined it, so the one that can lack a description is the
+    prefix just defined, which a stage checks against the set of
+    described prefixes. A stage that reads no new capital compares no
+    Fraction, and no stage scans the ledger's requests.
 
     Raises on a capital abort (with the stage in the message), on a
     change-count budget violation, and on a lexicographic regression of
@@ -429,79 +434,72 @@ def run_stage_machine(
 
     # the joint capital at a state changes with the stage only at an
     # activation stage of either side, so each index keeps the (prefix,
-    # joint capital) it last read until the next activation stage or until
-    # its prefix changes; index 0 is the root
+    # joint capital, verdict) it last read until the next activation stage
+    # or until its prefix changes. The verdict is whether the capital is
+    # over the index's budget; at the root, index 0, whether it reached 1/2
     wakes = {c.stage for c in joint.components}
     budgets = [capital_threshold(n) for n in range(n_max + 1)]
-    reads: dict[int, tuple[str, Fraction]] = {}
+    reads: dict[int, tuple[str, Fraction, bool]] = {}
+    # a prefix's length fixes its index and so its request length
+    described: set[str] = set()
 
-    def joint_at(u: int, n: int) -> Fraction:
+    def joint_at(u: int, n: int) -> tuple[str, Fraction, bool]:
         sig = state.sigmas[n]
         hit = reads.get(n)
         if hit is None or hit[0] != sig:
-            hit = reads[n] = (sig, joint.eval(u, sig))
-        return hit[1]
+            v = joint.eval(u, sig)
+            hit = reads[n] = (sig, v, v > budgets[n] if n else v >= HALF)
+        return hit
 
     for u in range(stages + 1):
         state.stage = u
         if u in wakes:
             reads.clear()
-        root = joint_at(u, 0)
-        if root >= HALF:
+        _, root, aborts = joint_at(u, 0)
+        if aborts:
             raise PreconditionError(
                 f"joint root capital {root} reached 1/2 at stage {u}; aborting"
             )
-        acted_n = None
-        action = None
-        for n in range(min(u, n_max) + 1):
-            if state.sigmas[n] is None:
-                acted_n, action = n, "define"
+        # the root, under 1/2, is under its budget 1/2
+        for n in range(1, min(u, n_max) + 1):
+            if state.sigmas[n] is None or joint_at(u, n)[2]:
                 break
-            if joint_at(u, n) > budgets[n]:
-                acted_n, action = n, "undefine"
-                break
-        if action == "define":
-            n = acted_n
-            base = state.sigmas[n - 1]
-            bound = joint_at(u, n - 1)
-            tau = greedy_leftmost_extension(
-                lambda st: _exceeds(joint._read(u, st), bound), base, par[n].s)
-            prior = last_in_interval[n]
-            if prior is not None and tau < prior:
-                raise StructuralError(
-                    f"prefix at index {n} regressed from {prior!r} to {tau!r} "
-                    f"at stage {u} under a stable parent"
-                )
-            since_parent[n] += 1
-            if since_parent[n] > 2 ** par[n].p:
-                raise BettingLabError(
-                    f"index {n} changed more than 2^{par[n].p} times "
-                    "under a stable parent"
-                )
-            state.sigmas[n] = tau
-            state.change_counts[n] += 1
-            last_in_interval[n] = tau
-            state.events.append(StageEvent(u, "define", n, tau))
-        elif action == "undefine":
-            n = acted_n
+        else:
+            continue  # no index needs attention
+        # index n changes: its children start a fresh interval
+        for i in range(n + 1, n_max + 1):
+            since_parent[i] = 0
+            last_in_interval[i] = None
+        if state.sigmas[n] is not None:
             for i in range(n, n_max + 1):
                 if state.sigmas[i] is not None:
                     state.events.append(
                         StageEvent(u, "undefine", i, state.sigmas[i])
                     )
                     state.sigmas[i] = None
-        if action is not None:
-            # index acted_n just changed: children start a fresh interval
-            for i in range(acted_n + 1, n_max + 1):
-                since_parent[i] = 0
-                last_in_interval[i] = None
-        for k in range(1, n_max + 1):
-            sig = state.sigmas[k]
-            if sig is None:
-                continue
-            known = state.ledger.k_v(sig)
-            if known is None or known > par[k].described_len:
-                state.ledger.add(sig, par[k].described_len)
-                state.events.append(StageEvent(u, "describe", k, sig))
-                break
+            continue
+        base = state.sigmas[n - 1]
+        bound = joint_at(u, n - 1)[1]
+        tau = greedy_leftmost_extension(
+            lambda st: _exceeds(joint._read(u, st), bound), base, par[n].s)
+        prior = last_in_interval[n]
+        if prior is not None and tau < prior:
+            raise StructuralError(
+                f"prefix at index {n} regressed from {prior!r} to {tau!r} "
+                f"at stage {u} under a stable parent"
+            )
+        since_parent[n] += 1
+        if since_parent[n] > 2 ** par[n].p:
+            raise BettingLabError(
+                f"index {n} changed more than 2^{par[n].p} times "
+                "under a stable parent"
+            )
+        state.sigmas[n] = tau
+        state.change_counts[n] += 1
+        last_in_interval[n] = tau
+        state.events.append(StageEvent(u, "define", n, tau))
+        if tau not in described:
+            state.ledger.add(tau, par[n].described_len)
+            described.add(tau)
+            state.events.append(StageEvent(u, "describe", n, tau))
     return state, state.deepest_defined(), state.ledger

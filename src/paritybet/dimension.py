@@ -165,7 +165,7 @@ def _power_of_two_log(v: Fraction) -> int | None:
     return None
 
 
-def _log2_digits(num: int, den: int, m: int, precision: int, guard: int):
+def _log2_digits(num: int, den: int, m: int, precision: int, guard: int) -> int | None:
     # binary-digit extraction of log2(num/den) - m with interval squaring;
     # operands are rounded outward to guard bits each step so integer sizes
     # stay bounded. Returns None when a digit straddles the rounding slack.
@@ -183,22 +183,14 @@ def _log2_digits(num: int, den: int, m: int, precision: int, guard: int):
             digits |= 1
         elif hi_i >= 2 * scale:
             return None
-    low = (m << precision) + digits
-    return Fraction(low, 1 << precision), Fraction(low + 1, 1 << precision)
+    return (m << precision) + digits
 
 
-def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Dyadic interval of width 2^-precision containing log2(v), v > 0."""
-    if v <= 0:
-        raise PreconditionError("log2 needs a positive value")
-    if precision < 0:
-        raise PreconditionError(f"precision must be nonnegative, got {precision}")
-    exact = _power_of_two_log(v)
-    if exact is not None:
-        return Fraction(exact), Fraction(exact)
-    # scale by 2^-m into 1 <= num/den < 2, so log2(v) = m + log2(num/den);
-    # v is not a power of two so no squaring ever lands exactly on a
-    # digit boundary and some guard width always resolves every digit
+def _log2_cell(v: Fraction, precision: int) -> int:
+    # the integer low with low < 2^precision * log2(v) < low + 1, for a
+    # v > 0 that is not a power of two. Scale by 2^-m into 1 <= num/den < 2,
+    # so log2(v) = m + log2(num/den); no squaring ever lands exactly on a
+    # digit boundary, so some guard width always resolves every digit
     num, den = v.numerator, v.denominator
     m = num.bit_length() - den.bit_length()
     if m >= 0:
@@ -210,10 +202,23 @@ def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
         m -= 1
     guard = precision + 16
     while True:
-        got = _log2_digits(num, den, m, precision, guard)
-        if got is not None:
-            return got
+        low = _log2_digits(num, den, m, precision, guard)
+        if low is not None:
+            return low
         guard *= 2
+
+
+def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
+    """Dyadic interval of width 2^-precision containing log2(v), v > 0."""
+    if v <= 0:
+        raise PreconditionError("log2 needs a positive value")
+    if precision < 0:
+        raise PreconditionError(f"precision must be nonnegative, got {precision}")
+    exact = _power_of_two_log(v)
+    if exact is not None:
+        return Fraction(exact), Fraction(exact)
+    low = _log2_cell(v, precision)
+    return Fraction(low, 1 << precision), Fraction(low + 1, 1 << precision)
 
 
 @dataclass(frozen=True)
@@ -245,13 +250,13 @@ class ExponentSample:
         """True when the exponent equals log2(base)/2 exactly.
 
         1 - log2(v)/n = log2(base)/2 rearranges to v^2 * base^n = 4^n,
-        a pure integer identity, so irrational exponents are confirmed
-        symbolically instead of numerically.
+        which for v = num/den is num^2 * base^n == den^2 * 4^n, a pure
+        integer identity, so irrational exponents are confirmed
+        symbolically instead of numerically. An infinite sample's value 0
+        never matches.
         """
-        if self.infinite:
-            return False
-        v = self.value
-        return v * v * base**self.n == Fraction(4) ** self.n
+        num, den = self.value.numerator, self.value.denominator
+        return num * num * base**self.n == (den * den) << (2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -288,7 +293,8 @@ def empirical_dim_bound(
     Zero values give an infinite sample (the strategy ruled the prefix
     out entirely); values that are powers of two give exact rational
     exponents; everything else is trapped in a dyadic bracket of width
-    2^-precision scaled by 1/n.
+    2^-precision scaled by 1/n. Each sample is written from integers: the
+    power of two's log, or log2_bracket's dyadic cell.
     """
     if precision < 0:
         raise PreconditionError(f"precision must be nonnegative, got {precision}")
@@ -310,16 +316,15 @@ def empirical_dim_bound(
                 ExponentSample(n=n, value=v, exact=None, bracket=None, infinite=True)
             )
             continue
-        log_lo, log_hi = log2_bracket(v, precision)
-        exact = log_lo == log_hi  # v is a power of two
+        k = _power_of_two_log(v)
+        if k is not None:
+            exact, bracket = Fraction(n - k, n), None
+        else:
+            # log2(v) lies in (low, low + 1) / 2^precision
+            low, scale = _log2_cell(v, precision), n << precision
+            exact, bracket = None, (Fraction(scale - low - 1, scale), Fraction(scale - low, scale))
         samples.append(
-            ExponentSample(
-                n=n,
-                value=v,
-                exact=Fraction(n - log_lo, n) if exact else None,
-                bracket=None if exact else (1 - log_hi / n, 1 - log_lo / n),
-                infinite=False,
-            )
+            ExponentSample(n=n, value=v, exact=exact, bracket=bracket, infinite=False)
         )
     lows = [s.low() for s in samples]
     highs = [s.high() for s in samples]

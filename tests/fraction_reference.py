@@ -7,8 +7,13 @@ functions here; certificate_value is PackingCertificate.value as it was,
 and apply_bet is the per-shape bet law that BetProgram.value and the
 duels stepped with before programs decoded their bets once. log2_bracket
 is the one that normalised by halving a Fraction and built each digit's
-bracket as a Fraction, and run_stage_machine the one that read every
-joint capital afresh at every stage. enumerate_block and build_parity_test
+bracket as a Fraction; exponent_sample is empirical_dim_bound's sample as
+it divided that bracket's Fractions by n, matches_half_log2 the half-log
+check on Fraction powers, and growth_lines packing_certificate's lines
+as Fraction powers and a min of measures. run_stage_machine is the one
+that read every joint capital afresh at every stage, compared it with
+its budget at every stage, and scanned the ledger's requests for each
+index's prefix. enumerate_block and build_parity_test
 are the nested test as it read each joint capital as two Fraction-valued
 StageApprox.eval calls and their Fraction sum, summing every awake
 component again at every activation stage (with the activation stages
@@ -50,6 +55,7 @@ from paritybet.blocktest import (
     CLOSED,
     WATCHING,
     EnumState,
+    GrowthLine,
     LevelReport,
     ParityTestResult,
     TestArray,
@@ -80,7 +86,7 @@ from paritybet.diagonal import (
     DiagTrace,
     _check_tags,
 )
-from paritybet.dimension import _power_of_two_log
+from paritybet.dimension import ExponentSample, _power_of_two_log
 from paritybet.errors import (
     BettingLabError,
     EngineBankruptError,
@@ -388,6 +394,42 @@ def log2_bracket(v: Fraction, precision: int) -> tuple[Fraction, Fraction]:
         if got is not None:
             return got
         guard *= 2
+
+
+def exponent_sample(v: Fraction, n: int, precision: int) -> ExponentSample:
+    """empirical_dim_bound's sample of the value v at length n."""
+    if v == 0:
+        return ExponentSample(n=n, value=v, exact=None, bracket=None, infinite=True)
+    log_lo, log_hi = log2_bracket(v, precision)
+    exact = log_lo == log_hi  # v is a power of two
+    return ExponentSample(
+        n=n,
+        value=v,
+        exact=Fraction(n - log_lo, n) if exact else None,
+        bracket=None if exact else (1 - log_hi / n, 1 - log_lo / n),
+        infinite=False,
+    )
+
+
+def matches_half_log2(sample: ExponentSample, base: int) -> bool:
+    """ExponentSample.matches_half_log2."""
+    if sample.infinite:
+        return False
+    v = sample.value
+    return v * v * base**sample.n == Fraction(4) ** sample.n
+
+
+def growth_lines(array: TestArray) -> tuple[GrowthLine, ...]:
+    """The growth lines of blocktest.packing_certificate."""
+    return tuple(
+        GrowthLine(
+            level=i,
+            members=len(array.levels[i]),
+            on_path_value=Fraction(4, 3) ** i,
+            measure_bound=min(blocktest.level_measure(array, i), Fraction(3, 4) ** i),
+        )
+        for i in range(len(array.levels))
+    )
 
 
 def run_stage_machine(n_approx, t_approx, stages: int, n_max: int):

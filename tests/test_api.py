@@ -37,9 +37,7 @@ _EXACT_MATH = {"ceil", "comb", "factorial", "floor", "gcd", "isqrt", "lcm", "per
 # Fraction, so the quotient stays exact. A new one must be looked at and
 # added here.
 _DIVISIONS = Counter({
-    "blocktest.PackingCertificate.value": 1,
     "dimension.compare_scaled_weight": 1,
-    "dimension.empirical_dim_bound": 2,
 })
 
 

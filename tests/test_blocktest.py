@@ -222,6 +222,8 @@ def test_packing_certificate_growth(small_oscillating_pair):
     for i in range(len(res.array.levels)):
         assert cert.value(res.path[: 2 * i]) == Fraction(4, 3) ** i
     assert cert.value("11") == 0  # off the array
+    with pytest.raises(StructuralError, match="not a binary string"):
+        cert.value("02")
 
 
 def test_packing_certificate_is_supermartingale(small_oscillating_pair):
@@ -233,6 +235,28 @@ def test_packing_certificate_is_supermartingale(small_oscillating_pair):
     # beyond the materialized levels the value freezes
     deep = res.path[:6]
     assert cert.value(deep + "0101") == cert.value(deep)
+
+
+@st.composite
+def _block34_arrays(draw):
+    """A block34 array of up to seven levels: up to three of the four
+    extensions of each member, all three of them on some draws."""
+    levels = [("",)]
+    for _ in range(draw(st.integers(0, 6))):
+        levels.append(tuple(
+            p + b
+            for p in levels[-1]
+            for b in draw(st.sampled_from([["00", "01", "10"], ["11"], []])
+                          | st.lists(st.sampled_from(["00", "01", "10", "11"]), max_size=3, unique=True))
+        ))
+    return TestArray(tuple(levels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block34_arrays())
+def test_packing_certificate_growth_lines_match_the_fraction_reference(array):
+    _, growth = packing_certificate(array)
+    assert growth == ref.growth_lines(array)
 
 
 _STAKES = [Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 4), Fraction(1, 2), Fraction(1)]

@@ -4,6 +4,7 @@ ledger, and the stage machine itself."""
 import gc
 import random
 import weakref
+from unittest import mock
 from dataclasses import replace
 from fractions import Fraction
 
@@ -393,8 +394,9 @@ def test_stage_machine_parity_guards():
         run_stage_machine(t_approx, n_approx, 10, 1)
     with pytest.raises(PreconditionError, match="second side"):
         run_stage_machine(n_approx, n_approx, 10, 1)
-    with pytest.raises(PreconditionError, match="nonnegative"):
-        run_stage_machine(n_approx, t_approx, -1, 1)
+    for stages, n_max in ((-1, 1), (1, -1)):
+        with pytest.raises(PreconditionError, match="^stages and n_max must be nonnegative"):
+            run_stage_machine(n_approx, t_approx, stages, n_max)
 
 
 def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
@@ -420,6 +422,67 @@ def test_stage_machine_raises_on_planted_invariant_breaks(monkeypatch):
         run_stage_machine(n_approx, t_approx, 20, 1)
 
 
+def test_stage_machine_describes_a_prefix_once_and_counts_its_changes(monkeypatch):
+    # a planted walk gives index 1 the prefix 1^18 at every definition, and
+    # the follower of 1^18 that wakes at stage 5 keeps that prefix over its
+    # budget: index 1 is cut at stages 5, 7, 9, ... and defined at 1, 6, 8, ...
+    n_approx = StageApprox((
+        Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_ODD)),
+        Component(5, 1, follow_program("1" * 18, Parity.BETS_ON_ODD, Fraction(1, 512))),
+    ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    _, t_approx = _quiet_pair()
+    walks = iter(["1" * 18] * 2)
+    monkeypatch.setattr(builder, "greedy_leftmost_extension", lambda *_: next(walks))
+    state, _, ledger = run_stage_machine(n_approx, t_approx, 7, 1)
+    assert [(e.stage, e.kind) for e in state.events] == [
+        (1, "define"), (1, "describe"), (5, "undefine"), (6, "define"), (7, "undefine")]
+    assert ledger.requests == (("1" * 18, 27),)
+    # with a change budget of 2^1 the third definition, at stage 8, overruns it
+    walks = iter(["1" * 18] * 3)
+    real = builder.stage_parameters
+    monkeypatch.setattr(builder, "stage_parameters",
+                        lambda n_max: tuple(replace(pr, p=1) for pr in real(n_max)))
+    with pytest.raises(BettingLabError, match="^index 1 changed more than 2\\^1 times"):
+        run_stage_machine(n_approx, t_approx, 20, 1)
+
+
+def test_stage_machine_starts_a_fresh_interval_under_a_changed_parent(monkeypatch):
+    # planted walks define index 1 as 0^18 at stage 1 and index 2 as 1^80
+    # at stage 2. A follower of 0^18 waking at stage 5 cuts the tower at
+    # index 1, which is defined anew at stage 6. At stage 7 index 2 gets
+    # 0^80, below its old prefix, for the second time in the run: under
+    # the changed parent that is neither a regression nor over a change
+    # budget of 2^0
+    n_approx = StageApprox((
+        Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_ODD)),
+        Component(5, 1, follow_program("0" * 18, Parity.BETS_ON_ODD, Fraction(1, 512))),
+    ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    _, t_approx = _quiet_pair()
+    walks = iter(["0" * 18, "1" * 80, "01" + "0" * 16, "0" * 80])
+    monkeypatch.setattr(builder, "greedy_leftmost_extension", lambda *_: next(walks))
+    real = builder.stage_parameters
+    monkeypatch.setattr(builder, "stage_parameters",
+                        lambda n_max: tuple(replace(pr, p=0) if pr.n == 2 else pr for pr in real(n_max)))
+    state, prefix, _ = run_stage_machine(n_approx, t_approx, 7, 2)
+    assert [(e.stage, e.kind, e.n) for e in state.events] == [
+        (1, "define", 1), (1, "describe", 1), (2, "define", 2), (2, "describe", 2),
+        (5, "undefine", 1), (5, "undefine", 2),
+        (6, "define", 1), (6, "describe", 1), (7, "define", 2), (7, "describe", 2),
+    ]
+    assert prefix == "0" * 80 and state.change_counts == [0, 2, 2]
+
+
+def test_stage_machine_aborts_at_a_root_of_exactly_one_half():
+    n_approx = StageApprox(
+        (Component(5, Fraction(1, 4), constant_program(1, None, Parity.BETS_ON_ODD)),),
+        Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    t_approx = StageApprox(
+        (Component(0, Fraction(1, 4), constant_program(1, None, Parity.BETS_ON_EVEN)),),
+        Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    with pytest.raises(PreconditionError, match="^joint root capital 1/2 reached 1/2 at stage 5"):
+        run_stage_machine(n_approx, t_approx, 100, 1)
+
+
 def test_stage_machine_walk_raises_when_both_children_exceed_the_bound(monkeypatch):
     # no pair of martingales does this: plant a joint under which every
     # state but the root exceeds any bound
@@ -440,7 +503,8 @@ def _run_both(n_approx, t_approx, stages, n_max):
         except BettingLabError as err:
             out.append((type(err), str(err)))
             continue
-        out.append((state.events, state.sigmas, state.change_counts, ledger.requests, prefix))
+        out.append((state.events, state.sigmas, state.change_counts, ledger.requests, prefix,
+                    state.stage))
     return out
 
 
@@ -482,6 +546,23 @@ def test_stage_machine_matches_the_reference(n_approx, t_approx, stages, n_max):
     assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(_side(Parity.BETS_ON_ODD), _side(Parity.BETS_ON_EVEN), st.integers(0, 30),
+       st.lists(st.integers(0, 2), min_size=2, max_size=3))
+def test_stage_machine_matches_the_reference_on_small_change_budgets(n_approx, t_approx, stages, ps):
+    # change budgets of 2^0 to 2^2 per index, so that the counts of changes
+    # under a stable parent, and their reset when the parent changes, decide
+    real = builder.stage_parameters
+
+    def small(n_max):
+        return tuple(replace(pr, p=ps[pr.n]) for pr in real(n_max))
+
+    with mock.patch.object(builder, "stage_parameters", small), \
+            mock.patch.object(ref, "stage_parameters", small):
+        got, want = _run_both(n_approx, t_approx, stages, len(ps) - 1)
+    assert got == want
+
+
 def test_stage_machine_rereads_after_an_activation_stage():
     # index 1 is defined at stage 1 and read, unchanged, at stages 2 to 4;
     # the follower waking at stage 5 pumps that prefix to 1/4 + 1 > 3/4,
@@ -503,6 +584,22 @@ def test_stage_machine_rereads_after_an_activation_stage():
         (6, "define", 1), (6, "describe", 1),
     ]
     assert got[0][3].value == "01" + "0" * 16
+
+
+def test_stage_machine_keeps_a_prefix_exactly_at_its_budget():
+    # the follower waking at stage 5 lifts index 1's prefix 0^18 to
+    # 1/4 + 1/2, exactly its budget 3/4, which is not over it
+    n_approx = StageApprox((
+        Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_ODD)),
+        Component(5, 1, follow_program("0" * 18, Parity.BETS_ON_ODD, Fraction(1, 1024))),
+    ), Kind.MARTINGALE, Parity.BETS_ON_ODD)
+    t_approx = StageApprox(
+        (Component(0, Fraction(1, 8), constant_program(1, None, Parity.BETS_ON_EVEN)),),
+        Kind.MARTINGALE, Parity.BETS_ON_EVEN)
+    assert n_approx.eval(5, "0" * 18) + t_approx.eval(5, "0" * 18) == capital_threshold(1)
+    got, want = _run_both(n_approx, t_approx, 8, 1)
+    assert got == want
+    assert [(e.stage, e.kind) for e in got[0]] == [(1, "define"), (1, "describe")]
 
 
 def _tower_demo_pair():

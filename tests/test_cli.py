@@ -414,6 +414,17 @@ def test_paritytest_deterministic(capsys, tmp_path, small_oscillating_pair):
     assert cert["dim_report"]["half_log2_base"] == 3
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_paritytest_refuses_a_depth_below_one_by_name(capsys, tmp_path, small_oscillating_pair, depth):
+    mix = _mixture_file(tmp_path, small_oscillating_pair)
+    for path in (mix, str(tmp_path / "missing.json")):  # refused before the file is read
+        code, out, err = run_cli(capsys, "paritytest", "--depth", depth, "--mixture", path)
+        assert code == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "PreconditionError"
+        assert error["message"] == f"--depth {depth} is outside 1..1000"
+
+
 def _adversary_file(tmp_path):
     advs = [
         to_jsonable(parity_window("w0", 4, 3, outcome=0)),

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paritybet import (
@@ -220,6 +220,69 @@ def test_matches_half_log2_symbolic():
     assert rep.half_log2_base() == 3
     # exponent 0 would need base 1
     assert empirical_dim_bound(_doubling_table("0110"), "0110").half_log2_base() is None
+
+
+class _ByLength:
+    """A lazy evaluator whose value at a state is the one drawn for its length."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def value(self, state):
+        return self.values[len(state) - 1]
+
+
+# positive rationals, powers of two among them, and zeros for the infinite samples
+_VALUES = st.one_of(
+    st.builds(Fraction, st.integers(1, 2**80), st.integers(1, 2**80)),
+    st.integers(-80, 80).map(lambda k: Fraction(2) ** k),
+    st.just(Fraction(0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=64), st.integers(0, 40), st.data())
+def test_exponent_samples_match_the_fraction_reference(values, precision, data):
+    x = data.draw(st.text("01", min_size=len(values), max_size=len(values)))
+    rep = empirical_dim_bound(_ByLength(values), x, precision=precision)
+    want = tuple(ref.exponent_sample(v, n, precision) for n, v in enumerate(values, 1))
+    assert rep.samples == want
+    lows = [s.low() for s in want if not s.infinite]
+    assert rep.lower == (min(lows) if lows else None)
+    assert rep.upper == (None if len(lows) < len(want) else max(s.high() for s in want))
+
+
+def test_empirical_dim_bound_checks_its_precision_and_bits():
+    thirds = _ByLength([Fraction(1, 3)] * 2)
+    # each bracket is 2^-precision / n wide, at precision 20 by default
+    for precision, rep in ((20, empirical_dim_bound(thirds, "01")),
+                           (1000, empirical_dim_bound(thirds, "01", precision=1000))):
+        widths = [s.bracket[1] - s.bracket[0] for s in rep.samples]
+        assert widths == [Fraction(1, n << precision) for n in (1, 2)]
+    for precision, match in ((-1, "nonnegative, got -1"), (1001, "1001 is above 1000")):
+        with pytest.raises(PreconditionError, match=match):
+            empirical_dim_bound(thirds, "01", precision=precision)
+    with pytest.raises(StructuralError, match="not a binary string"):
+        empirical_dim_bound(thirds, "0a")
+
+
+# v = 4^i / base^i at n = 2i is the true case for base; the others draw
+# the value, the length and the base apart
+_HALF_LOG_CASES = st.one_of(
+    st.builds(lambda base, i: (Fraction(4**i, base**i), 2 * i, base), st.integers(2, 8), st.integers(0, 40)),
+    st.tuples(_VALUES, st.integers(1, 64), st.integers(2, 8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HALF_LOG_CASES)
+@example((Fraction(4**20, 3**20), 40, 3))
+@example((Fraction(4**20, 3**20), 40, 2))
+@example((Fraction(1), 1, 4))
+def test_matches_half_log2_matches_the_fraction_reference(case):
+    v, n, base = case
+    sample = dimension.ExponentSample(n=n, value=v, exact=None, bracket=None, infinite=v == 0)
+    assert sample.matches_half_log2(base) == ref.matches_half_log2(sample, base)
 
 
 def _certificate_like():
