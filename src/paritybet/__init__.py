@@ -55,7 +55,6 @@ from .blocktest import (
     build_parity_test,
     check_block34,
     enumerate_block,
-    level_measure,
     max_fanout,
     mixture,
     packing_certificate,

@@ -21,13 +21,15 @@ def check_bits(s: str) -> str:
     return s
 
 
+def state(n: int, i: int) -> str:
+    """The state at index i of level n: i in n binary digits."""
+    return format(i, "b").zfill(n) if n else EMPTY
+
+
 def level(n: int):
     """All binary strings of length n, in lexicographic order."""
-    if n == 0:
-        yield EMPTY
-        return
     for i in range(1 << n):
-        yield format(i, "b").zfill(n)
+        yield state(n, i)
 
 
 def all_states(depth: int):

@@ -47,6 +47,11 @@ class BlockReport:
     quantities: tuple[tuple[str, Fraction], ...]
 
 
+def _branch(parent: str, spec: BlockSpec) -> str:
+    """The leaf above parent that the two-round argument pins down."""
+    return parent + ("01" if spec.n0 <= spec.n1 else "11")
+
+
 def verify_block_inequality(m, n, parent: str, spec: BlockSpec) -> BlockReport:
     """Check one instance of the two-bit-block capital inequality.
 
@@ -85,7 +90,7 @@ def verify_block_inequality(m, n, parent: str, spec: BlockSpec) -> BlockReport:
         ("column1", spec.m10 + spec.n1 >= spec.c),
     ]
     witness = next((name for name, ok in checks if not ok), None)
-    branch = p + ("01" if spec.n0 <= spec.n1 else "11")
+    branch = _branch(p, spec)
     branch_value = m_at(branch) + n_at(branch)
     quantities = tuple(sorted(vals.items())) + (
         ("branch", branch_value),
@@ -173,11 +178,10 @@ def _enumerate_block(m: StageApprox, n: StageApprox, joint: StageApprox, parent:
                 n1=n.eval(s, p + "1"),
                 c=c,
             )
-            third = p + ("01" if rec.n0 <= rec.n1 else "11")
             return EnumState(
                 parent=p,
                 threshold=c,
-                enumerated=(leaves[0], leaves[1], third),
+                enumerated=(*leaves, _branch(p, rec)),
                 phase=CLOSED,
                 last_stage=s,
                 recorded=rec,
@@ -238,13 +242,6 @@ def max_fanout(array: TestArray, level: int) -> int:
         parent = member[:-2]
         fanout[parent] = fanout.get(parent, 0) + 1
     return max(fanout.values(), default=0)
-
-
-def level_measure(array: TestArray, level: int) -> Fraction:
-    """Total measure of the cones rooted at the level's members."""
-    if level < 0 or level > array.depth():
-        raise PreconditionError("measure is defined for levels 0..depth")
-    return len(array.levels[level]) * Fraction(1, 4**level)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from operator import gt
 from . import bits
 from .errors import BettingLabError, PreconditionError, StructuralError
 from .programs import StageApprox, _check_sides, _exceeds, _joint, at_stage
-from .strategy import Kind, Parity, StrategyTable, _per_child, _state
+from .strategy import Kind, Parity, StrategyTable, _per_child
 
 HALF = Fraction(1, 2)
 
@@ -189,7 +189,7 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
             out.append(_per_child(level))
             # prev must not bet where the floor copies, or the floor falls below it
             if prev is not None and True in (over := list(map(gt, base[length + 1], out[-1]))):
-                at = _state(length, over.index(True) // 2)
+                at = bits.state(length, over.index(True) // 2)
                 raise PreconditionError(f"prev bets at {at!r}; prev is not a chained floor")
             continue
         cap, low, kids = caps[length + 1], base[length + 1], []
@@ -198,7 +198,7 @@ def _floor(m, depth: int, parity: Parity, stage: int | None, prev) -> StrategyTa
             hi = min(cap[2 * i], 2 * x - low[2 * i + 1])
             if lo > hi:
                 raise PreconditionError(
-                    f"no feasible split at {_state(length, i)!r}; prev is not a chained floor"
+                    f"no feasible split at {bits.state(length, i)!r}; prev is not a chained floor"
                 )
             left = min(max(x, lo), hi)
             kids += (left, 2 * x - left)
@@ -302,8 +302,10 @@ class RequestLedger:
 
     Each request is a (target, length) pair weighing 2^-length; the total
     weight may never exceed 1. k_v reports the shortest requested length
-    for a target, the ledger's stand-in for description complexity. add
-    is the one way to change the requests: it replaces their tuple.
+    for a target (None if none), the ledger's stand-in for description
+    complexity. add is the one way to change the requests: it replaces
+    their tuple and keeps the weight and each target's shortest length,
+    which are not fields, so == and the wire do not read them.
     """
 
     requests: tuple[tuple[str, int], ...] = ()
@@ -313,6 +315,7 @@ class RequestLedger:
         given = self.requests
         object.__setattr__(self, "requests", ())
         object.__setattr__(self, "_weight", Fraction(0))
+        object.__setattr__(self, "_shortest", {})
         for target, length in given:
             self.add(target, length)
 
@@ -331,11 +334,10 @@ class RequestLedger:
             )
         object.__setattr__(self, "requests", (*self.requests, (target, length)))
         object.__setattr__(self, "_weight", w)
+        self._shortest[target] = min(length, self._shortest.get(target, length))
 
     def k_v(self, target: str) -> int | None:
-        lengths = [ln for t, ln in self.requests if t == target]
-        return min(lengths) if lengths else None
-
+        return self._shortest.get(target)
 
 
 def greedy_leftmost_extension(over, base: str, length: int) -> str:
@@ -411,9 +413,9 @@ def run_stage_machine(
     described. Each joint capital read is judged against its budget once,
     when it is read. Every other defined prefix was described at the
     stage that defined it, so the one that can lack a description is the
-    prefix just defined, which a stage checks against the set of
-    described prefixes. A stage that reads no new capital compares no
-    Fraction, and no stage scans the ledger's requests.
+    prefix just defined, which a stage looks up in the ledger (k_v); the
+    machine keeps no record of its own. A stage that reads no new capital
+    compares no Fraction, and no stage scans the ledger's requests.
 
     Raises on a capital abort (with the stage in the message), on a
     change-count budget violation, and on a lexicographic regression of
@@ -440,8 +442,6 @@ def run_stage_machine(
     wakes = {c.stage for c in joint.components}
     budgets = [capital_threshold(n) for n in range(n_max + 1)]
     reads: dict[int, tuple[str, Fraction, bool]] = {}
-    # a prefix's length fixes its index and so its request length
-    described: set[str] = set()
 
     def joint_at(u: int, n: int) -> tuple[str, Fraction, bool]:
         sig = state.sigmas[n]
@@ -498,8 +498,8 @@ def run_stage_machine(
         state.change_counts[n] += 1
         last_in_interval[n] = tau
         state.events.append(StageEvent(u, "define", n, tau))
-        if tau not in described:
+        # a prefix's length fixes its index and so its request length
+        if state.ledger.k_v(tau) is None:
             state.ledger.add(tau, par[n].described_len)
-            described.add(tau)
             state.events.append(StageEvent(u, "describe", n, tau))
     return state, state.deepest_defined(), state.ledger

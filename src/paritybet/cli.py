@@ -182,8 +182,8 @@ def _cmd_paritytest(args) -> int:
 def _cmd_diagonalize(args) -> int:
     if args.target > _MAX_BITS:
         raise PreconditionError(f"--target {args.target} is above {_MAX_BITS}")
-    if args.max_bits is not None and args.max_bits > _MAX_TRACE_BITS:
-        raise PreconditionError(f"--max-bits {args.max_bits} is above {_MAX_TRACE_BITS}")
+    if args.max_bits is not None and not 0 <= args.max_bits <= _MAX_TRACE_BITS:
+        raise PreconditionError(f"--max-bits {args.max_bits} is outside 0..{_MAX_TRACE_BITS}")
     raw = load_json(args.adversaries)
     if not isinstance(raw, list):
         raise WireError("adversaries file must hold a JSON list")

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import floordiv, mul
 
+from . import bits
 from .errors import PreconditionError
 from .strategy import (
     Kind,
@@ -24,7 +25,6 @@ from .strategy import (
     Sided,
     StrategyTable,
     _per_child,
-    _state,
     _weighted,
     as_capital,
     validate,
@@ -159,7 +159,7 @@ def block_decompose(
                 if x < 0:
                     raise PreconditionError(
                         f"no nonnegative remainder: {label} falls below its "
-                        f"core by {Fraction(-x, den)} at state {_state(length, i)!r}"
+                        f"core by {Fraction(-x, den)} at state {bits.state(length, i)!r}"
                     )
         rests.append(StrategyTable._of_levels(den, levels, Kind.MARTINGALE, core.parity))
     m_rest, n_rest = rests

@@ -739,6 +739,8 @@ def diagonalize(
     """
     if target < 1:
         raise PreconditionError("target must be a positive integer")
+    if max_bits is not None and max_bits < 0:
+        raise PreconditionError(f"max_bits must be nonnegative, got {max_bits}")
     _check_tags(engine, adversaries)
     if mode == "greedy":
         if dim0_blocks is not None:

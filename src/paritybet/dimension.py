@@ -23,7 +23,7 @@ from . import bits
 from .blocktest import TestArray
 from .errors import PreconditionError
 from .programs import Component, StageApprox, at_stage, follow_program
-from .strategy import Kind, Parity, Sided, StrategyTable
+from .strategy import Kind, Parity, Sided, StrategyTable, _rational
 
 
 # compare_scaled_weight holds q coefficients and raises its bracket to
@@ -32,7 +32,7 @@ _MAX_SCALE_DENOMINATOR = 10**4
 
 
 def _check_rational_scale(s) -> Fraction:
-    s = Fraction(s)
+    s = _rational(s, PreconditionError)
     if not 0 < s <= 1:
         raise PreconditionError(f"scale must lie in (0, 1], got {s}")
     if s.denominator > _MAX_SCALE_DENOMINATOR:

@@ -43,7 +43,7 @@ from functools import cached_property
 
 from . import bits
 from .errors import PreconditionError, StructuralError
-from .strategy import Kind, Parity, Sided, StrategyTable, _weighted, as_capital
+from .strategy import Kind, Parity, Sided, StrategyTable, _rational, _weighted, as_capital
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class FractionBet:
     stake: Fraction  # signed fraction of capital toward outcome 1, in [-1, 1]
 
     def __post_init__(self):
-        f = Fraction(self.stake)
+        f = _rational(self.stake)
         if not -1 <= f <= 1:
             raise StructuralError(f"bet stake must lie in [-1, 1], got {f}")
         object.__setattr__(self, "stake", f)
@@ -63,6 +63,8 @@ class IntegerBet:
     outcome: int
 
     def __post_init__(self):
+        if type(self.wager) is not int:
+            raise StructuralError(f"integer wager must be an int, got {self.wager!r}")
         if self.wager < 0:
             raise StructuralError("integer wager must be >= 0")
         if self.outcome not in (0, 1):
@@ -74,7 +76,7 @@ class ScaleBet:
     factor: Fraction  # applied to both children; <= 1 keeps the supermartingale law
 
     def __post_init__(self):
-        f = Fraction(self.factor)
+        f = _rational(self.factor)
         if not 0 <= f <= 1:
             raise StructuralError(f"scale factor must lie in [0, 1], got {f}")
         object.__setattr__(self, "factor", f)
@@ -295,12 +297,9 @@ def constant_program(
         a = FsmState(bet if betting_first else None, 1, 1)
         b = FsmState(None if betting_first else bet, 0, 0)
         fsm = Fsm((a, b))
-    integral = isinstance(bet, IntegerBet) or (
-        bet is None and Fraction(initial).denominator == 1
-    )
-    return BetProgram(
-        Fraction(initial), fsm, "integer" if integral else "fractional", parity, sided
-    )
+    initial = as_capital(initial)
+    integral = isinstance(bet, IntegerBet) or (bet is None and initial.denominator == 1)
+    return BetProgram(initial, fsm, "integer" if integral else "fractional", parity, sided)
 
 
 def follow_program(target: str, parity: Parity, initial) -> BetProgram:
@@ -335,7 +334,7 @@ def follow_program(target: str, parity: Parity, initial) -> BetProgram:
         )
     states.append(FsmState(None, settled, settled))
     states.append(FsmState(None, diverged, diverged))
-    return BetProgram(Fraction(initial), Fsm(tuple(states)), "fractional", parity, Sided.NONE)
+    return BetProgram(initial, Fsm(tuple(states)), "fractional", parity, Sided.NONE)
 
 
 @dataclass(frozen=True)

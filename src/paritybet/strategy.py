@@ -26,6 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
+from numbers import Rational, Real
 from operator import add, and_, attrgetter, gt, lt, mul, ne, or_
 from typing import Iterable
 
@@ -67,17 +68,23 @@ class Sided(enum.Enum):
     NONE = "unrestricted"
 
 
+def _rational(v, error: type[Exception] = StructuralError) -> Fraction:
+    """v as a Fraction; a real that is not a rational, such as a binary
+    floating-point number (0.1 is 3602879701896397/36028797018963968),
+    raises error."""
+    if type(v) is Fraction:
+        return v
+    if isinstance(v, Real) and not isinstance(v, Rational):
+        raise error(f"not an exact rational: {v!r}")
+    return Fraction(v)
+
+
 def as_capital(v) -> Fraction:
     """Coerce to an exact nonnegative rational."""
-    f = v if type(v) is Fraction else Fraction(v)
+    f = _rational(v)
     if f.numerator < 0:
         raise StructuralError(f"capital must be nonnegative, got {f}")
     return f
-
-
-def _state(n: int, i: int) -> str:
-    """The state at index i of level n."""
-    return format(i, "b").zfill(n) if n else bits.EMPTY
 
 
 def _per_child(level: list) -> list:
@@ -253,19 +260,8 @@ class Diagnosis:
     witnesses: Mapping[str, str] = field(default_factory=dict)
 
     def holds(self, kind: Kind, parity: Parity, sided: Sided) -> bool:
-        if kind is Kind.MARTINGALE and not self.martingale:
-            return False
-        if kind is Kind.SUPERMARTINGALE and not self.supermartingale:
-            return False
-        if parity is Parity.BETS_ON_EVEN and not self.bets_on_even:
-            return False
-        if parity is Parity.BETS_ON_ODD and not self.bets_on_odd:
-            return False
-        if sided is Sided.ZERO and not self.zero_sided:
-            return False
-        if sided is Sided.ONE and not self.one_sided:
-            return False
-        return True
+        """Whether every tag holds: a tag's value names its verdict, if any."""
+        return all(getattr(self, tag.value, True) for tag in (kind, parity, sided))
 
 
 def _moves(levels, n: int) -> list:
@@ -307,7 +303,7 @@ def validate(table: StrategyTable) -> Diagnosis:
             if True in flags
         )
         for i, _, name in failed:
-            state = _state(n, i)
+            state = bits.state(n, i)
             if name not in witness or state < witness[name]:
                 witness[name] = state
     verdicts = (name not in witness for name in (
@@ -376,7 +372,7 @@ def product(a: StrategyTable, b: StrategyTable) -> StrategyTable:
     for n in range(a.depth):
         both = list(map(and_, _moves(la, n), _moves(lb, n)))
         if True in both:
-            raise PreconditionError(f"both factors bet at state {_state(n, both.index(True))!r}")
+            raise PreconditionError(f"both factors bet at state {bits.state(n, both.index(True))!r}")
     return StrategyTable._of_levels(
         a.values.den * b.values.den,
         [list(map(mul, x, y)) for x, y in zip(la, lb)],

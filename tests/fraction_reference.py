@@ -10,10 +10,12 @@ is the one that normalised by halving a Fraction and built each digit's
 bracket as a Fraction; exponent_sample is empirical_dim_bound's sample as
 it divided that bracket's Fractions by n, matches_half_log2 the half-log
 check on Fraction powers, and growth_lines packing_certificate's lines
-as Fraction powers and a min of measures. run_stage_machine is the one
-that read every joint capital afresh at every stage, compared it with
-its budget at every stage, and scanned the ledger's requests for each
-index's prefix. enumerate_block and build_parity_test
+as Fraction powers and a min of measures, each measure from
+level_measure, blocktest's measure of a level as it was before the
+package stopped calling it. run_stage_machine is the one that read
+every joint capital afresh at every stage, compared it with its budget
+at every stage, and scanned the ledger's requests for each index's
+prefix. enumerate_block and build_parity_test
 are the nested test as it read each joint capital as two Fraction-valued
 StageApprox.eval calls and their Fraction sum, summing every awake
 component again at every activation stage (with the activation stages
@@ -33,9 +35,10 @@ does structural_tags, the tag check as it ran before it walked the
 step table's successor columns. min_block_martingale
 and unique_first_bit_martingale are the block cores as they were built
 from Fraction dicts through the public constructor. table is the public
-StrategyTable constructor as it checked and coerced one key at a time,
-and read_table the wire reader of a table as it read every rational into
-a Fraction (with parse_frac as it was) and then called that constructor.
+StrategyTable constructor as it checked and coerced one key at a time
+(refusing a float value, as as_capital does), and read_table the wire
+reader of a table as it read every rational into a Fraction (with
+parse_frac as it was) and then called that constructor.
 The other outputs are built by the public StrategyTable constructor, so
 they compare with the level-array code by value, by Diagnosis and by wire
 bytes. Nothing in src/ imports this module.
@@ -419,6 +422,13 @@ def matches_half_log2(sample: ExponentSample, base: int) -> bool:
     return v * v * base**sample.n == Fraction(4) ** sample.n
 
 
+def level_measure(array: TestArray, level: int) -> Fraction:
+    """Total measure of the cones rooted at the level's members."""
+    if level < 0 or level > array.depth():
+        raise PreconditionError("measure is defined for levels 0..depth")
+    return len(array.levels[level]) * Fraction(1, 4**level)
+
+
 def growth_lines(array: TestArray) -> tuple[GrowthLine, ...]:
     """The growth lines of blocktest.packing_certificate."""
     return tuple(
@@ -426,7 +436,7 @@ def growth_lines(array: TestArray) -> tuple[GrowthLine, ...]:
             level=i,
             members=len(array.levels[i]),
             on_path_value=Fraction(4, 3) ** i,
-            measure_bound=min(blocktest.level_measure(array, i), Fraction(3, 4) ** i),
+            measure_bound=min(level_measure(array, i), Fraction(3, 4) ** i),
         )
         for i in range(len(array.levels))
     )
@@ -1138,6 +1148,8 @@ def _table_post_init(self):
         bits.check_bits(key)
         if len(key) > self.depth:
             raise StructuralError(f"state {key!r} is longer than depth {self.depth}")
+        if isinstance(v, float):
+            raise StructuralError(f"not an exact rational: {v!r}")
         vals[key] = as_capital(v)
     if len(vals) < (2 << self.depth) - 1:
         for state in bits.all_states(self.depth):

@@ -6,9 +6,10 @@ the function's code is changed a little?
     python3 tests/mutate.py diagonal _repeats --tests tests/test_diagonal.py
     python3 tests/mutate.py programs StageApprox._read
 
-The script copies src/, tests/ and pyproject.toml to a fresh temporary
-directory, removed at the end, and makes one mutant at
-a time of the named function in src/paritybet/<module>.py, from a fixed
+The script copies src/, tests/, demos/, pyproject.toml and FORMATS.md
+(which tests/test_demos.py and tests/test_formats.py read) to a fresh
+temporary directory, removed at the end, and makes one mutant at a time
+of the named function in src/paritybet/<module>.py, from a fixed
 list of AST mutations:
 
 - compare: a comparison negated (< to >=, == to !=, is to is not, in to
@@ -228,9 +229,10 @@ def main(argv=None) -> int:
 
     work = Path(tempfile.mkdtemp(prefix="paritybet-mutate-"))
     try:
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "FORMATS.md"):
+            shutil.copy(ROOT / name, work)
         (work / "conftest.py").write_text(_NO_SHRINK, encoding="utf-8")
         target = work / "src" / "paritybet" / f"{args.module}.py"
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}

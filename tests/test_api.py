@@ -22,6 +22,7 @@ def test_all_holds_the_public_objects_and_nothing_else():
     assert {
         "combine_programs", "dump_json", "frac_str", "OnlineTable", "to_online",
         "from_online", "require_valid", "by_parity_program", "weak_s_random_check",
+        "level_measure",
     }.isdisjoint(names)
     star = {}
     exec("from paritybet import *", star)

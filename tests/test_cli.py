@@ -471,6 +471,18 @@ def test_diagonalize_greedy_rejects_dim0(capsys, tmp_path):
     assert json.loads(err)["error"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("target", ["5", "10"])
+def test_diagonalize_refuses_a_negative_max_bits_before_reading_the_adversaries(capsys, tmp_path,
+                                                                                target):
+    # the file is never read; the engine starts at 5, so target 5 needs no bit
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "diagonalize", "--engine", "N", "--adversaries", missing,
+                             "--target", target, "--max-bits", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "PreconditionError",
+                               "message": "--max-bits -1 is outside 0..1100000"}
+
+
 @pytest.mark.parametrize("engine, adversary, mode", [
     ("D", constant_program(600_000, IntegerBet(1, 1), Parity.NONE, Sided.ONE), "greedy"),
     ("N", constant_program(200_000, IntegerBet(1, 1), Parity.BETS_ON_EVEN), "settle"),

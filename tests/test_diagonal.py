@@ -456,6 +456,13 @@ def test_greedy_stops_at_max_bits_while_the_engine_steps_alone():
     assert len(_greedy_with_deaths()[1].z) == 21
 
 
+def test_a_negative_max_bits_is_refused_even_when_the_target_is_met():
+    # the engine starts at 5, so a target of 5 needs no bit at all
+    for mode in ("greedy", "settle"):
+        with pytest.raises(PreconditionError, match="^max_bits must be nonnegative, got -1$"):
+            diagonalize([], unit_bet_on_one(), 5, mode=mode, max_bits=-1)
+
+
 def _capped_runs():
     """(adversaries, target, kwargs, bits emitted) of duels that end in a
     live bit, in a lone tail, in a lone block and in a lone pad."""

@@ -57,6 +57,16 @@ def test_compare_scaled_weight_empty_and_guards():
         compare_scaled_weight([-1], Fraction(1, 2), 0)
 
 
+@pytest.mark.parametrize("check", [
+    lambda: compare_scaled_weight([1], 0.5, 0),
+    lambda: validate_s_test(TestArray((("00",),), flavor="half"), 0.5),
+], ids=["compare-scaled-weight", "validate-s-test"])
+def test_a_float_scale_is_refused(check):
+    # 0.5 is exactly 1/2, but a float scale is refused whatever its value
+    with pytest.raises(PreconditionError, match=r"^not an exact rational: 0\.5$"):
+        check()
+
+
 def test_validate_s_test_levels():
     arr = TestArray((("000000",), ("0000000000",), ("00000000000000",)), flavor="free")
     verdicts = validate_s_test(arr, Fraction(1, 2))

@@ -92,6 +92,27 @@ def test_bet_shape_guards():
         ScaleBet(Fraction(3, 2))
 
 
+# each entry point where a rational enters a program, with an exact value
+# it takes and a float it refuses: a float's binary value (0.1 is
+# 3602879701896397/36028797018963968) would enter without a word, and a
+# float wager would make an "integer" program's capitals floats
+_FLOAT_ENTRIES = {
+    "integer-wager": (lambda v: IntegerBet(v, 1), 2, 1.5),
+    "fraction-stake": (FractionBet, "1/10", 0.1),
+    "scale-factor": (ScaleBet, 1, 0.5),
+    "constant-initial": (lambda v: constant_program(v, None), "1/2", 0.1),
+    "follow-initial": (lambda v: follow_program("01", Parity.BETS_ON_ODD, v), 1, 0.5),
+    "component-weight": (lambda v: Component(0, v, constant_program(1, None)), Fraction(1, 2), 0.5),
+}
+
+
+@pytest.mark.parametrize("make, exact, inexact", _FLOAT_ENTRIES.values(), ids=_FLOAT_ENTRIES)
+def test_a_float_is_refused_where_a_rational_enters(make, exact, inexact):
+    make(exact)
+    with pytest.raises(StructuralError, match="integer wager must be an int|not an exact rational"):
+        make(inexact)
+
+
 def test_fsm_guards():
     with pytest.raises(StructuralError):
         Fsm(())

@@ -44,6 +44,14 @@ def test_as_capital_rejects_negative():
     with pytest.raises(StructuralError):
         as_capital(Fraction(-1, 2))
     assert as_capital("3/4") == Fraction(3, 4)
+    assert as_capital(0) == 0  # the least capital
+
+
+@pytest.mark.parametrize("make", [lambda: as_capital(0.1), lambda: StrategyTable(0, {"": 0.1})],
+                         ids=["as-capital", "table-value"])
+def test_a_float_capital_is_refused(make):
+    with pytest.raises(StructuralError, match=r"^not an exact rational: 0\.1$"):
+        make()
 
 
 def test_table_requires_total_map():
